@@ -7,23 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .core import (
-    DomainError,
-    GameSpec,
-    HEAVY,
-    Hypothesis,
-    UNKNOWN,
-    adjudicate,
-    partial_complement,
-    predicted_mask,
-    surviving_hypotheses,
-    validate_strategy,
-)
+from .core import DomainError, GameSpec, Hypothesis, adjudicate, validate_strategy
 
 METHOD_EXHAUSTIVE = "exhaustive"
 METHOD_DUPLICATE = "duplicate-rows"
 METHOD_MIRROR = "mirror-pair"
 METHOD_ALL_OFF = "all-off-row"
+_STRUCTURAL_METHODS = (METHOD_DUPLICATE, METHOD_MIRROR, METHOD_ALL_OFF)  # by precedence
 
 
 @dataclass(frozen=True)
@@ -49,45 +39,44 @@ def find_winning_mask(
     spec: GameSpec, strategy, cap: int = engine.DEFAULT_MASK_CAP
 ) -> AttackResult | None:
     """First announcement, in L < R < D lexicographic order, with >= 2
-    survivors; ``None`` when the plan is perfect and no such mask exists."""
+    survivors; ``None`` when the plan is perfect and no such mask exists.
+
+    Decided from the close pairs of honest codes (:func:`engine.close_pairs`)
+    rather than by visiting masks: the first winning mask is the smallest
+    of the pairs' first common words."""
     rows = validate_strategy(spec, strategy)
     engine.check_mask_cap(spec.q, cap)
-    for start, counts in engine.iter_survivor_blocks(spec, rows):
-        hits = np.nonzero(counts >= 2)[0]
-        if hits.size:
-            mask = engine.decode_mask(start + int(hits[0]), spec.q)
-            return _checked(spec, rows, mask, METHOD_EXHAUSTIVE)
-    return None
+    code = engine.first_winning_code(spec, engine.predicted_codes(spec, rows))
+    if code is None:
+        return None
+    return _checked(spec, rows, engine.decode_mask(code, spec.q), METHOD_EXHAUSTIVE)
 
 
 def constructive_attack(spec: GameSpec, strategy) -> AttackResult | None:
-    """Structural attack without scanning masks; zero lie budget only.
+    """Structural attack from equal honest codes; zero lie budget only.
 
-    Duplicate rows: announce either row's honest heavy sequence, both coins
-    stay candidates.  Unknown prior adds two rules: a mirror pair (one row
-    the pan-swap of another) confuses one coin's heavy reading with the
-    other's light reading, and an all-off row followed by all-draws leaves
-    both signs of that coin alive.  ``None`` when no rule applies.
+    Every equal pair of honest announcements is a win for the balance, and
+    its kind names the rule: two coins of one sign (duplicate rows), a heavy
+    and a light reading of different coins (a mirror pair under the unknown
+    prior), or both signs of one coin (an all-off row, announced as all
+    draws).  The first kind present wins, with its smallest shared code as
+    the announcement.  ``None`` when no two codes are equal.
     """
     if spec.k != 0:
         raise DomainError("constructive attacks cover only the zero-lie game (k=0)")
     rows = validate_strategy(spec, strategy)
-
-    seen: dict[str, int] = {}
-    for i, row in enumerate(rows):
-        if row in seen:
-            return _checked(spec, rows, predicted_mask(row, HEAVY), METHOD_DUPLICATE)
-        seen[row] = i
-
-    if spec.prior == UNKNOWN:
-        for i, row in enumerate(rows):
-            mirror = partial_complement(row)
-            if mirror != row and mirror in seen:
-                return _checked(spec, rows, predicted_mask(row, HEAVY), METHOD_MIRROR)
-        for row in rows:
-            if row == "O" * spec.q:
-                return _checked(spec, rows, "D" * spec.q, METHOD_ALL_OFF)
-    return None
+    preds = engine.predicted_codes(spec, rows)
+    n = spec.n
+    best: dict[int, int] = {}
+    for _, a, b in engine.close_pairs(spec, preds[None, :]):
+        kind = np.where(a // n == b // n, 0, np.where(a % n == b % n, 2, 1))
+        for rule, code in zip(kind.tolist(), preds[a].tolist()):
+            best[rule] = min(best.get(rule, code), code)
+    if not best:
+        return None
+    rule = min(best)
+    mask = engine.decode_mask(best[rule], spec.q)
+    return _checked(spec, rows, mask, _STRUCTURAL_METHODS[rule])
 
 
 def best_response_exists(spec: GameSpec, strategy, cap: int = engine.DEFAULT_MASK_CAP) -> bool:

@@ -210,8 +210,8 @@ def lie_win_thresholds(q: int, k: int, all_on: bool = False) -> LieThresholds:
     if q < 1 or not 0 <= k <= q:
         raise DomainError(f"need q >= 1 and 0 <= k <= q, got q={q}, k={k}")
     space = 2**q if all_on else 3**q
-    coarse_vol = sum(math.comb(q, j) for j in range(k + 1))
-    exact_vol = coarse_vol if all_on else sum(math.comb(q, j) * 2**j for j in range(k + 1))
+    coarse_vol = hamming_ball_volume(q, k, 2)
+    exact_vol = coarse_vol if all_on else hamming_ball_volume(q, k, 3)
     return LieThresholds(-(space // -coarse_vol), -(space // -exact_vol))
 
 

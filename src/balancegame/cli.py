@@ -372,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--constructive", action="store_true",
-                   help="structural rules only (k=0), no mask scan")
+                   help="structural rules only (k=0): equal honest announcements")
     p.add_argument("--cap", type=int, default=engine.DEFAULT_MASK_CAP)
 
-    p = add("certify", _cmd_certify, help="scan all masks for a must-win check")
+    p = add("certify", _cmd_certify, help="must-win check against every announcement")
     p.add_argument("--spec", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--cap", type=int, default=engine.DEFAULT_MASK_CAP)

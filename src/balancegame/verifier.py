@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
 from .adversary import AttackResult, find_winning_mask
+from .analysis import hamming_ball_volume
 from .builders import complement_free_strategy, ternary_strategy
 from .core import (
     BalanceGameError,
@@ -28,7 +28,7 @@ class UndecidedError(BalanceGameError):
 
 @dataclass(frozen=True)
 class Certificate:
-    """Result of scanning every admissible announcement against one plan."""
+    """Result of checking every admissible announcement against one plan."""
 
     outcome: str  # "player-must-win" or "balance-wins"
     masks_checked: int
@@ -40,7 +40,11 @@ class Certificate:
 
 
 def certify(spec: GameSpec, strategy, cap: int = engine.DEFAULT_MASK_CAP) -> Certificate:
-    """Scan all 3**q masks; a plan is must-win when none leaves 2 survivors."""
+    """A plan is must-win when no announcement leaves 2 survivors.
+
+    Decided by :func:`find_winning_mask` from close pairs of honest codes;
+    ``masks_checked`` counts the masks a scan in L < R < D order would visit:
+    up to and including the first winning one, or all 3**q."""
     attack = find_winning_mask(spec, strategy, cap)
     if attack is None:
         return Certificate("player-must-win", 3**spec.q, None)
@@ -63,7 +67,7 @@ def survivor_mass(spec: GameSpec, strategy, cap: int = engine.DEFAULT_MASK_CAP) 
 def lie_ball_volume(q: int, k: int) -> int:
     """Masks within Hamming distance k of a fixed length-q announcement:
     choose the lied rounds, then one of 2 wrong symbols per lied round."""
-    return sum(math.comb(q, j) * 2**j for j in range(k + 1))
+    return hamming_ball_volume(q, k)
 
 
 def survivor_mass_expected(spec: GameSpec) -> int:
@@ -103,9 +107,8 @@ def _game_value_exhaustive(spec: GameSpec, matrix_cap: int, mask_cap: int) -> Ga
         checked += 1
         if certify(spec, probe, mask_cap).must_win:
             return GameValue(PLAYER, "exhaustive", probe, checked)
-    chunk = 4096
-    for start in range(0, total, chunk):
-        codes = engine.matrix_chunk_codes(spec, start, min(start + chunk, total))
+    for start in range(0, total, engine.PLAN_CHUNK):
+        codes = engine.matrix_chunk_codes(spec, start, min(start + engine.PLAN_CHUNK, total))
         wins = engine.batch_balance_wins(spec, codes)
         losers = np.nonzero(~wins)[0]
         if losers.size:
@@ -167,10 +170,9 @@ def census_perfect(
     """Count every plan that certifies must-win, over all 3**(n*q) plans."""
     total = engine.check_matrix_cap(spec, matrix_cap)
     engine.check_mask_cap(spec.q, mask_cap)
-    chunk = 4096
     count = 0
-    for start in range(0, total, chunk):
-        codes = engine.matrix_chunk_codes(spec, start, min(start + chunk, total))
+    for start in range(0, total, engine.PLAN_CHUNK):
+        codes = engine.matrix_chunk_codes(spec, start, min(start + engine.PLAN_CHUNK, total))
         count += int((~engine.batch_balance_wins(spec, codes)).sum())
     return count
 
@@ -186,7 +188,7 @@ class SweepRow:
 
 
 def _mass_bound_min_n(q: int, k: int, prior: str) -> int:
-    per_coin = lie_ball_volume(q, k) * (1 if prior == HEAVY else 2)
+    per_coin = survivor_mass_expected(GameSpec(1, q, k, prior))
     return 3**q // per_coin + 1  # smallest n with n * per_coin > 3**q
 
 
