@@ -35,9 +35,7 @@ def _checked(spec: GameSpec, strategy, mask: str, method: str) -> AttackResult:
     return AttackResult(mask, verdict.survivors, method)
 
 
-def find_winning_mask(
-    spec: GameSpec, strategy, cap: int = engine.DEFAULT_MASK_CAP
-) -> AttackResult | None:
+def find_winning_mask(spec: GameSpec, strategy) -> AttackResult | None:
     """First announcement, in L < R < D lexicographic order, with >= 2
     survivors; ``None`` when the plan is perfect and no such mask exists.
 
@@ -45,7 +43,6 @@ def find_winning_mask(
     rather than by visiting masks: the first winning mask is the smallest
     of the pairs' first common words."""
     rows = validate_strategy(spec, strategy)
-    engine.check_mask_cap(spec.q, cap)
     code = engine.first_winning_code(spec, engine.predicted_codes(spec, rows))
     if code is None:
         return None
@@ -79,9 +76,9 @@ def constructive_attack(spec: GameSpec, strategy) -> AttackResult | None:
     return _checked(spec, rows, mask, _STRUCTURAL_METHODS[rule])
 
 
-def best_response_exists(spec: GameSpec, strategy, cap: int = engine.DEFAULT_MASK_CAP) -> bool:
+def best_response_exists(spec: GameSpec, strategy) -> bool:
     """Whether the balance has any winning announcement against this plan."""
-    return find_winning_mask(spec, strategy, cap) is not None
+    return find_winning_mask(spec, strategy) is not None
 
 
 __all__ = [

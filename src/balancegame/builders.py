@@ -6,7 +6,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .core import CapacityError, DomainError, PLACEMENTS, partial_complement
+from .core import CapacityError, DomainError, PLACEMENTS
+from .engine import decode_row
 
 _BIN_DIGITS = str.maketrans("01", "LR")
 _TERN_DIGITS = str.maketrans("012", "LRO")
@@ -54,7 +55,9 @@ def complement_free_strategy(n: int, q: int) -> tuple[str, ...]:
 
     Mirror-free rows keep heavier and lighter readings distinguishable, so
     under the unknown prior these plans are must-win.  Capacity (3**q - 1)/2:
-    one row from each mirror pair of the non-all-off rows.
+    one row from each mirror pair of the non-all-off rows.  A row and its
+    mirror first differ at the first on-balance cell, so the row kept from
+    each pair, the earlier one, is the one whose first on-balance cell is L.
     """
     _check_shape(n, q)
     cap = (3**q - 1) // 2
@@ -62,18 +65,8 @@ def complement_free_strategy(n: int, q: int) -> tuple[str, ...]:
         raise CapacityError(
             f"mirror-free plans support at most (3**q - 1)//2 = {cap} coins, got n={n}"
         )
-    kept: list[str] = []
-    seen: set[str] = set()
-    all_off = "O" * q
-    for cells in itertools.product(PLACEMENTS, repeat=q):
-        row = "".join(cells)
-        if row == all_off or partial_complement(row) in seen:
-            continue
-        kept.append(row)
-        seen.add(row)
-        if len(kept) == n:
-            break
-    return tuple(kept)
+    rows = ("".join(cells) for cells in itertools.product(PLACEMENTS, repeat=q))
+    return tuple(itertools.islice((r for r in rows if r.lstrip("O").startswith("L")), n))
 
 
 @dataclass(frozen=True)
@@ -92,19 +85,26 @@ class RandomStrategyParams:
             )
 
 
-def random_strategy(n: int, q: int, params: RandomStrategyParams) -> tuple[str, ...]:
-    """Seeded random plan; cells are drawn row-major, one uniform each."""
+def random_row_codes(n: int, q: int, params: RandomStrategyParams) -> list[int]:
+    """Base-3 row codes of a seeded random plan; cells are drawn row-major,
+    one uniform each: L below ``on_fraction / 2``, else R below
+    ``on_fraction``, else O."""
     _check_shape(n, q)
     rng = random.Random(params.seed)
-    half = params.on_fraction / 2.0
-    rows = []
+    half, on = params.on_fraction / 2.0, params.on_fraction
+    codes = []
     for _ in range(n):
-        cells = []
+        code = 0
         for _ in range(q):
             u = rng.random()
-            cells.append("L" if u < half else "R" if u < params.on_fraction else "O")
-        rows.append("".join(cells))
-    return tuple(rows)
+            code = 3 * code + (0 if u < half else 1 if u < on else 2)
+        codes.append(code)
+    return codes
+
+
+def random_strategy(n: int, q: int, params: RandomStrategyParams) -> tuple[str, ...]:
+    """Seeded random plan: the rows of :func:`random_row_codes`."""
+    return tuple(decode_row(c, q) for c in random_row_codes(n, q, params))
 
 
 def row_profile(strategy) -> tuple[int, ...]:

@@ -2,9 +2,9 @@
 
 Machine-readable reports (JSON, fixed field order) or CSV go to stdout;
 ``--pretty`` switches reports to an aligned key/value rendering.  Exit
-codes: 0 success, 2 malformed input, 3 capacity exceeded, 4 enumeration
-cap exceeded, 5 numeric domain violation, 6 undecided by the requested
-mode.
+codes: 0 success, 1 other package error, 2 malformed input, 3 capacity
+exceeded, 4 enumeration cap or round bound exceeded, 5 numeric domain
+violation, 6 undecided by the requested mode.
 """
 
 from __future__ import annotations
@@ -37,11 +37,23 @@ from .formats import (
 )
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_RESOURCE = 4
 EXIT_DOMAIN = 5
 EXIT_UNDECIDED = 6
+
+# Exit code per error type; the first type that matches wins, so subclasses
+# come before the base class.
+EXIT_CODES = (
+    ((FormatError, DimensionError), EXIT_USAGE),
+    (CapacityError, EXIT_CAPACITY),
+    (ResourceLimitError, EXIT_RESOURCE),
+    (verifier.UndecidedError, EXIT_UNDECIDED),
+    (DomainError, EXIT_DOMAIN),
+    (BalanceGameError, EXIT_ERROR),
+)
 
 
 def _parse_spec(text: str) -> GameSpec:
@@ -126,7 +138,7 @@ def _cmd_attack(args) -> int:
     if args.constructive:
         result = adversary.constructive_attack(spec, rows)
     else:
-        result = adversary.find_winning_mask(spec, rows, cap=args.cap)
+        result = adversary.find_winning_mask(spec, rows)
     doc = report(
         "attack",
         spec=spec_fields(spec),
@@ -144,7 +156,7 @@ def _cmd_certify(args) -> int:
     spec = _parse_spec(args.spec)
     rows = _load_strategy(args.strategy)
     t0 = time.perf_counter()
-    cert = verifier.certify(spec, rows, cap=args.cap)
+    cert = verifier.certify(spec, rows)
     doc = report(
         "certify",
         spec=spec_fields(spec),
@@ -166,7 +178,7 @@ def _cmd_value(args) -> int:
     elif args.constructive:
         mode = "constructive"
     t0 = time.perf_counter()
-    value = verifier.game_value(spec, mode, matrix_cap=args.matrix_cap, mask_cap=args.cap)
+    value = verifier.game_value(spec, mode, matrix_cap=args.matrix_cap)
     doc = report(
         "value",
         spec=spec_fields(spec),
@@ -183,7 +195,7 @@ def _cmd_value(args) -> int:
 def _cmd_census(args) -> int:
     spec = GameSpec(args.n, args.q, args.k, args.prior)
     t0 = time.perf_counter()
-    count = verifier.census_perfect(spec, matrix_cap=args.matrix_cap, mask_cap=args.cap)
+    count = verifier.census_perfect(spec, matrix_cap=args.matrix_cap)
     total = (3**spec.q) ** spec.n
     doc = report(
         "census",
@@ -276,7 +288,7 @@ def _trial_report_doc(command: str, rep: montecarlo.TrialReport) -> dict[str, An
 
 def _cmd_simulate(args) -> int:
     spec = _parse_spec(args.spec)
-    rep = montecarlo.simulate_random_player(spec, args.r, args.trials, args.seed, args.cap)
+    rep = montecarlo.simulate_random_player(spec, args.r, args.trials, args.seed)
     _emit(args, _trial_report_doc("simulate", rep))
     return EXIT_OK
 
@@ -301,9 +313,7 @@ def _cmd_concentrate(args) -> int:
 
 
 def _cmd_perfect_rate(args) -> int:
-    rep = montecarlo.random_perfect_rate(
-        args.n, args.q, args.prior, args.trials, args.seed, args.cap
-    )
+    rep = montecarlo.random_perfect_rate(args.n, args.q, args.prior, args.trials, args.seed)
     _emit(args, _trial_report_doc("perfect-rate", rep))
     return EXIT_OK
 
@@ -322,7 +332,7 @@ def _cmd_play(args) -> int:
                     break
                 lines.append(line)
             rows = parse_strategy("".join(lines))
-        result = adversary.find_winning_mask(spec, rows, cap=args.cap)
+        result = adversary.find_winning_mask(spec, rows)
         if result is None:
             print("perfect plan: the balance concedes, every announcement is safe")
         else:
@@ -373,18 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", required=True)
     p.add_argument("--constructive", action="store_true",
                    help="structural rules only (k=0): equal honest announcements")
-    p.add_argument("--cap", type=int, default=engine.DEFAULT_MASK_CAP)
 
     p = add("certify", _cmd_certify, help="must-win check against every announcement")
     p.add_argument("--spec", required=True)
     p.add_argument("--strategy", required=True)
-    p.add_argument("--cap", type=int, default=engine.DEFAULT_MASK_CAP)
 
     p = add("value", _cmd_value, help="who wins under best play")
     p.add_argument("--spec", required=True)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--constructive", action="store_true")
-    p.add_argument("--cap", type=int, default=engine.DEFAULT_MASK_CAP)
     p.add_argument("--matrix-cap", type=int, default=engine.DEFAULT_MATRIX_CAP)
 
     p = add("census", _cmd_census, help="count must-win plans")
@@ -392,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--prior", choices=["heavy", "unknown"], default="heavy")
-    p.add_argument("--cap", type=int, default=engine.DEFAULT_MASK_CAP)
     p.add_argument("--matrix-cap", type=int, default=engine.DEFAULT_MATRIX_CAP)
 
     p = add("sweep", _cmd_sweep, help="win/lose boundary table (CSV)")
@@ -414,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=engine.DEFAULT_MASK_CAP)
 
     p = add("concentrate", _cmd_concentrate, help="on-fraction concentration check")
     p.add_argument("--q", type=int, required=True)
@@ -429,14 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", choices=["heavy", "unknown"], default="heavy")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=engine.DEFAULT_MASK_CAP)
 
     p = add("play", _cmd_play, help="interactive round")
     p.add_argument("--spec", required=True)
     p.add_argument("--strategy")
     p.add_argument("--as-player", action="store_true",
                    help="you provide the plan, the tool answers as the balance")
-    p.add_argument("--cap", type=int, default=engine.DEFAULT_MASK_CAP)
 
     return parser
 
@@ -446,24 +449,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except verifier.UndecidedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDECIDED
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except BalanceGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

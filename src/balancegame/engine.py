@@ -26,7 +26,8 @@ import numpy as np
 from .analysis import hamming_ball_volume
 from .core import GameSpec, HEAVY, OUTCOMES, PLACEMENTS, ResourceLimitError, validate_strategy
 
-DEFAULT_MASK_CAP = 16  # max q a must-win check or an exhaustive mask scan will attempt
+MAX_ROUNDS = 39  # base-3 codes are int64 and 3**39 < 2**63 <= 3**40
+DEFAULT_MASK_CAP = 16  # max q an exhaustive scan of all 3**q masks will attempt
 DEFAULT_MATRIX_CAP = 10**8  # max 3**(n*q) a full strategy census will attempt
 PLAN_CHUNK = 4096  # plans decided per batch when enumerating every plan
 
@@ -93,11 +94,11 @@ def complement_table(q: int) -> np.ndarray:
     return mirror_codes(np.arange(3**q, dtype=np.int64), q)
 
 
-def check_mask_cap(q: int, cap: int = DEFAULT_MASK_CAP) -> None:
-    if q > cap:
+def check_rounds(q: int) -> None:
+    """Refuse plans whose base-3 codes would not fit in int64."""
+    if q > MAX_ROUNDS:
         raise ResourceLimitError(
-            f"{q} rounds (3**{q} masks) exceed the mask cap (q <= {cap}); "
-            f"raise the cap explicitly to proceed"
+            f"{q} rounds exceed the {MAX_ROUNDS} that 64-bit base-3 codes can hold"
         )
 
 
@@ -112,6 +113,7 @@ def hypothesis_codes(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
 def predicted_codes(spec: GameSpec, strategy) -> np.ndarray:
     """Honest-announcement codes for every hypothesis, heavy block first."""
     rows = validate_strategy(spec, strategy)
+    check_rounds(spec.q)
     return hypothesis_codes(spec, np.array([encode_row(r) for r in rows], dtype=np.int64))
 
 
@@ -282,6 +284,7 @@ def matrix_chunk_codes(spec: GameSpec, start: int, stop: int) -> np.ndarray:
 
 
 def check_matrix_cap(spec: GameSpec, cap: int = DEFAULT_MATRIX_CAP) -> int:
+    check_rounds(spec.q)
     total = (3**spec.q) ** spec.n
     if total > cap:
         raise ResourceLimitError(

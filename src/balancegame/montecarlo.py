@@ -16,11 +16,12 @@ import numpy as np
 
 from . import engine
 from .analysis import chernoff_tail_bound
-from .builders import RandomStrategyParams, random_strategy
+from .builders import RandomStrategyParams, random_row_codes
 from .core import DomainError, GameSpec
 from .verifier import census_perfect
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+CENSUS_CAP = 500_000  # most plans random_perfect_rate enumerates for its census_rate
 
 
 def trial_seed(seed: int, t: int) -> int:
@@ -52,24 +53,17 @@ def _check_trials(trials: int) -> None:
         raise DomainError(f"need at least one trial, got {trials}")
 
 
-def simulate_random_player(
-    spec: GameSpec,
-    r: float,
-    trials: int,
-    seed: int = 0,
-    mask_cap: int = engine.DEFAULT_MASK_CAP,
-) -> TrialReport:
+def simulate_random_player(spec: GameSpec, r: float, trials: int, seed: int = 0) -> TrialReport:
     """Balance win rate against seeded random plans with on-rate ``r``.
 
     Each trial plays the exact adversary: the balance wins the trial iff
     some announcement keeps two hypotheses alive against that trial's plan.
     """
     _check_trials(trials)
-    engine.check_mask_cap(spec.q, mask_cap)
+    engine.check_rounds(spec.q)
     codes = np.empty((trials, spec.n), dtype=np.int64)
     for t in range(trials):
-        plan = random_strategy(spec.n, spec.q, RandomStrategyParams(r, trial_seed(seed, t)))
-        codes[t] = [engine.encode_row(row) for row in plan]
+        codes[t] = random_row_codes(spec.n, spec.q, RandomStrategyParams(r, trial_seed(seed, t)))
     wins = int(engine.batch_balance_wins(spec, codes).sum())
     return _report(spec, {"r": r}, trials, wins, seed)
 
@@ -102,8 +96,6 @@ def random_perfect_rate(
     prior: str,
     trials: int,
     seed: int = 0,
-    mask_cap: int = engine.DEFAULT_MASK_CAP,
-    census_cap: int = 500_000,
 ) -> TrialReport:
     """Fraction of uniformly random plans that certify must-win (zero lies).
 
@@ -111,11 +103,11 @@ def random_perfect_rate(
     2**n n! / 3**(n q) of one-row-per-mirror-pair plans when n equals the
     unknown-prior capacity, ``pair_count_rate_with_columns`` multiplies in a
     q! column factor, and ``census_rate`` is the enumerated ground truth
-    whenever the full census fits under ``census_cap``.
+    whenever the full census fits under ``CENSUS_CAP``.
     """
     _check_trials(trials)
     spec = GameSpec(n, q, 0, prior)
-    engine.check_mask_cap(spec.q, mask_cap)
+    engine.check_rounds(spec.q)
     codes = np.empty((trials, n), dtype=np.int64)
     for t in range(trials):
         rng = random.Random(trial_seed(seed, t))
@@ -126,7 +118,7 @@ def random_perfect_rate(
         "pair_count_rate": 2**n * math.factorial(n) / total,
         "pair_count_rate_with_columns": 2**n * math.factorial(n) * math.factorial(q) / total,
     }
-    if total <= census_cap:
-        extras["census_count"] = census_perfect(spec, census_cap, mask_cap)
+    if total <= CENSUS_CAP:
+        extras["census_count"] = census_perfect(spec, CENSUS_CAP)
         extras["census_rate"] = extras["census_count"] / total
     return _report(spec, {}, trials, perfect, seed, extras)

@@ -14,6 +14,7 @@ from .core import (
     BalanceGameError,
     GameSpec,
     HEAVY,
+    ResourceLimitError,
     UNKNOWN,
     validate_strategy,
 )
@@ -39,13 +40,13 @@ class Certificate:
         return self.attack is None
 
 
-def certify(spec: GameSpec, strategy, cap: int = engine.DEFAULT_MASK_CAP) -> Certificate:
+def certify(spec: GameSpec, strategy) -> Certificate:
     """A plan is must-win when no announcement leaves 2 survivors.
 
     Decided by :func:`find_winning_mask` from close pairs of honest codes;
     ``masks_checked`` counts the masks a scan in L < R < D order would visit:
     up to and including the first winning one, or all 3**q."""
-    attack = find_winning_mask(spec, strategy, cap)
+    attack = find_winning_mask(spec, strategy)
     if attack is None:
         return Certificate("player-must-win", 3**spec.q, None)
     return Certificate("balance-wins", engine.encode_mask(attack.mask) + 1, attack)
@@ -60,7 +61,11 @@ def survivor_mass(spec: GameSpec, strategy, cap: int = engine.DEFAULT_MASK_CAP) 
     :func:`survivor_mass_expected`.
     """
     validate_strategy(spec, strategy)
-    engine.check_mask_cap(spec.q, cap)
+    if spec.q > cap:
+        raise ResourceLimitError(
+            f"{spec.q} rounds (3**{spec.q} masks) exceed the mask cap (q <= {cap}); "
+            f"raise the cap explicitly to proceed"
+        )
     return int(sum(int(c.sum()) for _, c in engine.iter_survivor_blocks(spec, strategy)))
 
 
@@ -99,13 +104,12 @@ def _builder_witnesses(spec: GameSpec):
         yield complement_free_strategy(spec.n, spec.q)
 
 
-def _game_value_exhaustive(spec: GameSpec, matrix_cap: int, mask_cap: int) -> GameValue:
+def _game_value_exhaustive(spec: GameSpec, matrix_cap: int) -> GameValue:
     total = engine.check_matrix_cap(spec, matrix_cap)
-    engine.check_mask_cap(spec.q, mask_cap)
     checked = 0
     for probe in _builder_witnesses(spec):
         checked += 1
-        if certify(spec, probe, mask_cap).must_win:
+        if certify(spec, probe).must_win:
             return GameValue(PLAYER, "exhaustive", probe, checked)
     for start in range(0, total, engine.PLAN_CHUNK):
         codes = engine.matrix_chunk_codes(spec, start, min(start + engine.PLAN_CHUNK, total))
@@ -114,13 +118,13 @@ def _game_value_exhaustive(spec: GameSpec, matrix_cap: int, mask_cap: int) -> Ga
         if losers.size:
             first = codes[int(losers[0])]
             witness = tuple(engine.decode_row(int(c), spec.q) for c in first)
-            if not certify(spec, witness, mask_cap).must_win:  # re-check the witness
+            if not certify(spec, witness).must_win:  # re-check the witness
                 raise AssertionError("internal error: enumerated witness failed recertification")
             return GameValue(PLAYER, "exhaustive", witness, checked + start + int(losers[0]) + 1)
     return GameValue(BALANCE, "exhaustive", None, checked + total)
 
 
-def _game_value_constructive(spec: GameSpec, mask_cap: int) -> GameValue:
+def _game_value_constructive(spec: GameSpec) -> GameValue:
     if spec.hypothesis_count < 2:
         witness = ternary_strategy(spec.n, spec.q)
         return GameValue(PLAYER, "constructive", witness, 1)
@@ -128,7 +132,7 @@ def _game_value_constructive(spec: GameSpec, mask_cap: int) -> GameValue:
         cap = perfect_capacity(spec.q, spec.prior)
         if spec.n <= cap:
             witness = next(_builder_witnesses(spec))
-            if spec.q <= mask_cap and not certify(spec, witness, mask_cap).must_win:
+            if spec.q <= engine.MAX_ROUNDS and not certify(spec, witness).must_win:
                 raise AssertionError("internal error: builder witness failed certification")
             return GameValue(PLAYER, "constructive", witness, 1)
         # Beyond capacity every plan repeats a row, mirrors one, or idles a
@@ -146,30 +150,24 @@ def game_value(
     spec: GameSpec,
     mode: str = "auto",
     matrix_cap: int = engine.DEFAULT_MATRIX_CAP,
-    mask_cap: int = engine.DEFAULT_MASK_CAP,
 ) -> GameValue:
     """Best-play winner.  Exhaustive mode enumerates every plan; constructive
     mode applies the capacity theorems (k=0) and the survivor-mass pigeonhole
-    (k>=1, balance side only).  ``auto`` prefers exhaustive within the caps."""
+    (k>=1, balance side only).  ``auto`` prefers exhaustive within the matrix cap."""
     if mode == "exhaustive":
-        return _game_value_exhaustive(spec, matrix_cap, mask_cap)
+        return _game_value_exhaustive(spec, matrix_cap)
     if mode == "constructive":
-        return _game_value_constructive(spec, mask_cap)
+        return _game_value_constructive(spec)
     if mode != "auto":
         raise ValueError(f"mode must be auto, exhaustive or constructive, got {mode!r}")
-    if (3**spec.q) ** spec.n <= matrix_cap and spec.q <= mask_cap:
-        return _game_value_exhaustive(spec, matrix_cap, mask_cap)
-    return _game_value_constructive(spec, mask_cap)
+    if (3**spec.q) ** spec.n <= matrix_cap:
+        return _game_value_exhaustive(spec, matrix_cap)
+    return _game_value_constructive(spec)
 
 
-def census_perfect(
-    spec: GameSpec,
-    matrix_cap: int = engine.DEFAULT_MATRIX_CAP,
-    mask_cap: int = engine.DEFAULT_MASK_CAP,
-) -> int:
+def census_perfect(spec: GameSpec, matrix_cap: int = engine.DEFAULT_MATRIX_CAP) -> int:
     """Count every plan that certifies must-win, over all 3**(n*q) plans."""
     total = engine.check_matrix_cap(spec, matrix_cap)
-    engine.check_mask_cap(spec.q, mask_cap)
     count = 0
     for start in range(0, total, engine.PLAN_CHUNK):
         codes = engine.matrix_chunk_codes(spec, start, min(start + engine.PLAN_CHUNK, total))
@@ -193,11 +191,7 @@ def _mass_bound_min_n(q: int, k: int, prior: str) -> int:
 
 
 def theorem_sweep(
-    q_max: int,
-    prior: str = HEAVY,
-    k: int = 0,
-    matrix_cap: int = 200_000,
-    mask_cap: int = engine.DEFAULT_MASK_CAP,
+    q_max: int, prior: str = HEAVY, k: int = 0, matrix_cap: int = 200_000
 ) -> list[SweepRow]:
     """Per-q win/lose boundary in n, exhaustive while the plan count fits the
     cap, else settled by the capacity theorems (k=0) or reported as the
@@ -208,7 +202,7 @@ def theorem_sweep(
         balance_min = None
         n = 1
         while (3**q) ** n <= matrix_cap:
-            value = game_value(GameSpec(n, q, k, prior), "exhaustive", matrix_cap, mask_cap)
+            value = game_value(GameSpec(n, q, k, prior), "exhaustive", matrix_cap)
             if value.winner == PLAYER:
                 last_player = n
                 n += 1
@@ -221,7 +215,7 @@ def theorem_sweep(
             rows.append(SweepRow(q, last_player, balance_min, "exhaustive", capacity, mass_min))
         elif k == 0:
             witness = GameSpec(capacity, q, 0, prior)
-            value = game_value(witness, "constructive", mask_cap)
+            value = game_value(witness, "constructive")
             if value.winner != PLAYER:
                 raise AssertionError("internal error: capacity witness lost")
             rows.append(SweepRow(q, capacity, capacity + 1, "constructive", capacity, mass_min))

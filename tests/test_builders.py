@@ -54,16 +54,19 @@ class TestComplementFree:
         with pytest.raises(CapacityError):
             complement_free_strategy(14, 3)
 
-    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
     def test_no_row_mirrors_another(self, q):
         cap = (3**q - 1) // 2
         rows = complement_free_strategy(cap, q)
-        assert len(set(rows)) == cap
-        mirrors = {partial_complement(r) for r in rows}
-        assert mirrors.isdisjoint(rows) or all(
-            r == partial_complement(r) for r in set(rows) & mirrors
-        )
+        assert len(set(rows)) == len(rows) == cap
+        assert {partial_complement(r) for r in rows}.isdisjoint(rows)
         assert "O" * q not in rows  # the all-off row would mirror itself
+        key = lambda row: ["LRO".index(c) for c in row]
+        assert list(rows) == sorted(rows, key=key)
+        # Each row precedes its mirror, so a greedy pass in L < R < O order
+        # keeps exactly these rows; shorter plans are prefixes.
+        assert all(key(r) < key(partial_complement(r)) for r in rows)
+        assert complement_free_strategy(cap // 2 + 1, q) == rows[: cap // 2 + 1]
 
     def test_rows_follow_placement_alphabet_order(self):
         rows = complement_free_strategy(13, 3)

@@ -4,7 +4,17 @@ import math
 
 import pytest
 
+from balancegame import (
+    BalanceGameError,
+    CapacityError,
+    DimensionError,
+    DomainError,
+    ResourceLimitError,
+    UndecidedError,
+    cli,
+)
 from balancegame.cli import main
+from balancegame.formats import FormatError
 
 
 def run(capsys, *argv):
@@ -253,3 +263,46 @@ class TestPlay:
         out = capsys.readouterr().out
         assert code == 0
         assert "coin 2" in out
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error,code", [
+        (FormatError, 2),
+        (DimensionError, 2),
+        (CapacityError, 3),
+        (ResourceLimitError, 4),
+        (DomainError, 5),
+        (UndecidedError, 6),
+        (BalanceGameError, 1),
+    ])
+    def test_each_error_type_has_its_exit_code(self, capsys, monkeypatch, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_concentrate", fail)
+        got, out, err = run(capsys, "concentrate", "--q", "5", "--r", "0.5",
+                            "--delta", "0.1", "--trials", "10")
+        assert (got, out, err) == (code, "", "error: boom\n")
+
+    def test_domain_exit_code(self, capsys):
+        code, _, err = run(capsys, "concentrate", "--q", "0", "--r", "0.5",
+                           "--delta", "0.1", "--trials", "10")
+        assert code == 5
+        assert err.startswith("error: need q >= 1")
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--spec", "2,40,0,heavy"],
+        ["attack", "--spec", "2,40,0,heavy"],
+        ["attack", "--spec", "2,40,0,heavy", "--constructive"],
+        ["play", "--spec", "2,40,0,heavy", "--as-player"],
+        ["simulate", "--spec", "2,40,1,unknown", "--r", "0.5", "--trials", "3"],
+        ["perfect-rate", "--n", "2", "--q", "40", "--trials", "3"],
+        ["census", "--n", "1", "--q", "40", "--matrix-cap", str(10**30)],
+        ["value", "--spec", "1,40,0,heavy", "--exhaustive", "--matrix-cap", str(10**30)],
+    ])
+    def test_forty_rounds_are_refused(self, capsys, plan_file, argv):
+        if argv[0] in ("certify", "attack", "play"):
+            argv = argv + ["--strategy", plan_file(["L" * 40, "R" * 40])]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: 40 rounds exceed the 39")

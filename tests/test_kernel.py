@@ -1,5 +1,6 @@
 """The close-pair decision kernel held to the mask scan and the readable rules."""
 
+import json
 import random
 
 import numpy as np
@@ -8,15 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from balancegame import (
     GameSpec,
-    ResourceLimitError,
+    RandomStrategyParams,
     adjudicate,
     constructive_attack,
     find_winning_mask,
     predicted_mask,
+    random_strategy,
     simulate_random_player,
     surviving_hypotheses,
+    trial_seed,
 )
 from balancegame import engine
+from balancegame.cli import main
 from balancegame.adversary import METHOD_ALL_OFF, METHOD_DUPLICATE, METHOD_MIRROR
 from balancegame.engine import (
     batch_balance_wins,
@@ -107,12 +111,70 @@ def test_lane_split_past_21_rounds(prior, k, seed=5):
         rows[3] = "".join(twin)
         spec = GameSpec(len(rows), q, k, prior)
         want = readable_first_winning_mask(spec, rows)
-        with pytest.raises(ResourceLimitError):
-            find_winning_mask(spec, rows)
-        attack = find_winning_mask(spec, rows, cap=q)
+        attack = find_winning_mask(spec, rows)
         assert (attack and attack.mask) == want
         codes = np.array([[engine.encode_row(r) for r in rows]])
         assert bool(batch_balance_wins(spec, codes)[0]) == (want is not None)
+
+
+def readable_random_plan(n, q, r, seed):
+    """The seeded cell draw spelled out: row-major, one uniform per cell."""
+    rng = random.Random(seed)
+    draws = [rng.random() for _ in range(n * q)]
+    cells = ["L" if u < r / 2 else "R" if u < r else "O" for u in draws]
+    return tuple("".join(cells[i * q : (i + 1) * q]) for i in range(n))
+
+
+def cli_json(capsys, *argv):
+    assert main([str(a) for a in argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("q", [17, 22, 39])
+def test_certify_and_attack_past_sixteen_rounds(q, tmp_path, capsys):
+    rng = random.Random(q)
+    for k, prior in [(0, "heavy"), (0, "unknown"), (1, "heavy"), (2, "unknown")]:
+        for spread in (2 * k, 2 * k + 1):
+            rows = ["".join(rng.choice("LRO") for _ in range(q)) for _ in range(5)]
+            twin = list(rows[0])
+            for p in rng.sample(range(q), spread):
+                twin[p] = rng.choice([c for c in "LRO" if c != twin[p]])
+            rows[2] = "".join(twin)
+            path = tmp_path / "plan.txt"
+            path.write_text("\n".join(rows) + "\n")
+            spec = f"5,{q},{k},{prior}"
+            want = readable_first_winning_mask(GameSpec(5, q, k, prior), rows)
+            cert = cli_json(capsys, "certify", "--spec", spec, "--strategy", path)
+            assert cert["attack_mask"] == want
+            assert cert["masks_checked"] == (3**q if want is None else engine.encode_mask(want) + 1)
+            assert cli_json(capsys, "attack", "--spec", spec, "--strategy", path)["mask"] == want
+            if k == 0:
+                doc = cli_json(capsys, "attack", "--spec", spec, "--strategy", path,
+                               "--constructive")
+                assert (doc["mask"] is None) == (want is None)
+
+
+@pytest.mark.parametrize("q", [17, 22, 39])
+def test_simulate_and_perfect_rate_past_sixteen_rounds(q, capsys):
+    spec, r, seed = GameSpec(5, q, 1, "unknown"), 3 / q, 11
+    wins = 0
+    for t in range(40):
+        plan = readable_random_plan(spec.n, q, r, trial_seed(seed, t))
+        assert random_strategy(spec.n, q, RandomStrategyParams(r, trial_seed(seed, t))) == plan
+        wins += readable_first_winning_mask(spec, plan) is not None
+    assert 0 < wins < 40  # both outcomes occur, so the count is informative
+    doc = cli_json(capsys, "simulate", "--spec", f"5,{q},1,unknown", "--r", r,
+                   "--trials", 40, "--seed", seed)
+    assert doc["successes"] == wins
+
+    perfect = 0
+    for t in range(30):
+        rng = random.Random(trial_seed(seed, t))
+        plan = [decode_row(rng.randrange(3**q), q) for _ in range(4)]
+        perfect += readable_first_winning_mask(GameSpec(4, q, 0, "unknown"), plan) is None
+    doc = cli_json(capsys, "perfect-rate", "--n", 4, "--q", q, "--prior", "unknown",
+                   "--trials", 30, "--seed", seed)
+    assert doc["successes"] == perfect
 
 
 def test_onehot_popcount_is_twice_the_hamming_distance():

@@ -70,9 +70,15 @@ class TestCertify:
         cert = certify(GameSpec(n, q, 0, prior), build(n, q))
         assert cert.must_win
 
-    def test_mask_cap(self):
+    def test_round_bound(self):
+        # Verdicts need no mask scan, so 17 rounds are decided; 40 rounds
+        # do not fit a 64-bit base-3 code and are refused.
+        assert certify(GameSpec(2, 17, 0, "heavy"), ("L" * 17, "R" * 17)).must_win
         with pytest.raises(ResourceLimitError):
-            certify(GameSpec(2, 17, 0, "heavy"), ("L" * 17, "R" * 17), cap=16)
+            certify(GameSpec(2, 40, 0, "heavy"), ("L" * 40, "R" * 40))
+        # survivor_mass does visit every mask and keeps the mask cap.
+        with pytest.raises(ResourceLimitError):
+            survivor_mass(GameSpec(2, 17, 0, "heavy"), ("L" * 17, "R" * 17))
 
 
 class TestSurvivorMass:
