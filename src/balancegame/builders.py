@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import CapacityError, DomainError, PLACEMENTS
-from .engine import decode_row
+from .engine import decode_rows, digit_rows
 
 _BIN_DIGITS = str.maketrans("01", "LR")
-_TERN_DIGITS = str.maketrans("012", "LRO")
 
 
 def _check_shape(n: int, q: int) -> None:
@@ -38,15 +38,7 @@ def ternary_strategy(n: int, q: int) -> tuple[str, ...]:
     _check_shape(n, q)
     if n > 3**q:
         raise CapacityError(f"ternary plans support at most 3**q = {3**q} coins, got n={n}")
-    rows = []
-    for i in range(n):
-        digits = []
-        v = i
-        for _ in range(q):
-            v, d = divmod(v, 3)
-            digits.append(str(d))
-        rows.append("".join(reversed(digits)).translate(_TERN_DIGITS))
-    return tuple(rows)
+    return tuple(decode_rows(np.arange(n), q))
 
 
 def complement_free_strategy(n: int, q: int) -> tuple[str, ...]:
@@ -65,8 +57,21 @@ def complement_free_strategy(n: int, q: int) -> tuple[str, ...]:
         raise CapacityError(
             f"mirror-free plans support at most (3**q - 1)//2 = {cap} coins, got n={n}"
         )
-    rows = ("".join(cells) for cells in itertools.product(PLACEMENTS, repeat=q))
-    return tuple(itertools.islice((r for r in rows if r.lstrip("O").startswith("L")), n))
+    return tuple(decode_rows(_mirror_free_codes(n, q), q))
+
+
+def _mirror_free_codes(n: int, q: int) -> np.ndarray:
+    """Codes of the first n rows whose first on-balance cell is L.  With j
+    leading O cells such rows form one run of 3**(q-1-j) codes, starting at
+    the code of O * j + L * (q - j), which is 3**q - 3**(q-j)."""
+    runs = []
+    for j in range(q):
+        size = min(n, 3 ** (q - 1 - j))
+        runs.append(3**q - 3 ** (q - j) + np.arange(size))
+        n -= size
+        if not n:
+            break
+    return np.concatenate(runs)
 
 
 @dataclass(frozen=True)
@@ -85,26 +90,48 @@ class RandomStrategyParams:
             )
 
 
+def draw_uniforms(rngs, count: int) -> np.ndarray:
+    """(k, count) floats for the k generators ``rngs`` yields, count >= 1:
+    row i holds the next ``count`` values of the i-th generator's
+    ``random()``, bit for bit, and leaves it where those calls would.
+
+    ``random()`` makes each double from two 32-bit generator words a, b as
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53.  One ``getrandbits(64 * count)``
+    call draws the same words, the first in the lowest bits, so the doubles
+    are formed all at once from its bytes.  At the peak a cell takes 16
+    bytes: its words twice over while they are joined, then its shifted
+    words and its double."""
+    raw = b"".join(rng.getrandbits(64 * count).to_bytes(8 * count, "little") for rng in rngs)
+    words = np.frombuffer(raw, dtype="<u4").reshape(-1, count, 2)
+    high, low = words[..., 0] >> 5, words[..., 1] >> 6
+    del raw, words
+    u = high.astype(np.float64)
+    u *= 2.0**26
+    u += low
+    u /= 2.0**53
+    return u
+
+
+def random_plan_digits(seeds, n: int, q: int, on_fraction: float) -> np.ndarray:
+    """(len(seeds), n, q) base-3 cells of one seeded random plan per seed.
+    Cells are drawn row-major, one uniform each: L (0) below
+    ``on_fraction / 2``, else R (1) below ``on_fraction``, else O (2)."""
+    u = draw_uniforms(map(random.Random, seeds), n * q).reshape(len(seeds), n, q)
+    return (u >= on_fraction / 2.0).astype(np.uint8) + (u >= on_fraction)
+
+
 def random_row_codes(n: int, q: int, params: RandomStrategyParams) -> list[int]:
-    """Base-3 row codes of a seeded random plan; cells are drawn row-major,
-    one uniform each: L below ``on_fraction / 2``, else R below
-    ``on_fraction``, else O."""
+    """Base-3 row codes of the seeded random plan :func:`random_strategy` spells."""
     _check_shape(n, q)
-    rng = random.Random(params.seed)
-    half, on = params.on_fraction / 2.0, params.on_fraction
-    codes = []
-    for _ in range(n):
-        code = 0
-        for _ in range(q):
-            u = rng.random()
-            code = 3 * code + (0 if u < half else 1 if u < on else 2)
-        codes.append(code)
-    return codes
+    digits = random_plan_digits([params.seed], n, q, params.on_fraction)[0]
+    return [int(row, 3) for row in digit_rows(digits, "012")]
 
 
 def random_strategy(n: int, q: int, params: RandomStrategyParams) -> tuple[str, ...]:
-    """Seeded random plan: the rows of :func:`random_row_codes`."""
-    return tuple(decode_row(c, q) for c in random_row_codes(n, q, params))
+    """Seeded random plan with the cells of :func:`random_plan_digits`."""
+    _check_shape(n, q)
+    digits = random_plan_digits([params.seed], n, q, params.on_fraction)[0]
+    return tuple(digit_rows(digits, PLACEMENTS))
 
 
 def row_profile(strategy) -> tuple[int, ...]:

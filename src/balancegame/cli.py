@@ -10,6 +10,7 @@ violation, 6 undecided by the requested mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import Any, Sequence
@@ -359,13 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
         p.add_argument("--pretty", action="store_true", help="human-readable report")
         return p
 
-    p = add("construct", _cmd_construct, help="emit a strategy file")
+    p = add("construct", help="emit a strategy file")
     p.add_argument("--kind", choices=["binary", "ternary", "complement-free", "random"],
                    required=True)
     p.add_argument("--n", type=int, required=True)
@@ -373,41 +373,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=float, default=2 / 3, help="on-balance rate for random plans")
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("adjudicate", _cmd_adjudicate, help="score one announcement")
+    p = add("adjudicate", help="score one announcement")
     p.add_argument("--spec", required=True, help="n,q,k,prior")
     p.add_argument("--strategy", required=True)
     p.add_argument("--mask", required=True)
 
-    p = add("attack", _cmd_attack, help="find a winning announcement")
+    p = add("attack", help="find a winning announcement")
     p.add_argument("--spec", required=True)
     p.add_argument("--strategy", required=True)
     p.add_argument("--constructive", action="store_true",
                    help="structural rules only (k=0): equal honest announcements")
 
-    p = add("certify", _cmd_certify, help="must-win check against every announcement")
+    p = add("certify", help="must-win check against every announcement")
     p.add_argument("--spec", required=True)
     p.add_argument("--strategy", required=True)
 
-    p = add("value", _cmd_value, help="who wins under best play")
+    p = add("value", help="who wins under best play")
     p.add_argument("--spec", required=True)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--constructive", action="store_true")
     p.add_argument("--matrix-cap", type=int, default=engine.DEFAULT_MATRIX_CAP)
 
-    p = add("census", _cmd_census, help="count must-win plans")
+    p = add("census", help="count must-win plans")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--prior", choices=["heavy", "unknown"], default="heavy")
     p.add_argument("--matrix-cap", type=int, default=engine.DEFAULT_MATRIX_CAP)
 
-    p = add("sweep", _cmd_sweep, help="win/lose boundary table (CSV)")
+    p = add("sweep", help="win/lose boundary table (CSV)")
     p.add_argument("--qmax", type=int, required=True)
     p.add_argument("--prior", choices=["heavy", "unknown"], default="heavy")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--matrix-cap", type=int, default=200_000)
 
-    p = add("analyze", _cmd_analyze, help="closed-form curves (CSV)")
+    p = add("analyze", help="closed-form curves (CSV)")
     p.add_argument("--curve", choices=["g", "v", "f", "phi", "optimal-r"], required=True)
     p.add_argument("--grid", type=int, default=1000)
     p.add_argument("--r2", help="lie fraction(s), comma separated for optimal-r")
@@ -415,27 +415,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, help="round count (f, phi)")
     p.add_argument("--qvec", help="per-coin on-round counts, comma separated (f)")
 
-    p = add("simulate", _cmd_simulate, help="random plans vs the exact balance")
+    p = add("simulate", help="random plans vs the exact balance")
     p.add_argument("--spec", required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("concentrate", _cmd_concentrate, help="on-fraction concentration check")
+    p = add("concentrate", help="on-fraction concentration check")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("perfect-rate", _cmd_perfect_rate, help="how often random plans are perfect")
+    p = add("perfect-rate", help="how often random plans are perfect")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--prior", choices=["heavy", "unknown"], default="heavy")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("play", _cmd_play, help="interactive round")
+    p = add("play", help="interactive round")
     p.add_argument("--spec", required=True)
     p.add_argument("--strategy")
     p.add_argument("--as-player", action="store_true",
@@ -444,11 +444,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import, and reused: parse_args
+    # fills a fresh namespace each call, so no call sees another's options.
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up by name on every call, so the handler in force now runs.
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except BalanceGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))

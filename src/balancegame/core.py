@@ -144,8 +144,8 @@ class GameSpec:
 def validate_row(row: str, q: int) -> None:
     if len(row) != q:
         raise DimensionError(f"row {row!r} has length {len(row)}, expected {q}")
-    bad = set(row) - set(PLACEMENTS)
-    if bad:
+    if row.strip(PLACEMENTS):  # some cell lies outside the alphabet
+        bad = set(row) - set(PLACEMENTS)
         raise DimensionError(f"row {row!r} uses characters outside {PLACEMENTS!r}: {sorted(bad)}")
 
 
@@ -162,8 +162,8 @@ def validate_strategy(spec: GameSpec, strategy) -> tuple[str, ...]:
 def validate_mask(mask: str, q: int) -> None:
     if len(mask) != q:
         raise DimensionError(f"mask {mask!r} has length {len(mask)}, expected {q}")
-    bad = set(mask) - set(OUTCOMES)
-    if bad:
+    if mask.strip(OUTCOMES):  # some outcome lies outside the alphabet
+        bad = set(mask) - set(OUTCOMES)
         raise DimensionError(f"mask {mask!r} uses characters outside {OUTCOMES!r}: {sorted(bad)}")
 
 

@@ -32,7 +32,7 @@ DEFAULT_MATRIX_CAP = 10**8  # max 3**(n*q) a full strategy census will attempt
 PLAN_CHUNK = 4096  # plans decided per batch when enumerating every plan
 
 _MASK_BLOCK = 3**10  # masks handled per chunk in streaming scans
-_PAIR_BYTES = 1 << 22  # largest array one block of the close-pair search may build
+_PAIR_BYTES = 1 << 22  # largest array one block of a blocked search or draw may build
 _ONEHOT_DIGITS = 7  # digits per one-hot lookup; three lookups fill a 64-bit lane
 
 
@@ -51,16 +51,40 @@ def decode(code: int, q: int, alphabet: str) -> str:
     return "".join(reversed(out))
 
 
+# encode/decode above are the readable digit loops; the tests hold these to them.
+_ROW_DIGITS = str.maketrans(PLACEMENTS, "012")
+_MASK_DIGITS = str.maketrans(OUTCOMES, "012")
+
+
 def encode_row(row: str) -> int:
-    return encode(row, PLACEMENTS)
+    """Code of a validated row (callers check the alphabet first)."""
+    return int(row.translate(_ROW_DIGITS), 3)
 
 
 def decode_row(code: int, q: int) -> str:
     return decode(code, q, PLACEMENTS)
 
 
+def decode_rows(codes, q: int) -> list[str]:
+    """Rows of many codes at once, their digits peeled off one round at a time."""
+    codes = np.asarray(codes, dtype=np.int64)
+    digits = np.empty((len(codes), q), dtype=np.uint8)
+    for i in range(q - 1, -1, -1):
+        codes, digits[:, i] = np.divmod(codes, 3)
+    return digit_rows(digits, PLACEMENTS)
+
+
+def digit_rows(digits: np.ndarray, alphabet: str) -> list[str]:
+    """One string per row of an (m, q) array of digits 0..2 over ``alphabet``."""
+    m, q = digits.shape
+    symbols = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)
+    text = symbols[digits].tobytes().decode("ascii")
+    return [text[i : i + q] for i in range(0, m * q, q)]
+
+
 def encode_mask(mask: str) -> int:
-    return encode(mask, OUTCOMES)
+    """Code of a validated mask (callers check the alphabet first)."""
+    return int(mask.translate(_MASK_DIGITS), 3)
 
 
 def decode_mask(code: int, q: int) -> str:
@@ -138,14 +162,33 @@ def survivor_counts(spec: GameSpec, strategy) -> np.ndarray:
 
 
 def batch_survivor_counts(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
-    """(T, 3**q) survivor counts for a batch of plans given as row codes."""
-    digits = digit_table(spec.q)
+    """(T, 3**q) survivor counts for a batch of plans given as row codes.
+
+    Works in blocks of plans x masks whose (plan, hypothesis, mask) distance
+    array, one byte per cell, stays within _PAIR_BYTES; refused when even
+    one plan against one mask would not fit."""
     preds = hypothesis_codes(spec, row_codes)
+    T, H = preds.shape
+    if H > _PAIR_BYTES:
+        raise ResourceLimitError(
+            f"{H} hypotheses exceed the {_PAIR_BYTES}-byte block of the survivor count"
+        )
+    total = 3**spec.q
+    masks = min(total, _PAIR_BYTES // H)
+    plans = max(1, _PAIR_BYTES // (H * masks))
+    powers = 3 ** np.arange(spec.q - 1, -1, -1, dtype=np.int64)
     # The narrowest dtype that holds every hypothesis count, so no mask overflows.
-    counts = np.zeros((preds.shape[0], 3**spec.q), dtype=np.min_scalar_type(preds.shape[1]))
-    for h in range(preds.shape[1]):
-        dist = (digits[preds[:, h]][:, None, :] != digits[None, :, :]).sum(axis=2)
-        counts += dist <= spec.k
+    counts = np.empty((T, total), dtype=np.min_scalar_type(H))
+    for t0 in range(0, T, plans):
+        block = preds[t0 : t0 + plans, :, None]
+        for m0 in range(0, total, masks):
+            mask_codes = np.arange(m0, min(m0 + masks, total), dtype=np.int64)
+            dist = np.zeros((len(block), H, len(mask_codes)), dtype=np.uint8)
+            for p in powers:
+                dist += (block // p) % 3 != (mask_codes // p) % 3
+            counts[t0 : t0 + plans, m0 : m0 + len(mask_codes)] = (dist <= spec.k).sum(
+                axis=1, dtype=counts.dtype
+            )
     return counts
 
 

@@ -38,11 +38,9 @@ def parse_strategy(text: str) -> tuple[str, ...]:
         if not line or line.startswith("#"):
             continue
         row = line.upper()
-        for col, ch in enumerate(row, start=1):
-            if ch not in PLACEMENTS:
-                raise FormatError(
-                    f"placement must be one of {PLACEMENTS!r}, got {ch!r}", lineno, col
-                )
+        if row.strip(PLACEMENTS):  # some cell lies outside the alphabet: find the first
+            col, ch = next((c, ch) for c, ch in enumerate(row, start=1) if ch not in PLACEMENTS)
+            raise FormatError(f"placement must be one of {PLACEMENTS!r}, got {ch!r}", lineno, col)
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -16,16 +16,25 @@ import numpy as np
 
 from . import engine
 from .analysis import chernoff_tail_bound
-from .builders import RandomStrategyParams, random_row_codes
+from .builders import RandomStrategyParams, draw_uniforms, random_plan_digits
 from .core import DomainError, GameSpec
 from .verifier import census_perfect
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 CENSUS_CAP = 500_000  # most plans random_perfect_rate enumerates for its census_rate
+_CELL_BYTES = 16  # peak bytes per cell of builders.draw_uniforms; sizes blocks of draws
 
 
 def trial_seed(seed: int, t: int) -> int:
     return seed * 1_000_003 + t
+
+
+def _seed_blocks(seed: int, trials: int, cells: int):
+    """Trial seeds in consecutive blocks whose draws, ``cells`` uniforms per
+    trial, fit in the engine's block budget."""
+    step = max(1, engine._PAIR_BYTES // (_CELL_BYTES * cells))
+    for t0 in range(0, trials, step):
+        yield [trial_seed(seed, t) for t in range(t0, min(trials, t0 + step))]
 
 
 @dataclass(frozen=True)
@@ -61,10 +70,12 @@ def simulate_random_player(spec: GameSpec, r: float, trials: int, seed: int = 0)
     """
     _check_trials(trials)
     engine.check_rounds(spec.q)
-    codes = np.empty((trials, spec.n), dtype=np.int64)
-    for t in range(trials):
-        codes[t] = random_row_codes(spec.n, spec.q, RandomStrategyParams(r, trial_seed(seed, t)))
-    wins = int(engine.batch_balance_wins(spec, codes).sum())
+    RandomStrategyParams(r, seed)  # rejects an on-rate outside [0, 1]
+    powers = 3 ** np.arange(spec.q - 1, -1, -1, dtype=np.int64)
+    wins = 0
+    for seeds in _seed_blocks(seed, trials, spec.n * spec.q):
+        codes = random_plan_digits(seeds, spec.n, spec.q, r) @ powers
+        wins += int(engine.batch_balance_wins(spec, codes).sum())
     return _report(spec, {"r": r}, trials, wins, seed)
 
 
@@ -81,12 +92,15 @@ def concentration_experiment(
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"on-balance rate must lie in [0, 1], got {r}")
     _check_trials(trials)
+    piece = max(1, engine._PAIR_BYTES // _CELL_BYTES)  # a longer row is drawn in pieces
     hits = 0
-    for t in range(trials):
-        rng = random.Random(trial_seed(seed, t))
-        on = sum(rng.random() < r for _ in range(q))
-        if abs(on / q - r) > delta:
-            hits += 1
+    for seeds in _seed_blocks(seed, trials, q):
+        rngs = map(random.Random, seeds)
+        if q > piece:  # a block of one trial, its row drawn piece by piece
+            rngs = list(rngs)
+        draws = (draw_uniforms(rngs, min(piece, q - c)) for c in range(0, q, piece))
+        on = sum((u < r).sum(axis=1) for u in draws)
+        hits += int((np.abs(on / q - r) > delta).sum())
     return hits / trials, chernoff_tail_bound(q, delta)
 
 

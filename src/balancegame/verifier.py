@@ -117,7 +117,7 @@ def _game_value_exhaustive(spec: GameSpec, matrix_cap: int) -> GameValue:
         losers = np.nonzero(~wins)[0]
         if losers.size:
             first = codes[int(losers[0])]
-            witness = tuple(engine.decode_row(int(c), spec.q) for c in first)
+            witness = tuple(engine.decode_rows(first, spec.q))
             if not certify(spec, witness).must_win:  # re-check the witness
                 raise AssertionError("internal error: enumerated witness failed recertification")
             return GameValue(PLAYER, "exhaustive", witness, checked + start + int(losers[0]) + 1)

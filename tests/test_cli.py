@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -306,3 +310,81 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (4, "")
         assert err.startswith("error: 40 rounds exceed the 39")
+
+
+class TestInProcessReuse:
+    """main() builds its parser once and reuses it; no call may see another's
+    options or handler."""
+
+    def calls(self, plan_file):
+        four = plan_file(["LL", "LR", "RL", "RR"], "four.txt")
+        loser = plan_file(["L", "L", "O"], "loser.txt")
+        return [
+            (["construct", "--kind", "random", "--n", "4", "--q", "3", "--seed", "5"], ""),
+            (["construct", "--kind", "ternary", "--n", "4", "--q", "2"], ""),
+            (["adjudicate", "--spec", "4,2,0,heavy", "--strategy", four, "--mask", "LR"], ""),
+            (["attack", "--spec", "3,1,0,heavy", "--strategy", loser, "--constructive"], ""),
+            (["attack", "--spec", "3,1,0,heavy", "--strategy", loser], ""),
+            (["certify", "--spec", "4,2,0,heavy", "--strategy", four, "--pretty"], ""),
+            (["certify", "--spec", "4,2,0,heavy", "--strategy", four], ""),
+            (["value", "--spec", "14,3,0,unknown", "--exhaustive"], ""),
+            (["value", "--spec", "14,3,0,unknown"], ""),
+            (["value", "--spec", "3,1,0,heavy", "--constructive"], ""),
+            (["value", "--spec", "3,1,0,heavy"], ""),
+            (["census", "--n", "2", "--q", "2", "--prior", "unknown"], ""),
+            (["census", "--n", "2", "--q", "2"], ""),
+            (["sweep", "--qmax", "2", "--k", "1"], ""),
+            (["sweep", "--qmax", "2"], ""),
+            (["analyze", "--curve", "optimal-r", "--r2", "0.1"], ""),
+            (["analyze", "--curve", "g", "--grid", "3"], ""),
+            (["simulate", "--spec", "4,2,0,heavy", "--r", "0.5", "--trials", "20",
+              "--seed", "3"], ""),
+            (["simulate", "--spec", "4,2,0,heavy", "--r", "0.5", "--trials", "20"], ""),
+            (["concentrate", "--q", "9", "--r", "0.5", "--delta", "0.1", "--trials", "50"], ""),
+            (["perfect-rate", "--n", "2", "--q", "1", "--trials", "30", "--seed", "4"], ""),
+            (["play", "--spec", "3,1,0,heavy", "--strategy", loser, "--as-player"], ""),
+            (["play", "--spec", "4,2,0,heavy", "--strategy", four], "LR\nDD\n"),
+            (["bogus"], ""),
+        ]
+
+    def outcome(self, capsys, monkeypatch, argv, stdin):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the command line
+            code = exc.code
+        captured = capsys.readouterr()
+        out = re.sub(r'(elapsed_ms"?: )[0-9.e+-]+', r"\1_", captured.out)
+        return code, out, captured.err
+
+    def test_every_subcommand_twice_interleaved(self, capsys, monkeypatch, plan_file):
+        calls = self.calls(plan_file)
+        first = [self.outcome(capsys, monkeypatch, *c) for c in calls]
+        again = [self.outcome(capsys, monkeypatch, *c) for c in reversed(calls)]
+        assert again[::-1] == first
+        assert [code for code, _, _ in first].count(0) == len(calls) - 2
+        assert first[-1][0] == 2 and first[7][0] == 4
+
+    def test_value_mode_flags_do_not_carry_over(self, capsys):
+        assert run(capsys, "value", "--spec", "14,3,0,unknown", "--exhaustive")[0] == 4
+        assert run_json(capsys, "value", "--spec", "14,3,0,unknown")["mode"] == "constructive"
+        run_json(capsys, "value", "--spec", "3,1,0,heavy", "--constructive")
+        assert run_json(capsys, "value", "--spec", "3,1,0,heavy")["mode"] == "exhaustive"
+
+    def test_parser_is_built_once_per_process_and_not_at_import(self):
+        script = (
+            "from balancegame import cli\n"
+            "built = []\n"
+            "build = cli.build_parser\n"
+            "cli.build_parser = lambda: built.append(1) or build()\n"
+            "for argv in (['census', '--n', '1', '--q', '1'], ['analyze', '--curve', 'g',"
+            " '--grid', '2'], ['census', '--n', '1', '--q', '1']):\n"
+            "    assert cli.main(argv) == 0\n"
+            "print('built', len(built))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "built 1"

@@ -15,6 +15,27 @@ from balancegame.formats import (
 )
 
 
+def readable_parse_strategy(text):
+    """The strategy-file rules spelled out, one character at a time."""
+    rows, width = [], None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        row = line.upper()
+        for col, ch in enumerate(row, start=1):
+            if ch not in "LRO":
+                raise FormatError(f"placement must be one of 'LRO', got {ch!r}", lineno, col)
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise FormatError(f"row has {len(row)} placements, earlier rows have {width}", lineno)
+        rows.append(row)
+    if not rows:
+        raise FormatError("no strategy rows found")
+    return tuple(rows)
+
+
 class TestParseStrategy:
     def test_basic(self):
         assert parse_strategy("LL\nLR\nRL\nRR\n") == ("LL", "LR", "RL", "RR")
@@ -40,6 +61,30 @@ class TestParseStrategy:
     def test_empty_input(self):
         with pytest.raises(FormatError):
             parse_strategy("# nothing here\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("LRL\nLOXZ\n", "line 2, column 3: placement must be one of 'LRO', got 'X'"),
+        ("LXL\n", "line 1, column 2: placement must be one of 'LRO', got 'X'"),
+        ("# c\n\n  lrq \n", "line 3, column 3: placement must be one of 'LRO', got 'Q'"),
+        ("LR\nL R\n", "line 2, column 2: placement must be one of 'LRO', got ' '"),
+        ("LRO\nlro\nOL\n", "line 3: row has 2 placements, earlier rows have 3"),
+    ])
+    def test_error_messages_are_pinned(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            parse_strategy(text)
+        assert str(exc.value) == message
+
+    @given(st.text(alphabet="LROlrox #\n\t", max_size=40))
+    def test_agrees_with_the_per_character_scan(self, text):
+        try:
+            want = readable_parse_strategy(text)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                parse_strategy(text)
+            assert (str(got.value), got.value.line, got.value.column) == (
+                str(exc), exc.line, exc.column)
+        else:
+            assert parse_strategy(text) == want
 
     @given(
         st.lists(
