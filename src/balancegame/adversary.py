@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .core import DomainError, GameSpec, Hypothesis, adjudicate, validate_strategy
+from .core import DomainError, GameSpec, Hypothesis, adjudicate
 
 METHOD_EXHAUSTIVE = "exhaustive"
 METHOD_DUPLICATE = "duplicate-rows"
@@ -42,7 +42,7 @@ def find_winning_mask(spec: GameSpec, strategy) -> AttackResult | None:
     Decided from the close pairs of honest codes (:func:`engine.close_pairs`)
     rather than by visiting masks: the first winning mask is the smallest
     of the pairs' first common words."""
-    rows = validate_strategy(spec, strategy)
+    rows = tuple(strategy)  # predicted_codes validates it
     code = engine.first_winning_code(spec, engine.predicted_codes(spec, rows))
     if code is None:
         return None
@@ -61,7 +61,7 @@ def constructive_attack(spec: GameSpec, strategy) -> AttackResult | None:
     """
     if spec.k != 0:
         raise DomainError("constructive attacks cover only the zero-lie game (k=0)")
-    rows = validate_strategy(spec, strategy)
+    rows = tuple(strategy)  # predicted_codes validates it
     preds = engine.predicted_codes(spec, rows)
     n = spec.n
     best: dict[int, int] = {}

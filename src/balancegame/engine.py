@@ -9,8 +9,8 @@ to digit-wise Hamming distances between codes.
 Two hypotheses survive one announcement together exactly when their honest
 codes lie within Hamming distance 2k, where two radius-k lie balls meet.
 :func:`close_pairs` finds those pairs without visiting the 3**q masks, and
-every verdict is decided from them; the mask scans remain where the count
-per mask is itself the result.
+every verdict is decided from them; one blocked scan counts survivors per
+mask where that count is itself the result.
 
 Everything here is re-derivable from :mod:`balancegame.core`; the test
 suite holds the two implementations against each other.
@@ -31,7 +31,6 @@ DEFAULT_MASK_CAP = 16  # max q an exhaustive scan of all 3**q masks will attempt
 DEFAULT_MATRIX_CAP = 10**8  # max 3**(n*q) a full strategy census will attempt
 PLAN_CHUNK = 4096  # plans decided per batch when enumerating every plan
 
-_MASK_BLOCK = 3**10  # masks handled per chunk in streaming scans
 _PAIR_BYTES = 1 << 22  # largest array one block of a blocked search or draw may build
 _ONEHOT_DIGITS = 7  # digits per one-hot lookup; three lookups fill a 64-bit lane
 
@@ -66,12 +65,8 @@ def decode_row(code: int, q: int) -> str:
 
 
 def decode_rows(codes, q: int) -> list[str]:
-    """Rows of many codes at once, their digits peeled off one round at a time."""
-    codes = np.asarray(codes, dtype=np.int64)
-    digits = np.empty((len(codes), q), dtype=np.uint8)
-    for i in range(q - 1, -1, -1):
-        codes, digits[:, i] = np.divmod(codes, 3)
-    return digit_rows(digits, PLACEMENTS)
+    """Rows of many codes at once; any q (see :func:`code_digits`)."""
+    return digit_rows(code_digits(codes, q), PLACEMENTS)
 
 
 def digit_rows(digits: np.ndarray, alphabet: str) -> list[str]:
@@ -91,31 +86,36 @@ def decode_mask(code: int, q: int) -> str:
     return decode(code, q, OUTCOMES)
 
 
-def code_digits(codes: np.ndarray, q: int) -> np.ndarray:
-    """(..., q) base-3 digits of each code, most significant first."""
-    powers = 3 ** np.arange(q - 1, -1, -1, dtype=np.int64)
-    return ((codes[..., None] // powers) % 3).astype(np.uint8)
+def code_digits(codes, q: int) -> np.ndarray:
+    """(..., q) uint8 base-3 digits of each code, most significant first.
+
+    The digits are peeled off one round at a time, so any q works: past
+    MAX_ROUNDS the leading digits of an int64 code are 0.  They are stored
+    round-first, so ``np.moveaxis(digits, -1, 0)`` is contiguous."""
+    codes = np.asarray(codes, dtype=np.int64)
+    digits = np.empty((q,) + codes.shape, dtype=np.uint8)
+    for i in range(q - 1, -1, -1):
+        rest = codes // 3  # floor division by a scalar runs about twice as fast as np.divmod
+        digits[i] = codes - 3 * rest
+        codes = rest
+    return np.moveaxis(digits, 0, -1)
+
+
+def digit_codes(digits: np.ndarray) -> np.ndarray:
+    """int64 codes of (..., q) base-3 digits, most significant first; q <= MAX_ROUNDS."""
+    codes = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for d in np.moveaxis(digits, -1, 0):  # Horner: a matmul costs more per short row
+        codes *= 3
+        codes += d
+    return codes
+
+
+_MIRROR_DIGIT = np.array([1, 0, 2], dtype=np.uint8)
 
 
 def mirror_codes(codes: np.ndarray, q: int) -> np.ndarray:
     """Codes of the pan-swapped rows: digits 0 and 1 swap, 2 stays."""
-    out = codes.copy()
-    for p in 3 ** np.arange(q, dtype=np.int64):
-        d = (codes // p) % 3
-        out += p * ((d == 0).astype(np.int64) - (d == 1))
-    return out
-
-
-@lru_cache(maxsize=None)
-def digit_table(q: int) -> np.ndarray:
-    """(3**q, q) array of base-3 digits, most significant first."""
-    return code_digits(np.arange(3**q, dtype=np.int64), q)
-
-
-@lru_cache(maxsize=None)
-def complement_table(q: int) -> np.ndarray:
-    """Code of the pan-swapped row for every code (digits 0 and 1 swap)."""
-    return mirror_codes(np.arange(3**q, dtype=np.int64), q)
+    return digit_codes(_MIRROR_DIGIT[code_digits(codes, q)])
 
 
 def check_rounds(q: int) -> None:
@@ -141,33 +141,16 @@ def predicted_codes(spec: GameSpec, strategy) -> np.ndarray:
     return hypothesis_codes(spec, np.array([encode_row(r) for r in rows], dtype=np.int64))
 
 
-def iter_survivor_blocks(
-    spec: GameSpec, strategy, block: int = _MASK_BLOCK
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, counts) with survivor counts for masks start..start+len."""
-    preds = predicted_codes(spec, strategy)
-    digits = digit_table(spec.q)
-    pred_digits = digits[preds]  # (H, q)
-    total = 3**spec.q
-    for start in range(0, total, block):
-        chunk = digits[start : start + block]  # (B, q)
-        dist = (pred_digits[:, None, :] != chunk[None, :, :]).sum(axis=2)
-        yield start, (dist <= spec.k).sum(axis=0)
+def _survivor_blocks(
+    spec: GameSpec, preds: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (t0, m0, counts): survivor counts of plans t0.. of the (T, H)
+    hypothesis codes ``preds`` against masks m0.., in lexicographic order.
 
-
-def survivor_counts(spec: GameSpec, strategy) -> np.ndarray:
-    """(3**q,) survivor count per mask, mask codes in lexicographic order."""
-    parts = [counts for _, counts in iter_survivor_blocks(spec, strategy)]
-    return np.concatenate(parts)
-
-
-def batch_survivor_counts(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
-    """(T, 3**q) survivor counts for a batch of plans given as row codes.
-
-    Works in blocks of plans x masks whose (plan, hypothesis, mask) distance
-    array, one byte per cell, stays within _PAIR_BYTES; refused when even
-    one plan against one mask would not fit."""
-    preds = hypothesis_codes(spec, row_codes)
+    Blocks of plans x masks keep the (plan, hypothesis, mask) distance
+    array, one byte per cell, within _PAIR_BYTES; refused when even one plan
+    against one mask would not fit.  Counts take the narrowest dtype that
+    holds H, so no mask overflows."""
     T, H = preds.shape
     if H > _PAIR_BYTES:
         raise ResourceLimitError(
@@ -176,19 +159,35 @@ def batch_survivor_counts(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
     total = 3**spec.q
     masks = min(total, _PAIR_BYTES // H)
     plans = max(1, _PAIR_BYTES // (H * masks))
-    powers = 3 ** np.arange(spec.q - 1, -1, -1, dtype=np.int64)
-    # The narrowest dtype that holds every hypothesis count, so no mask overflows.
-    counts = np.empty((T, total), dtype=np.min_scalar_type(H))
-    for t0 in range(0, T, plans):
-        block = preds[t0 : t0 + plans, :, None]
-        for m0 in range(0, total, masks):
-            mask_codes = np.arange(m0, min(m0 + masks, total), dtype=np.int64)
-            dist = np.zeros((len(block), H, len(mask_codes)), dtype=np.uint8)
-            for p in powers:
-                dist += (block // p) % 3 != (mask_codes // p) % 3
-            counts[t0 : t0 + plans, m0 : m0 + len(mask_codes)] = (dist <= spec.k).sum(
-                axis=1, dtype=counts.dtype
-            )
+    dtype = np.min_scalar_type(H)
+    plan_digits = np.moveaxis(code_digits(preds, spec.q), -1, 0)[..., None]  # (q, T, H, 1)
+    for m0 in range(0, total, masks):
+        mask_digits = np.moveaxis(code_digits(np.arange(m0, min(m0 + masks, total)), spec.q), -1, 0)
+        for t0 in range(0, T, plans):
+            block = plan_digits[:, t0 : t0 + plans]
+            dist = np.zeros(block.shape[1:3] + mask_digits.shape[1:], dtype=np.uint8)
+            for p, m in zip(block, mask_digits):
+                dist += p != m
+            yield t0, m0, (dist <= spec.k).sum(axis=1, dtype=dtype)
+
+
+def iter_survivor_blocks(spec: GameSpec, strategy) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, counts) with survivor counts for masks start..start+len."""
+    for _, start, counts in _survivor_blocks(spec, predicted_codes(spec, strategy)[None, :]):
+        yield start, counts[0]
+
+
+def survivor_counts(spec: GameSpec, strategy) -> np.ndarray:
+    """(3**q,) survivor count per mask, mask codes in lexicographic order."""
+    return np.concatenate([counts for _, counts in iter_survivor_blocks(spec, strategy)])
+
+
+def batch_survivor_counts(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
+    """(T, 3**q) survivor counts for a batch of plans given as row codes."""
+    preds = hypothesis_codes(spec, row_codes)
+    counts = np.empty((len(preds), 3**spec.q), dtype=np.min_scalar_type(preds.shape[1]))
+    for t0, m0, block in _survivor_blocks(spec, preds):
+        counts[t0 : t0 + len(block), m0 : m0 + block.shape[1]] = block
     return counts
 
 
@@ -267,22 +266,20 @@ def _first_common_code(ca: np.ndarray, cb: np.ndarray, q: int, k: int) -> int:
     takes its smallest such digit, so the smallest word over all pairs takes
     the smallest digit any pair can, kept by the pairs that can take it.
     """
-    powers = 3 ** np.arange(q - 1, -1, -1, dtype=np.int64)
-    apart = np.zeros(len(ca), dtype=np.int64)
-    for p in powers:
-        apart += (ca // p) % 3 != (cb // p) % 3
+    da, db = code_digits(ca, q), code_digits(cb, q)
+    apart = (da != db).sum(axis=1)
     la = np.full(len(ca), k, dtype=np.int64)
     lb = la
     word = 0
-    for p in powers:
-        da, db = (ca // p) % 3, (cb // p) % 3
-        apart = apart - (da != db)
+    for i in range(q):
+        a, b = da[:, i], db[:, i]
+        apart = apart - (a != b)
         for d in range(3):
-            na, nb = la - (da != d), lb - (db != d)
+            na, nb = la - (a != d), lb - (b != d)
             ok = (na >= 0) & (nb >= 0) & (apart <= na + nb)
             if ok.any():
                 break
-        ca, cb, apart, la, lb = ca[ok], cb[ok], apart[ok], na[ok], nb[ok]
+        da, db, apart, la, lb = da[ok], db[ok], apart[ok], na[ok], nb[ok]
         word = word * 3 + d
     return word
 

@@ -71,10 +71,9 @@ def simulate_random_player(spec: GameSpec, r: float, trials: int, seed: int = 0)
     _check_trials(trials)
     engine.check_rounds(spec.q)
     RandomStrategyParams(r, seed)  # rejects an on-rate outside [0, 1]
-    powers = 3 ** np.arange(spec.q - 1, -1, -1, dtype=np.int64)
     wins = 0
     for seeds in _seed_blocks(seed, trials, spec.n * spec.q):
-        codes = random_plan_digits(seeds, spec.n, spec.q, r) @ powers
+        codes = engine.digit_codes(random_plan_digits(seeds, spec.n, spec.q, r))
         wins += int(engine.batch_balance_wins(spec, codes).sum())
     return _report(spec, {"r": r}, trials, wins, seed)
 

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from balancegame import core
 from balancegame import (
+    DimensionError,
     DomainError,
     GameSpec,
     adjudicate,
@@ -157,3 +159,29 @@ class TestBestResponseExists:
             assert best_response_exists(spec, strategy) == (
                 find_winning_mask(spec, strategy) is not None
             )
+
+
+class TestPlanValidation:
+    @pytest.mark.parametrize("attack", [find_winning_mask, constructive_attack])
+    @pytest.mark.parametrize("rows,message", [
+        (("LRX", "LLL"), r"^row 'LRX' uses characters outside 'LRO': \['X'\]$"),
+        (("LRO",), r"^strategy has 1 rows, spec wants n=2$"),
+        (("LRO", "LL"), r"^row 'LL' has length 2, expected 3$"),
+    ])
+    def test_bad_plans_are_refused_with_the_rule_text(self, attack, rows, message):
+        with pytest.raises(DimensionError, match=message):
+            attack(GameSpec(2, 3, 0, "heavy"), iter(rows))
+
+    def test_lie_budget_is_checked_before_the_plan(self):
+        with pytest.raises(DomainError):
+            constructive_attack(GameSpec(2, 3, 1, "heavy"), ("LRX", "LLL"))
+
+    @pytest.mark.parametrize("rows,wins", [(ternary_strategy(4, 2), False), (("LR", "LR", "OL"), True)])
+    def test_each_row_is_validated_once_before_the_soundness_gate(self, rows, wins, monkeypatch):
+        calls = []
+        validate_row = core.validate_row
+        monkeypatch.setattr(core, "validate_row", lambda row, q: calls.append(row) or validate_row(row, q))
+        spec = GameSpec(len(rows), 2, 0, "heavy")
+        assert (find_winning_mask(spec, rows) is not None) == wins
+        # once for the verdict, once more in the re-adjudication of a winning mask
+        assert calls == list(rows) * (2 if wins else 1)

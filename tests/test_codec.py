@@ -22,14 +22,25 @@ from balancegame import (
 )
 from balancegame import engine
 from balancegame.builders import draw_uniforms
-from balancegame.core import OUTCOMES, PLACEMENTS, DimensionError, validate_mask, validate_row
+from balancegame.core import (
+    OUTCOMES,
+    PLACEMENTS,
+    DimensionError,
+    partial_complement,
+    validate_mask,
+    validate_row,
+)
 from balancegame.engine import (
     batch_survivor_counts,
+    code_digits,
     decode,
+    decode_row,
     decode_rows,
+    digit_codes,
     encode,
     encode_mask,
     encode_row,
+    mirror_codes,
 )
 
 # Seeds at the edges of the 32-bit seeding words and derived trial seeds of a
@@ -55,11 +66,29 @@ class TestCodec:
         masks = [decode(c, q, OUTCOMES) for c in codes]
         assert [encode_mask(m) for m in masks] == codes
 
+    @given(coded_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_digits_round_trip_and_equal_the_digit_loop(self, case):
+        q, codes = case
+        digits = code_digits(np.array(codes, dtype=np.int64), q)
+        assert digits.shape == (len(codes), q) and digits.dtype == np.uint8
+        assert digits.tolist() == [[int(d) for d in decode(c, q, "012")] for c in codes]
+        assert digit_codes(digits).tolist() == codes
+
+    @given(coded_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_mirror_codes_swap_the_pans(self, case):
+        q, codes = case
+        want = [encode_row(partial_complement(decode_row(c, q))) for c in codes]
+        assert mirror_codes(np.array(codes, dtype=np.int64), q).tolist() == want
+
     @pytest.mark.parametrize("q", [40, 45])
     def test_decode_rows_past_the_round_bound_pads_with_l(self, q):
-        codes = [0, 1, 2**63 - 1]
+        codes = [0, 1, 2, 3**20 + 5, 2**63 - 1]
         want = [decode(c, q, PLACEMENTS) for c in codes]
         assert decode_rows(np.array(codes, dtype=np.int64), q) == want
+        digits = code_digits(np.array(codes, dtype=np.int64), q)
+        assert digits.tolist() == [[int(d) for d in decode(c, q, "012")] for c in codes]
         assert ternary_strategy(5, q) == tuple(decode(i, q, PLACEMENTS) for i in range(5))
         assert complement_free_strategy(3, q) == ternary_strategy(3, q)
 

@@ -8,13 +8,13 @@ from balancegame import GameSpec, ResourceLimitError, partial_complement, surviv
 from balancegame.engine import (
     batch_balance_wins,
     batch_survivor_counts,
-    complement_table,
+    code_digits,
     decode_mask,
     decode_row,
-    digit_table,
     encode_mask,
     encode_row,
     matrix_chunk_codes,
+    mirror_codes,
     survivor_counts,
 )
 
@@ -30,14 +30,14 @@ class TestCodes:
         assert [decode_mask(i, 3) for i in range(27)] == masks
         assert [encode_mask(m) for m in masks] == list(range(27))
 
-    def test_digit_table_matches_decode(self):
-        table = digit_table(3)
+    def test_code_digits_match_decode(self):
+        table = code_digits(np.arange(27), 3)
         for code in range(27):
             row = decode_row(code, 3)
             assert [int(d) for d in table[code]] == ["LRO".index(c) for c in row]
 
-    def test_complement_table_matches_partial_complement(self):
-        table = complement_table(3)
+    def test_mirror_codes_match_partial_complement(self):
+        table = mirror_codes(np.arange(27), 3)
         for code in range(27):
             mirrored = partial_complement(decode_row(code, 3))
             assert int(table[code]) == encode_row(mirrored)

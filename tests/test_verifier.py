@@ -22,6 +22,7 @@ from balancegame import (
     ternary_strategy,
     theorem_sweep,
 )
+from balancegame import engine
 
 THIRTEEN = ("LLL", "LLR", "LRL", "LRR", "ORR", "OLR", "ROL",
             "LOL", "RLO", "LLO", "OOR", "LOO", "ORO")
@@ -99,7 +100,22 @@ class TestSurvivorMass:
         k = min(k, q)
         spec = GameSpec(n, q, k, prior)
         plan = random_plan(random.Random(seed), n, q)
-        assert survivor_mass(spec, plan) == survivor_mass_expected(spec)
+        for budget in (engine._PAIR_BYTES, 64):  # 64 bytes: the scan runs in many blocks
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine, "_PAIR_BYTES", budget)
+                assert survivor_mass(spec, plan) == survivor_mass_expected(spec)
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_scan_blocks_fit_the_budget_and_tile_the_masks(self, prior, monkeypatch):
+        monkeypatch.setattr(engine, "_PAIR_BYTES", 64)
+        spec = GameSpec(7, 4, 1, prior)
+        plan = random_plan(random.Random(7), 7, 4)
+        start = 0
+        for m0, counts in engine.iter_survivor_blocks(spec, plan):
+            assert m0 == start and counts.ndim == 1
+            assert len(counts) * spec.hypothesis_count <= engine._PAIR_BYTES
+            start += len(counts)
+        assert start == 3**spec.q
 
     def test_matches_direct_enumeration(self):
         spec = GameSpec(3, 2, 1, "unknown")
