@@ -120,13 +120,6 @@ def random_plan_digits(seeds, n: int, q: int, on_fraction: float) -> np.ndarray:
     return (u >= on_fraction / 2.0).astype(np.uint8) + (u >= on_fraction)
 
 
-def random_row_codes(n: int, q: int, params: RandomStrategyParams) -> list[int]:
-    """Base-3 row codes of the seeded random plan :func:`random_strategy` spells."""
-    _check_shape(n, q)
-    digits = random_plan_digits([params.seed], n, q, params.on_fraction)[0]
-    return [int(row, 3) for row in digit_rows(digits, "012")]
-
-
 def random_strategy(n: int, q: int, params: RandomStrategyParams) -> tuple[str, ...]:
     """Seeded random plan with the cells of :func:`random_plan_digits`."""
     _check_shape(n, q)

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Machine-readable reports (JSON, fixed field order) or CSV go to stdout;
-``--pretty`` switches reports to an aligned key/value rendering.  Exit
+``--pretty`` switches a JSON report to an aligned key/value rendering.  Exit
 codes: 0 success, 1 other package error, 2 malformed input, 3 capacity
 exceeded, 4 enumeration cap or round bound exceeded, 5 numeric domain
 violation, 6 undecided by the requested mode.
@@ -360,12 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
+    def add(name, **kwargs):  # a command that emits a JSON report
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--pretty", action="store_true", help="human-readable report")
         return p
 
-    p = add("construct", help="emit a strategy file")
+    p = sub.add_parser("construct", help="emit a strategy file")
     p.add_argument("--kind", choices=["binary", "ternary", "complement-free", "random"],
                    required=True)
     p.add_argument("--n", type=int, required=True)
@@ -401,13 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", choices=["heavy", "unknown"], default="heavy")
     p.add_argument("--matrix-cap", type=int, default=engine.DEFAULT_MATRIX_CAP)
 
-    p = add("sweep", help="win/lose boundary table (CSV)")
+    p = sub.add_parser("sweep", help="win/lose boundary table (CSV)")
     p.add_argument("--qmax", type=int, required=True)
     p.add_argument("--prior", choices=["heavy", "unknown"], default="heavy")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--matrix-cap", type=int, default=200_000)
 
-    p = add("analyze", help="closed-form curves (CSV)")
+    p = sub.add_parser("analyze", help="closed-form curves (CSV)")
     p.add_argument("--curve", choices=["g", "v", "f", "phi", "optimal-r"], required=True)
     p.add_argument("--grid", type=int, default=1000)
     p.add_argument("--r2", help="lie fraction(s), comma separated for optimal-r")
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("play", help="interactive round")
+    p = sub.add_parser("play", help="interactive round")
     p.add_argument("--spec", required=True)
     p.add_argument("--strategy")
     p.add_argument("--as-player", action="store_true",

@@ -10,7 +10,8 @@ Two hypotheses survive one announcement together exactly when their honest
 codes lie within Hamming distance 2k, where two radius-k lie balls meet.
 :func:`close_pairs` finds those pairs without visiting the 3**q masks, and
 every verdict is decided from them; one blocked scan counts survivors per
-mask where that count is itself the result.
+mask where that count is itself the result.  Every Hamming distance here is
+one digit-wise count, :func:`_distances`, over digits laid out round first.
 
 Everything here is re-derivable from :mod:`balancegame.core`; the test
 suite holds the two implementations against each other.
@@ -18,7 +19,6 @@ suite holds the two implementations against each other.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -31,8 +31,8 @@ DEFAULT_MASK_CAP = 16  # max q an exhaustive scan of all 3**q masks will attempt
 DEFAULT_MATRIX_CAP = 10**8  # max 3**(n*q) a full strategy census will attempt
 PLAN_CHUNK = 4096  # plans decided per batch when enumerating every plan
 
-_PAIR_BYTES = 1 << 22  # largest array one block of a blocked search or draw may build
-_ONEHOT_DIGITS = 7  # digits per one-hot lookup; three lookups fill a 64-bit lane
+_PAIR_BYTES = 1 << 22  # bytes one block of a blocked search or draw may build
+_CODE_BYTES = 40  # per code while code_digits peels it: the int64 code and four temporaries
 
 
 def encode(word: str, alphabet: str) -> int:
@@ -141,33 +141,46 @@ def predicted_codes(spec: GameSpec, strategy) -> np.ndarray:
     return hypothesis_codes(spec, np.array([encode_row(r) for r in rows], dtype=np.int64))
 
 
+def _round_digits(codes, q: int) -> np.ndarray:
+    """(q, ...) uint8 digits of codes, round first, as code_digits builds them."""
+    return np.moveaxis(code_digits(codes, q), -1, 0)
+
+
+def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """uint8 Hamming distances between round-first digit arrays of equal
+    rank whose other axes broadcast: the count of rounds i with x[i] != y[i].
+    A cell costs q + 1 bytes, its q comparisons and its distance; uint8
+    holds any count, since every path keeps q <= MAX_ROUNDS."""
+    return (x != y).view(np.uint8).sum(axis=0, dtype=np.uint8)
+
+
 def _survivor_blocks(
     spec: GameSpec, preds: np.ndarray
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (t0, m0, counts): survivor counts of plans t0.. of the (T, H)
     hypothesis codes ``preds`` against masks m0.., in lexicographic order.
 
-    Blocks of plans x masks keep the (plan, hypothesis, mask) distance
-    array, one byte per cell, within _PAIR_BYTES; refused when even one plan
-    against one mask would not fit.  Counts take the narrowest dtype that
-    holds H, so no mask overflows."""
+    A mask costs its q digits twice (the last block's live until this
+    block's are peeled), _CODE_BYTES while it is peeled, and q + 1 bytes per
+    (plan, hypothesis) cell in :func:`_distances`; blocks of plans x masks
+    keep that within _PAIR_BYTES, or take one mask when one does not fit.
+    Refused when one plan's distances to one mask would exceed the budget.
+    Counts take the narrowest dtype that holds H, so no mask overflows."""
     T, H = preds.shape
     if H > _PAIR_BYTES:
         raise ResourceLimitError(
             f"{H} hypotheses exceed the {_PAIR_BYTES}-byte block of the survivor count"
         )
     total = 3**spec.q
-    masks = min(total, _PAIR_BYTES // H)
-    plans = max(1, _PAIR_BYTES // (H * masks))
+    fixed, per_plan = 2 * spec.q + _CODE_BYTES, (spec.q + 1) * H
+    masks = min(total, max(1, _PAIR_BYTES // (fixed + per_plan)))
+    plans = max(1, (_PAIR_BYTES - fixed * masks) // (per_plan * masks))
     dtype = np.min_scalar_type(H)
-    plan_digits = np.moveaxis(code_digits(preds, spec.q), -1, 0)[..., None]  # (q, T, H, 1)
+    plan_digits = _round_digits(preds, spec.q)[..., None]  # (q, T, H, 1)
     for m0 in range(0, total, masks):
-        mask_digits = np.moveaxis(code_digits(np.arange(m0, min(m0 + masks, total)), spec.q), -1, 0)
+        mask_digits = _round_digits(np.arange(m0, min(m0 + masks, total)), spec.q)[:, None, None]
         for t0 in range(0, T, plans):
-            block = plan_digits[:, t0 : t0 + plans]
-            dist = np.zeros(block.shape[1:3] + mask_digits.shape[1:], dtype=np.uint8)
-            for p, m in zip(block, mask_digits):
-                dist += p != m
+            dist = _distances(plan_digits[:, t0 : t0 + plans], mask_digits)
             yield t0, m0, (dist <= spec.k).sum(axis=1, dtype=dtype)
 
 
@@ -191,33 +204,6 @@ def batch_survivor_counts(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
     return counts
 
 
-@lru_cache(maxsize=None)
-def _onehot_table() -> np.ndarray:
-    """One-hot packing of every _ONEHOT_DIGITS-digit code: digit d at place i
-    (least significant first) sets bit 3 * i + d."""
-    digits = code_digits(np.arange(3**_ONEHOT_DIGITS, dtype=np.int64), _ONEHOT_DIGITS)
-    places = np.arange(_ONEHOT_DIGITS - 1, -1, -1, dtype=np.uint64)
-    bits = np.left_shift(np.uint64(1), 3 * places + digits.astype(np.uint64))
-    return np.bitwise_or.reduce(bits, axis=1)
-
-
-def onehot_codes(codes: np.ndarray, q: int) -> np.ndarray:
-    """(..., lanes) uint64 one-hot packing of codes, 21 digits per lane.
-
-    Each digit becomes a 3-bit field with one bit set, so the popcount of
-    ``a ^ b`` is exactly twice the Hamming distance between two codes.
-    """
-    chunks = -(-q // _ONEHOT_DIGITS)
-    per_lane = 64 // (3 * _ONEHOT_DIGITS)
-    table = _onehot_table()
-    out = np.zeros(codes.shape + (-(-chunks // per_lane),), dtype=np.uint64)
-    rest = codes
-    for c in range(chunks):
-        rest, low = np.divmod(rest, 3**_ONEHOT_DIGITS)
-        out[..., c // per_lane] |= table[low] << np.uint64(3 * _ONEHOT_DIGITS * (c % per_lane))
-    return out
-
-
 def close_pairs(
     spec: GameSpec, preds: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -227,9 +213,10 @@ def close_pairs(
 
     ``preds`` is (T, H), one row of hypothesis codes per plan.  At k = 0 the
     close pairs are equal codes, found by sorting; each group of equal codes
-    is reported as its neighbouring pairs in index order.  At k >= 1 every
-    pair is tested by popcount on the one-hot packing.  Work runs in blocks
-    of at most _PAIR_BYTES bytes of its largest array.
+    is reported as its neighbouring pairs in index order, in blocks whose
+    int64 codes fill at most _PAIR_BYTES.  At k >= 1 every pair's distance
+    is counted by :func:`_distances`, in blocks of at most _PAIR_BYTES
+    bytes: a cell costs q + 1 bytes, and a close one four int64 indices.
     """
     T, H = preds.shape
     if spec.k == 0:
@@ -241,19 +228,18 @@ def close_pairs(
             t, i = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
             yield t0 + t, order[t, i], order[t, i + 1]
         return
-    packed = onehot_codes(preds, spec.q)  # (T, H, lanes)
-    cells = max(1, _PAIR_BYTES // (8 * packed.shape[2]))
+    digits = _round_digits(preds.T, spec.q)  # (q, H, T): a batch of small plans compares along T
+    cells = max(1, _PAIR_BYTES // (spec.q + 1 + 4 * 8))
     plans, rows = (cells // (H * H), H) if cells >= H * H else (1, max(1, cells // H))
-    limit = 4 * spec.k
     for t0 in range(0, T, plans):
         for r0 in range(0, H, rows):
-            left = packed[t0 : t0 + plans, r0 : r0 + rows, None, :]
-            right = packed[t0 : t0 + plans, None, r0 + 1 :, :]
-            bits = np.bitwise_count(left ^ right)
-            near = (bits.sum(axis=3) if bits.shape[3] > 1 else bits[..., 0]) <= limit
-            i = np.arange(r0, r0 + near.shape[1])
-            near &= i[:, None] < np.arange(r0 + 1, H)[None, :]
-            t, a, b = np.nonzero(near)
+            left = digits[:, r0 : r0 + rows, None, t0 : t0 + plans]
+            right = digits[:, None, r0 + 1 :, t0 : t0 + plans]
+            near = _distances(left, right) <= 2 * spec.k
+            i = np.arange(r0, r0 + near.shape[0])
+            near &= (i[:, None] < np.arange(r0 + 1, H))[..., None]
+            # Flat indices first: np.nonzero on an n-d array is many times slower.
+            a, b, t = np.unravel_index(np.flatnonzero(near), near.shape)
             yield t0 + t, r0 + a, r0 + 1 + b
 
 
@@ -266,8 +252,8 @@ def _first_common_code(ca: np.ndarray, cb: np.ndarray, q: int, k: int) -> int:
     takes its smallest such digit, so the smallest word over all pairs takes
     the smallest digit any pair can, kept by the pairs that can take it.
     """
-    da, db = code_digits(ca, q), code_digits(cb, q)
-    apart = (da != db).sum(axis=1)
+    da, db = code_digits(ca, q), code_digits(cb, q)  # (pairs, q): pairs drop out row by row
+    apart = _distances(da.T, db.T)
     la = np.full(len(ca), k, dtype=np.int64)
     lb = la
     word = 0

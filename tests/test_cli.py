@@ -170,6 +170,18 @@ class TestSweep:
         assert lines[1].startswith("1,3,4,exhaustive,3,")
         assert lines[2].startswith("2,9,10,")
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--qmax", "2"],
+        ["construct", "--kind", "ternary", "--n", "2", "--q", "1"],
+        ["analyze", "--curve", "g", "--grid", "3"],
+        ["play", "--spec", "2,1,0,heavy", "--as-player"],
+    ])
+    def test_pretty_is_refused_where_no_report_is_rendered(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--pretty"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --pretty" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_g_curve(self, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,8 @@ from balancegame.adversary import METHOD_ALL_OFF, METHOD_DUPLICATE, METHOD_MIRRO
 from balancegame.engine import (
     batch_balance_wins,
     batch_survivor_counts,
-    code_digits,
     decode_mask,
     decode_row,
-    onehot_codes,
     survivor_counts,
 )
 
@@ -95,15 +94,15 @@ def test_kernel_agrees_with_the_block_scan(budget, case):
             assert len(surviving_hypotheses(spec, rows, attack.mask)) >= 2
 
 
+@pytest.mark.parametrize("q", [21, 22, 30, 39])
 @pytest.mark.parametrize("prior", ["heavy", "unknown"])
 @pytest.mark.parametrize("k", [1, 2])
-def test_lane_split_past_21_rounds(prior, k, seed=5):
+def test_planted_pair_on_both_sides_of_2k(prior, k, q, seed=5):
     rng = random.Random(seed + k)
-    q = 22
     for trial in range(6):
         rows = ["".join(rng.choice("LRO") for _ in range(q)) for _ in range(6)]
-        # Plant a pair that differs in the top round, which sits in the
-        # second lane, and in 2k - 1 or 2k + 1 more rounds of the first lane.
+        # Plant a pair that differs in the top round and in 2k - 1 or 2k + 1
+        # more rounds, so it lies just within or just beyond distance 2k.
         spread = 2 * k - 1 if trial % 2 else 2 * k + 1
         twin = list(rows[0])
         for p in [0, *rng.sample(range(1, q), spread)]:
@@ -115,6 +114,23 @@ def test_lane_split_past_21_rounds(prior, k, seed=5):
         assert (attack and attack.mask) == want
         codes = np.array([[engine.encode_row(r) for r in rows]])
         assert bool(batch_balance_wins(spec, codes)[0]) == (want is not None)
+
+
+def test_close_pair_blocks_stay_bounded_when_every_pair_is_close():
+    # At q = 6, k = 3 all of the 1500 * 1499 / 2 pairs are close, so each
+    # block's close-pair indices, and first_winning_code's work on them, dominate.
+    rng = random.Random(1)
+    rows = tuple("".join(rng.choice("LRO") for _ in range(6)) for _ in range(1500))
+    spec = GameSpec(len(rows), 6, 3, "heavy")
+    tracemalloc.start()
+    try:
+        attack = find_winning_mask(spec, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(row.count("L") >= 3 for row in rows) >= 2  # so the first winner is LLLLLL
+    assert attack.mask == "L" * 6
+    assert peak <= 8 * engine._PAIR_BYTES
 
 
 def readable_random_plan(n, q, r, seed):
@@ -175,16 +191,6 @@ def test_simulate_and_perfect_rate_past_sixteen_rounds(q, capsys):
     doc = cli_json(capsys, "perfect-rate", "--n", 4, "--q", q, "--prior", "unknown",
                    "--trials", 30, "--seed", seed)
     assert doc["successes"] == perfect
-
-
-def test_onehot_popcount_is_twice_the_hamming_distance():
-    rng = np.random.default_rng(3)
-    for q in (1, 6, 7, 8, 21, 22, 30):
-        a, b = (rng.integers(0, 3**q, 200, dtype=np.int64) for _ in range(2))
-        packed = onehot_codes(a, q) ^ onehot_codes(b, q)
-        assert packed.shape == (200, -(-q // 21))
-        bits = np.bitwise_count(packed).sum(axis=1)
-        np.testing.assert_array_equal(bits, 2 * (code_digits(a, q) != code_digits(b, q)).sum(axis=1))
 
 
 class TestOverflow:

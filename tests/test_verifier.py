@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from balancegame import (
     ternary_strategy,
     theorem_sweep,
 )
-from balancegame import engine
+from balancegame import engine, verifier
 
 THIRTEEN = ("LLL", "LLR", "LRL", "LRR", "ORR", "OLR", "ROL",
             "LOL", "RLO", "LLO", "OOR", "LOO", "ORO")
@@ -116,6 +117,21 @@ class TestSurvivorMass:
             assert len(counts) * spec.hypothesis_count <= engine._PAIR_BYTES
             start += len(counts)
         assert start == 3**spec.q
+
+    @pytest.mark.parametrize("n,q", [(1, 14), (2, 13), (3, 12), (60, 10)])
+    def test_scan_memory_stays_within_the_budget(self, n, q):
+        # Few hypotheses make the mask digits, not the distances, the bulk of a block;
+        # with 60 the distances and their comparisons are.
+        spec = GameSpec(n, q, 1, "heavy")
+        plan = ternary_strategy(n, q)
+        tracemalloc.start()
+        try:
+            mass = survivor_mass(spec, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mass == survivor_mass_expected(spec)
+        assert peak <= 1.1 * engine._PAIR_BYTES  # the plan and Python objects take the rest
 
     def test_matches_direct_enumeration(self):
         spec = GameSpec(3, 2, 1, "unknown")
@@ -241,6 +257,22 @@ class TestTheoremSweep:
         rows = theorem_sweep(3, "heavy")
         assert rows[0].mode == "exhaustive"
         assert rows[-1].mode == "constructive"
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_constructive_rows_build_no_witness(self, prior, monkeypatch):
+        def guard(build):
+            def guarded(n, q):
+                if n > 1000:
+                    raise AssertionError(f"built a {n}-row witness")
+                return build(n, q)
+            return guarded
+
+        for name in ("ternary_strategy", "complement_free_strategy"):
+            monkeypatch.setattr(verifier, name, guard(getattr(verifier, name)))
+        rows = theorem_sweep(8, prior)
+        cap = perfect_capacity(8, prior)
+        assert (rows[-1].player_max_n, rows[-1].balance_min_n, rows[-1].mode) == (
+            cap, cap + 1, "constructive")
 
     def test_mass_bound_with_lies(self):
         rows = theorem_sweep(3, "unknown", k=1)
