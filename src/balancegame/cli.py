@@ -1,5 +1,11 @@
 """Command-line interface.
 
+A ``_cmd_*`` handler only computes: a report command returns its fields,
+``construct``, ``sweep`` and ``analyze`` return their text, and ``play``
+prints as it reads stdin.  :func:`main` alone times, renders and writes; a
+report's ``elapsed_ms`` spans the whole handler, parsing ``--spec`` and
+reading the strategy file included.
+
 Machine-readable reports (JSON, fixed field order) or CSV go to stdout;
 ``--pretty`` switches a JSON report to an aligned key/value rendering.  Exit
 codes: 0 success, 1 other package error, 2 malformed input, 3 capacity
@@ -10,6 +16,7 @@ violation, 6 undecided by the requested mode.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -77,229 +84,150 @@ def _survivor_labels(survivors) -> list[str]:
     return [h.label for h in sorted(survivors)]
 
 
-def _emit(args, doc: dict[str, Any]) -> None:
-    print(render_report(doc, pretty=args.pretty))
+def _cmd_construct(args) -> str:
+    build = getattr(builders, args.kind.replace("-", "_") + "_strategy")
+    header = f"{args.kind} plan n={args.n} q={args.q}"
+    if args.kind == "random":
+        rows = build(args.n, args.q, builders.RandomStrategyParams(args.r, args.seed))
+        header += f" r={args.r} seed={args.seed}"
+    else:
+        rows = build(args.n, args.q)
+    return format_strategy(rows, header=header)
 
 
-def _verdict_fields(verdict) -> dict[str, Any]:
+def _cmd_adjudicate(args) -> dict[str, Any]:
+    spec = _parse_spec(args.spec)
+    rows = _load_strategy(args.strategy)
+    mask = parse_mask(args.mask, spec.q)
+    verdict = adjudicate(spec, rows, mask)
     if verdict.caught_lying:
         outcome = "player-catches-lie"
     elif verdict.identified is not None:
         outcome = "player-identifies"
     else:
         outcome = "balance-wins"
-    return {
-        "outcome": outcome,
-        "winner": verdict.winner,
-        "identified": verdict.identified.label if verdict.identified else None,
-        "survivors": _survivor_labels(verdict.survivors),
-    }
-
-
-def _cmd_construct(args) -> int:
-    if args.kind == "binary":
-        rows = builders.binary_strategy(args.n, args.q)
-        header = f"binary plan n={args.n} q={args.q}"
-    elif args.kind == "ternary":
-        rows = builders.ternary_strategy(args.n, args.q)
-        header = f"ternary plan n={args.n} q={args.q}"
-    elif args.kind == "complement-free":
-        rows = builders.complement_free_strategy(args.n, args.q)
-        header = f"complement-free plan n={args.n} q={args.q}"
-    else:
-        params = builders.RandomStrategyParams(args.r, args.seed)
-        rows = builders.random_strategy(args.n, args.q, params)
-        header = f"random plan n={args.n} q={args.q} r={args.r} seed={args.seed}"
-    sys.stdout.write(format_strategy(rows, header=header))
-    return EXIT_OK
-
-
-def _cmd_adjudicate(args) -> int:
-    spec = _parse_spec(args.spec)
-    rows = _load_strategy(args.strategy)
-    mask = parse_mask(args.mask, spec.q)
-    t0 = time.perf_counter()
-    verdict = adjudicate(spec, rows, mask)
-    doc = report(
-        "adjudicate",
+    return dict(
         spec=spec_fields(spec),
         mask=mask,
-        **_verdict_fields(verdict),
+        outcome=outcome,
+        winner=verdict.winner,
+        identified=verdict.identified.label if verdict.identified else None,
+        survivors=_survivor_labels(verdict.survivors),
         transcript=list(transcribe(rows, mask, spec.prior)),
-        elapsed_ms=round(1000 * (time.perf_counter() - t0), 3),
+        elapsed_ms=None,
     )
-    _emit(args, doc)
-    return EXIT_OK
 
 
-def _cmd_attack(args) -> int:
+def _cmd_attack(args) -> dict[str, Any]:
     spec = _parse_spec(args.spec)
     rows = _load_strategy(args.strategy)
-    t0 = time.perf_counter()
     if args.constructive:
         result = adversary.constructive_attack(spec, rows)
     else:
         result = adversary.find_winning_mask(spec, rows)
-    doc = report(
-        "attack",
+    return dict(
         spec=spec_fields(spec),
         outcome="attack-found" if result else "perfect",
         mask=result.mask if result else None,
         method=result.method if result else None,
         survivors=_survivor_labels(result.survivors) if result else [],
-        elapsed_ms=round(1000 * (time.perf_counter() - t0), 3),
+        elapsed_ms=None,
     )
-    _emit(args, doc)
-    return EXIT_OK
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args) -> dict[str, Any]:
     spec = _parse_spec(args.spec)
-    rows = _load_strategy(args.strategy)
-    t0 = time.perf_counter()
-    cert = verifier.certify(spec, rows)
-    doc = report(
-        "certify",
+    cert = verifier.certify(spec, _load_strategy(args.strategy))
+    return dict(
         spec=spec_fields(spec),
         outcome=cert.outcome,
         masks_checked=cert.masks_checked,
         attack_mask=cert.attack.mask if cert.attack else None,
         survivors=_survivor_labels(cert.attack.survivors) if cert.attack else [],
-        elapsed_ms=round(1000 * (time.perf_counter() - t0), 3),
+        elapsed_ms=None,
     )
-    _emit(args, doc)
-    return EXIT_OK
 
 
-def _cmd_value(args) -> int:
+def _cmd_value(args) -> dict[str, Any]:
     spec = _parse_spec(args.spec)
-    mode = "auto"
-    if args.exhaustive:
-        mode = "exhaustive"
-    elif args.constructive:
-        mode = "constructive"
-    t0 = time.perf_counter()
-    value = verifier.game_value(spec, mode, matrix_cap=args.matrix_cap)
-    doc = report(
-        "value",
+    value = verifier.game_value(spec, args.mode, matrix_cap=args.matrix_cap)
+    return dict(
         spec=spec_fields(spec),
         winner=value.winner,
         mode=value.mode,
         witness=list(value.witness) if value.witness else None,
         instances_checked=value.instances_checked,
-        elapsed_ms=round(1000 * (time.perf_counter() - t0), 3),
+        elapsed_ms=None,
     )
-    _emit(args, doc)
-    return EXIT_OK
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> dict[str, Any]:
     spec = GameSpec(args.n, args.q, args.k, args.prior)
-    t0 = time.perf_counter()
     count = verifier.census_perfect(spec, matrix_cap=args.matrix_cap)
     total = (3**spec.q) ** spec.n
-    doc = report(
-        "census",
+    return dict(
         spec=spec_fields(spec),
         perfect_count=count,
         total_plans=total,
         perfect_rate=count / total,
-        elapsed_ms=round(1000 * (time.perf_counter() - t0), 3),
+        elapsed_ms=None,
     )
-    _emit(args, doc)
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     rows = verifier.theorem_sweep(args.qmax, args.prior, args.k, matrix_cap=args.matrix_cap)
-    header = ["q", "player_max_n", "balance_min_n", "mode", "capacity", "mass_bound_min_n"]
-    out = [
-        [r.q, r.player_max_n, r.balance_min_n, r.mode, r.capacity, r.mass_bound_min_n]
-        for r in rows
-    ]
-    sys.stdout.write(render_csv(header, out))
-    return EXIT_OK
+    header = [f.name for f in dataclasses.fields(verifier.SweepRow)]
+    return render_csv(header, [dataclasses.astuple(r) for r in rows])
 
 
-def _floats_csv(text: str) -> list[float]:
+def _number_list(text: str, kind: type = float) -> list:
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
+        return [kind(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
-        raise FormatError(f"bad number list {text!r}") from exc
+        raise FormatError(f"bad {'integer' if kind is int else 'number'} list {text!r}") from exc
 
 
-def _ints_csv(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError as exc:
-        raise FormatError(f"bad integer list {text!r}") from exc
-
-
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> str:
     num = args.grid
+    if args.curve == "optimal-r":
+        r2s = _number_list(args.r2) if args.r2 is not None else [0.0]
+        return render_csv(["r2", "argmax", "max"],
+                          [[r2, *analysis.best_on_fraction(r2)] for r2 in r2s])
     if args.curve == "g":
         curve = analysis.sample_curve(analysis.honest_threshold_rate, 0.0, 1.0, num)
-        text = render_csv(["r", "g"], list(zip(curve.grid, curve.values)))
     elif args.curve == "v":
         if args.r2 is None:
             raise FormatError("curve 'v' needs --r2")
-        r2 = _floats_csv(args.r2)
+        r2 = _number_list(args.r2)
         if len(r2) != 1:
             raise FormatError("curve 'v' takes exactly one --r2 value")
         fn = lambda r: analysis.lying_threshold_rate(r, r2[0])
         curve = analysis.sample_curve(fn, r2[0], 1.0, num)
-        text = render_csv(["r", "v"], list(zip(curve.grid, curve.values)))
-    elif args.curve == "optimal-r":
-        values = _floats_csv(args.r2) if args.r2 is not None else [0.0]
-        rows = []
-        for r2 in values:
-            argmax, best = analysis.best_on_fraction(r2)
-            rows.append([r2, argmax, best])
-        text = render_csv(["r2", "argmax", "max"], rows)
     elif args.curve == "f":
         if args.qvec is None or args.q is None:
             raise FormatError("curve 'f' needs --qvec and --q")
-        qvec = _ints_csv(args.qvec)
+        qvec = _number_list(args.qvec, int)
         fn = lambda p: analysis.expected_survivors(qvec, p, args.q)
         curve = analysis.sample_curve(fn, 0.0, 0.5, num, parameter="p")
-        text = render_csv(["p", "f"], list(zip(curve.grid, curve.values)))
     else:  # phi
         if args.r is None or args.q is None:
             raise FormatError("curve 'phi' needs --r and --q")
         fn = lambda p: analysis.prob_considered_heavier(p, args.r, args.q)
         curve = analysis.sample_curve(fn, 0.0, 0.5, num, parameter="p")
-        text = render_csv(["p", "phi"], list(zip(curve.grid, curve.values)))
-    sys.stdout.write(text)
-    return EXIT_OK
+    return render_csv([curve.parameter, args.curve], list(zip(curve.grid, curve.values)))
 
 
-def _trial_report_doc(command: str, rep: montecarlo.TrialReport) -> dict[str, Any]:
-    return report(
-        command,
-        spec=spec_fields(rep.spec) if rep.spec else None,
-        params=rep.params,
-        trials=rep.trials,
-        successes=rep.successes,
-        estimate=rep.estimate,
-        half_width=rep.half_width,
-        seed=rep.seed,
-        extras=rep.extras,
-    )
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> dict[str, Any]:
     spec = _parse_spec(args.spec)
     rep = montecarlo.simulate_random_player(spec, args.r, args.trials, args.seed)
-    _emit(args, _trial_report_doc("simulate", rep))
-    return EXIT_OK
+    return dataclasses.asdict(rep)
 
 
-def _cmd_concentrate(args) -> int:
+def _cmd_concentrate(args) -> dict[str, Any]:
     empirical, bound = montecarlo.concentration_experiment(
         args.q, args.r, args.delta, args.trials, args.seed
     )
-    doc = report(
-        "concentrate",
+    return dict(
         q=args.q,
         r=args.r,
         delta=args.delta,
@@ -309,17 +237,14 @@ def _cmd_concentrate(args) -> int:
         chernoff_bound=bound,
         within_bound=empirical <= bound,
     )
-    _emit(args, doc)
-    return EXIT_OK
 
 
-def _cmd_perfect_rate(args) -> int:
+def _cmd_perfect_rate(args) -> dict[str, Any]:
     rep = montecarlo.random_perfect_rate(args.n, args.q, args.prior, args.trials, args.seed)
-    _emit(args, _trial_report_doc("perfect-rate", rep))
-    return EXIT_OK
+    return dataclasses.asdict(rep)
 
 
-def _cmd_play(args) -> int:
+def _cmd_play(args) -> None:
     spec = _parse_spec(args.spec)
     if args.as_player:
         # Human supplies the plan; the tool answers as the balance.
@@ -339,7 +264,7 @@ def _cmd_play(args) -> int:
         else:
             print(f"balance announces {result.mask}")
             print(adjudicate(spec, rows, result.mask).describe())
-        return EXIT_OK
+        return
     if not args.strategy:
         raise FormatError("play needs --strategy unless --as-player reads one from stdin")
     rows = _load_strategy(args.strategy)
@@ -350,7 +275,6 @@ def _cmd_play(args) -> int:
             continue
         mask = parse_mask(text, spec.q)
         print(adjudicate(spec, rows, mask).describe())
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,8 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("value", help="who wins under best play")
     p.add_argument("--spec", required=True)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--constructive", action="store_true")
+    modes = p.add_mutually_exclusive_group()
+    modes.add_argument("--exhaustive", dest="mode", action="store_const", const="exhaustive")
+    modes.add_argument("--constructive", dest="mode", action="store_const", const="constructive")
+    p.set_defaults(mode="auto")
     p.add_argument("--matrix-cap", type=int, default=engine.DEFAULT_MATRIX_CAP)
 
     p = add("census", help="count must-win plans")
@@ -455,11 +381,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     # Looked up by name on every call, so the handler in force now runs.
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
+    t0 = time.perf_counter()
     try:
-        return handler(args)
+        out = handler(args)
     except BalanceGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
+    if isinstance(out, dict):
+        if "elapsed_ms" in out:
+            out["elapsed_ms"] = round(1000 * (time.perf_counter() - t0), 3)
+        out = render_report(report(args.command, **out), pretty=args.pretty) + "\n"
+    if out:
+        sys.stdout.write(out)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

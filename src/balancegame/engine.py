@@ -225,7 +225,9 @@ def close_pairs(
             block = preds[t0 : t0 + step]
             order = np.argsort(block, axis=1, kind="stable")
             ranked = np.take_along_axis(block, order, axis=1)
-            t, i = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
+            same = ranked[:, 1:] == ranked[:, :-1]
+            # Flat indices first: np.nonzero on an n-d array is many times slower.
+            t, i = np.unravel_index(np.flatnonzero(same), same.shape)
             yield t0 + t, order[t, i], order[t, i + 1]
         return
     digits = _round_digits(preds.T, spec.q)  # (q, H, T): a batch of small plans compares along T
@@ -238,7 +240,6 @@ def close_pairs(
             near = _distances(left, right) <= 2 * spec.k
             i = np.arange(r0, r0 + near.shape[0])
             near &= (i[:, None] < np.arange(r0 + 1, H))[..., None]
-            # Flat indices first: np.nonzero on an n-d array is many times slower.
             a, b, t = np.unravel_index(np.flatnonzero(near), near.shape)
             yield t0 + t, r0 + a, r0 + 1 + b
 
@@ -272,20 +273,35 @@ def _first_common_code(ca: np.ndarray, cb: np.ndarray, q: int, k: int) -> int:
 
 def first_winning_code(spec: GameSpec, preds: np.ndarray) -> int | None:
     """Code of the first announcement, in L < R < D order, that keeps two of
-    the hypotheses ``preds`` (one plan's codes) alive; ``None`` if none does."""
+    the hypotheses ``preds`` (one plan's codes) alive; ``None`` if none does.
+
+    A block's close pairs go to :func:`_first_common_code` in pieces whose
+    work fits _PAIR_BYTES: per pair 4q + 64 bytes under tracemalloc, for two
+    gathered codes, their digit rows and one filtered copy, one peel's
+    temporaries and the lie budgets."""
     best = None
+    piece = max(1, _PAIR_BYTES // (4 * spec.q + 64))
     for _, a, b in close_pairs(spec, preds[None, :]):
-        if a.size:
-            code = _first_common_code(preds[a], preds[b], spec.q, spec.k)
+        for p0 in range(0, a.size, piece):
+            ab = slice(p0, p0 + piece)
+            code = _first_common_code(preds[a[ab]], preds[b[ab]], spec.q, spec.k)
             best = code if best is None else min(best, code)
     return best
+
+
+def pigeonhole_min_n(q: int, k: int, prior: str) -> int:
+    """Smallest coin count n with n * per_coin > 3**q, where a coin's
+    hypotheses survive per_coin announcements in all (one radius-k lie ball
+    per sign).  From there the survivor mass exceeds the mask count, so some
+    announcement keeps two hypotheses alive and the balance wins."""
+    per_coin = (1 if prior == HEAVY else 2) * hamming_ball_volume(q, k)
+    return 3**q // per_coin + 1
 
 
 def batch_balance_wins(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
     """(T,) bools: does some mask leave >= 2 survivors against each plan?"""
     preds = hypothesis_codes(spec, row_codes)
-    if preds.shape[1] * hamming_ball_volume(spec.q, spec.k) > 3**spec.q:
-        # Survivor mass exceeds the mask count: some mask keeps two alive.
+    if spec.n >= pigeonhole_min_n(spec.q, spec.k, spec.prior):
         return np.ones(len(preds), dtype=bool)
     wins = np.zeros(len(preds), dtype=bool)
     for t, _, _ in close_pairs(spec, preds):

@@ -133,7 +133,7 @@ def _game_value_constructive(spec: GameSpec) -> GameValue:
         # Beyond capacity every plan repeats a row, mirrors one, or idles a
         # coin, and the structural attack wins; no enumeration needed.
         return GameValue(BALANCE, "constructive", None, 0)
-    if survivor_mass_expected(spec) > 3**spec.q:
+    if spec.n >= engine.pigeonhole_min_n(spec.q, spec.k, spec.prior):
         # Conservation: more survivors than masks forces a mask with >= 2.
         return GameValue(BALANCE, "constructive", None, 0)
     raise UndecidedError(
@@ -180,11 +180,6 @@ class SweepRow:
     mass_bound_min_n: int | None  # pigeonhole balance threshold, k >= 1
 
 
-def _mass_bound_min_n(q: int, k: int, prior: str) -> int:
-    per_coin = survivor_mass_expected(GameSpec(1, q, k, prior))
-    return 3**q // per_coin + 1  # smallest n with n * per_coin > 3**q
-
-
 def theorem_sweep(
     q_max: int, prior: str = HEAVY, k: int = 0, matrix_cap: int = 200_000
 ) -> list[SweepRow]:
@@ -205,7 +200,7 @@ def theorem_sweep(
                 balance_min = n
                 break
         capacity = perfect_capacity(q, prior) if k == 0 else None
-        mass_min = _mass_bound_min_n(q, k, prior) if k >= 1 else None
+        mass_min = engine.pigeonhole_min_n(q, k, prior) if k >= 1 else None
         if balance_min is not None:
             rows.append(SweepRow(q, last_player, balance_min, "exhaustive", capacity, mass_min))
         elif k == 0:

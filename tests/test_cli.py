@@ -324,6 +324,77 @@ class TestExitCodes:
         assert err.startswith("error: 40 rounds exceed the 39")
 
 
+class TestSingleReportPath:
+    """Handlers return their fields; main() alone stamps the schema and
+    command, fills in elapsed_ms and renders."""
+
+    TRIAL_KEYS = ["schema", "command", "spec", "params", "trials", "successes", "estimate",
+                  "half_width", "seed", "extras"]
+    KEYS = {
+        "adjudicate": ["schema", "command", "spec", "mask", "outcome", "winner", "identified",
+                       "survivors", "transcript", "elapsed_ms"],
+        "attack": ["schema", "command", "spec", "outcome", "mask", "method", "survivors",
+                   "elapsed_ms"],
+        "certify": ["schema", "command", "spec", "outcome", "masks_checked", "attack_mask",
+                    "survivors", "elapsed_ms"],
+        "value": ["schema", "command", "spec", "winner", "mode", "witness", "instances_checked",
+                  "elapsed_ms"],
+        "census": ["schema", "command", "spec", "perfect_count", "total_plans", "perfect_rate",
+                   "elapsed_ms"],
+        "simulate": TRIAL_KEYS,
+        "concentrate": ["schema", "command", "q", "r", "delta", "trials", "seed",
+                        "empirical_tail", "chernoff_bound", "within_bound"],
+        "perfect-rate": TRIAL_KEYS,
+    }
+    TIMED = {"adjudicate", "attack", "certify", "value", "census"}
+
+    def argv(self, command, plan_file):
+        four = plan_file(["LL", "LR", "RL", "RR"])
+        return {
+            "adjudicate": ["--spec", "4,2,0,heavy", "--strategy", four, "--mask", "LR"],
+            "attack": ["--spec", "4,2,0,heavy", "--strategy", four],
+            "certify": ["--spec", "4,2,0,heavy", "--strategy", four],
+            "value": ["--spec", "3,1,0,heavy"],
+            "census": ["--n", "2", "--q", "1"],
+            "simulate": ["--spec", "4,2,0,heavy", "--r", "0.5", "--trials", "20"],
+            "concentrate": ["--q", "9", "--r", "0.5", "--delta", "0.1", "--trials", "20"],
+            "perfect-rate": ["--n", "2", "--q", "1", "--trials", "20"],
+        }[command]
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_report_keys_in_order(self, capsys, plan_file, command):
+        argv = [command, *self.argv(command, plan_file)]
+        doc = run_json(capsys, *argv)
+        assert list(doc) == self.KEYS[command]
+        assert doc["schema"] == "1" and doc["command"] == command
+        assert ("elapsed_ms" in doc) == (command in self.TIMED)
+        if "elapsed_ms" in doc:
+            assert isinstance(doc["elapsed_ms"], float) and doc["elapsed_ms"] >= 0.0
+        code, out, _ = run(capsys, *argv, "--pretty")
+        assert code == 0
+        keys = [line.split(":")[0] for line in out.splitlines() if not line.startswith(" ")]
+        assert keys == self.KEYS[command]
+
+    def test_main_renders_what_a_handler_returns(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_cmd_concentrate", lambda args: {"x": 1, "elapsed_ms": None})
+        doc = run_json(capsys, "concentrate", "--q", "5", "--r", "0.5", "--delta", "0.1",
+                       "--trials", "10")
+        assert list(doc) == ["schema", "command", "x", "elapsed_ms"]
+        assert doc["command"] == "concentrate" and doc["elapsed_ms"] >= 0.0
+        monkeypatch.setattr(cli, "_cmd_concentrate", lambda args: "a,b\n")
+        assert run(capsys, "concentrate", "--q", "5", "--r", "0.5", "--delta", "0.1",
+                   "--trials", "10") == (0, "a,b\n", "")
+
+    @pytest.mark.parametrize("flags", [["--exhaustive", "--constructive"],
+                                       ["--constructive", "--exhaustive"]])
+    def test_value_modes_are_exclusive(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["value", "--spec", "3,1,0,heavy", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with argument" in captured.err
+
+
 class TestInProcessReuse:
     """main() builds its parser once and reuses it; no call may see another's
     options or handler."""

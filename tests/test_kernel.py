@@ -118,7 +118,8 @@ def test_planted_pair_on_both_sides_of_2k(prior, k, q, seed=5):
 
 def test_close_pair_blocks_stay_bounded_when_every_pair_is_close():
     # At q = 6, k = 3 all of the 1500 * 1499 / 2 pairs are close, so each
-    # block's close-pair indices, and first_winning_code's work on them, dominate.
+    # block's close-pair indices, and first_winning_code's work on them, dominate:
+    # the indices take about 0.6x the budget, one piece of pairs at most 1x.
     rng = random.Random(1)
     rows = tuple("".join(rng.choice("LRO") for _ in range(6)) for _ in range(1500))
     spec = GameSpec(len(rows), 6, 3, "heavy")
@@ -130,7 +131,7 @@ def test_close_pair_blocks_stay_bounded_when_every_pair_is_close():
         tracemalloc.stop()
     assert sum(row.count("L") >= 3 for row in rows) >= 2  # so the first winner is LLLLLL
     assert attack.mask == "L" * 6
-    assert peak <= 8 * engine._PAIR_BYTES
+    assert peak <= 2.5 * engine._PAIR_BYTES
 
 
 def readable_random_plan(n, q, r, seed):

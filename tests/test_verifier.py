@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,6 +219,40 @@ class TestGameValue:
         value = game_value(GameSpec(13, 3, 0, "unknown"))
         assert value.mode == "constructive"
         assert value.winner == "player"
+
+
+class TestPigeonhole:
+    """engine.pigeonhole_min_n is the one spelling of the survivor-mass rule."""
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_smallest_n_whose_mass_exceeds_the_masks(self, prior):
+        for q in range(1, 13):
+            for k in range(q + 1):
+                per_coin = survivor_mass_expected(GameSpec(1, q, k, prior))
+                least = engine.pigeonhole_min_n(q, k, prior)
+                for n in range(max(1, least - 2), least + 2):
+                    assert (n >= least) == (n * per_coin > 3**q), (q, k, n)
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_constructive_verdicts_switch_at_the_threshold(self, prior):
+        for q in range(1, 13):
+            for k in range(1, q + 1):
+                least = engine.pigeonhole_min_n(q, k, prior)
+                assert game_value(GameSpec(least, q, k, prior), "constructive").winner == "balance"
+                below = GameSpec(least - 1, q, k, prior) if least > 1 else None
+                if below is not None and below.hypothesis_count >= 2:
+                    with pytest.raises(UndecidedError):
+                        game_value(below, "constructive")
+
+    def test_batch_verdict_skips_the_pairs_from_the_threshold(self, monkeypatch):
+        least = engine.pigeonhole_min_n(3, 1, "heavy")  # 27 // 7 + 1 = 4
+        calls = []
+        pairs = engine.close_pairs
+        monkeypatch.setattr(engine, "close_pairs", lambda *a: calls.append(a) or pairs(*a))
+        for n in (least - 1, least):
+            codes = np.arange(2 * n, dtype=np.int64).reshape(2, n)  # distinct rows
+            wins = engine.batch_balance_wins(GameSpec(n, 3, 1, "heavy"), codes)
+            assert len(calls) == 1 and wins.all()  # every pair here lies within 2k = 2
 
 
 class TestCensusPerfect:
