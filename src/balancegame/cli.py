@@ -9,7 +9,7 @@ reading the strategy file included.
 Machine-readable reports (JSON, fixed field order) or CSV go to stdout;
 ``--pretty`` switches a JSON report to an aligned key/value rendering.  Exit
 codes: 0 success, 1 other package error, 2 malformed input, 3 capacity
-exceeded, 4 enumeration cap or round bound exceeded, 5 numeric domain
+exceeded, 4 matrix cap or round bound exceeded, 5 numeric domain
 violation, 6 undecided by the requested mode.
 """
 
@@ -220,7 +220,7 @@ def _cmd_analyze(args) -> str:
 def _cmd_simulate(args) -> dict[str, Any]:
     spec = _parse_spec(args.spec)
     rep = montecarlo.simulate_random_player(spec, args.r, args.trials, args.seed)
-    return dataclasses.asdict(rep)
+    return vars(rep) | {"spec": spec_fields(rep.spec)}
 
 
 def _cmd_concentrate(args) -> dict[str, Any]:
@@ -241,7 +241,7 @@ def _cmd_concentrate(args) -> dict[str, Any]:
 
 def _cmd_perfect_rate(args) -> dict[str, Any]:
     rep = montecarlo.random_perfect_rate(args.n, args.q, args.prior, args.trials, args.seed)
-    return dataclasses.asdict(rep)
+    return vars(rep) | {"spec": spec_fields(rep.spec)}
 
 
 def _cmd_play(args) -> None:
@@ -275,6 +275,11 @@ def _cmd_play(args) -> None:
             continue
         mask = parse_mask(text, spec.q)
         print(adjudicate(spec, rows, mask).describe())
+
+
+MATRIX_CAP_HELP = ("bound on the clique search: at most sum_{j<=n} C(W, j) nodes plus W^2 "
+                   "graph cells over the W admissible rows, or the 3^(nq) plans if fewer; "
+                   "exit 4 beyond it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,20 +323,23 @@ def build_parser() -> argparse.ArgumentParser:
     modes.add_argument("--exhaustive", dest="mode", action="store_const", const="exhaustive")
     modes.add_argument("--constructive", dest="mode", action="store_const", const="constructive")
     p.set_defaults(mode="auto")
-    p.add_argument("--matrix-cap", type=int, default=engine.DEFAULT_MATRIX_CAP)
+    p.add_argument("--matrix-cap", type=int, default=engine.DEFAULT_MATRIX_CAP,
+                   help=MATRIX_CAP_HELP + "; auto mode searches only while the 3^(nq) plans fit")
 
     p = add("census", help="count must-win plans")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--prior", choices=["heavy", "unknown"], default="heavy")
-    p.add_argument("--matrix-cap", type=int, default=engine.DEFAULT_MATRIX_CAP)
+    p.add_argument("--matrix-cap", type=int, default=engine.DEFAULT_MATRIX_CAP,
+                   help=MATRIX_CAP_HELP)
 
     p = sub.add_parser("sweep", help="win/lose boundary table (CSV)")
     p.add_argument("--qmax", type=int, required=True)
     p.add_argument("--prior", choices=["heavy", "unknown"], default="heavy")
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--matrix-cap", type=int, default=200_000)
+    p.add_argument("--matrix-cap", type=int, default=200_000,
+                   help="rows are searched for each n while the 3^(nq) plans fit this cap")
 
     p = sub.add_parser("analyze", help="closed-form curves (CSV)")
     p.add_argument("--curve", choices=["g", "v", "f", "phi", "optimal-r"], required=True)

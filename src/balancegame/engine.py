@@ -10,8 +10,11 @@ Two hypotheses survive one announcement together exactly when their honest
 codes lie within Hamming distance 2k, where two radius-k lie balls meet.
 :func:`close_pairs` finds those pairs without visiting the 3**q masks, and
 every verdict is decided from them; one blocked scan counts survivors per
-mask where that count is itself the result.  Every Hamming distance here is
-one digit-wise count, :func:`_distances`, over digits laid out round first.
+mask where that count is itself the result.  Censuses and exhaustive game
+values search cliques of pairwise compatible rows (:func:`clique_count`,
+:func:`first_clique`) instead of the 3**(n*q) plans.  Every Hamming distance
+here is one digit-wise count, :func:`_distances`, over digits laid out round
+first.
 
 Everything here is re-derivable from :mod:`balancegame.core`; the test
 suite holds the two implementations against each other.
@@ -28,8 +31,7 @@ from .core import GameSpec, HEAVY, OUTCOMES, PLACEMENTS, ResourceLimitError, val
 
 MAX_ROUNDS = 39  # base-3 codes are int64 and 3**39 < 2**63 <= 3**40
 DEFAULT_MASK_CAP = 16  # max q an exhaustive scan of all 3**q masks will attempt
-DEFAULT_MATRIX_CAP = 10**8  # max 3**(n*q) a full strategy census will attempt
-PLAN_CHUNK = 4096  # plans decided per batch when enumerating every plan
+DEFAULT_MATRIX_CAP = 10**8  # max work a census or exhaustive value will attempt (check_search_cap)
 
 _PAIR_BYTES = 1 << 22  # bytes one block of a blocked search or draw may build
 _CODE_BYTES = 40  # per code while code_digits peels it: the int64 code and four temporaries
@@ -325,12 +327,139 @@ def matrix_chunk_codes(spec: GameSpec, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def check_matrix_cap(spec: GameSpec, cap: int = DEFAULT_MATRIX_CAP) -> int:
+def admissible_count(spec: GameSpec) -> int:
+    """Words that can be a row of some must-win plan: all 3**q under the
+    heavy prior; under the unknown prior those more than 2k from their own
+    mirror, i.e. with more than 2k rounds on a pan."""
+    if spec.prior == HEAVY:
+        return 3**spec.q
+    return 3**spec.q - hamming_ball_volume(spec.q, 2 * spec.k)
+
+
+def check_search_cap(spec: GameSpec, cap: int = DEFAULT_MATRIX_CAP) -> None:
+    """Refuse a census or exhaustive value whose work may exceed ``cap``,
+    before anything is allocated.
+
+    Nothing whose 3**(n*q) plans fit the cap is refused, so whatever a plan
+    enumeration decided within the cap is still decided.  Past that, over W
+    admissible words the clique search visits at most sum_{j <= n} C(W, j)
+    nodes and, for n >= 2, builds at most W**2 graph cells; its scan of the
+    3**q words for admissible ones costs no more, since W >= 2**q whenever
+    W > 0 (n = 1 builds nothing).  That work is held to the cap."""
     check_rounds(spec.q)
-    total = (3**spec.q) ** spec.n
-    if total > cap:
+    if (3**spec.q) ** spec.n <= cap:
+        return
+    words = admissible_count(spec)
+    work, term = (words * words if spec.n >= 2 else 0), 1
+    for j in range(min(spec.n, words) + 1):
+        work += term  # term = C(words, j)
+        if work > cap:
+            break
+        term = term * (words - j) // (j + 1)
+    if work > cap:
         raise ResourceLimitError(
-            f"enumerating 3**{spec.n * spec.q} strategy matrices exceeds the census cap "
-            f"({cap}); raise the cap explicitly to proceed"
+            f"searching {spec.n}-row plans over {words} admissible rows of {spec.q} rounds "
+            f"exceeds the matrix cap ({cap}); raise the cap explicitly to proceed"
         )
-    return total
+
+
+class _CliqueSearch:
+    """Must-win plans of one spec as cliques of compatible rows.
+
+    A plan is must-win exactly when its rows, as a set, are pairwise
+    compatible: every two hypotheses' honest codes lie more than 2k apart.
+    Under the heavy prior two rows are compatible when they lie more than 2k
+    apart; under the unknown prior each row must also lie that far from its
+    own mirror (admissible), and each pair from the other's mirror, so all
+    four heavy/light images of a pair stay apart.
+
+    The graph holds the admissible codes in ascending order and, for word
+    i, a Python-int bitset of the later words compatible with it; a row is
+    built when the search first branches on its word.  The search tries
+    small words first, so the first clique it meets is the lexicographically
+    first, and it counts the last level by popcount."""
+
+    def __init__(self, spec: GameSpec):
+        self.spec = spec
+        self.words = self._admissible_codes()
+        self.digits = _round_digits(self.words, spec.q)  # (q, W)
+        self.rows: list[int | None] = [None] * len(self.words)
+
+    def _admissible_codes(self) -> np.ndarray:
+        q, total = self.spec.q, 3**self.spec.q
+        if self.spec.prior == HEAVY:
+            return np.arange(total, dtype=np.int64)
+        step = max(1, _PAIR_BYTES // (2 * q + _CODE_BYTES))
+        parts = []
+        for c0 in range(0, total, step):
+            codes = np.arange(c0, min(c0 + step, total), dtype=np.int64)
+            digits = _round_digits(codes, q)
+            parts.append(codes[_distances(digits, _MIRROR_DIGIT[digits]) > 2 * self.spec.k])
+        return np.concatenate(parts)
+
+    def neighbours(self, i: int) -> int:
+        """Bitset of the words j > i compatible with word i, built on first
+        use; distances are counted in blocks of at most _PAIR_BYTES."""
+        row = self.rows[i]
+        if row is None:
+            far, later = 2 * self.spec.k, self.digits[:, i + 1 :]
+            word = self.digits[:, i : i + 1]
+            images = (word,) if self.spec.prior == HEAVY else (word, _MIRROR_DIGIT[word])
+            ok = np.ones(later.shape[1], dtype=bool)
+            step = max(1, _PAIR_BYTES // (self.spec.q + 1))
+            for j0 in range(0, len(ok), step):
+                for image in images:
+                    ok[j0 : j0 + step] &= _distances(image, later[:, j0 : j0 + step]) > far
+            bits = np.packbits(ok, bitorder="little").tobytes()
+            row = self.rows[i] = int.from_bytes(bits, "little") << (i + 1)
+        return row
+
+    def search(self, cands: int, size: int, path: list[int] | None) -> int:
+        """Count the size-cliques among the words in bitset ``cands``.  With
+        a ``path``, stop at the first and append its word indices, last
+        first."""
+        if size == 1:
+            if path is not None and cands:
+                path.append((cands & -cands).bit_length() - 1)
+            return cands.bit_count()
+        total = 0
+        while cands.bit_count() >= size:
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            found = self.search(cands & self.neighbours(v), size - 1, path)
+            if found and path is not None:
+                path.append(v)
+                return found
+            total += found
+        return total
+
+
+def _cliques(spec: GameSpec, path: list[int] | None) -> int:
+    """Count ``spec``'s n-cliques; with a ``path``, stop at the first and
+    leave its row codes there."""
+    words = admissible_count(spec)
+    if spec.n > words or spec.n >= pigeonhole_min_n(spec.q, spec.k, spec.prior):
+        return 0
+    if spec.n == 1:  # one admissible row is a clique; all-L (code 0) is admissible first
+        if path is not None:
+            path.append(0)
+        return words
+    search = _CliqueSearch(spec)
+    count = search.search((1 << words) - 1, spec.n, path)
+    if path is not None:
+        path[:] = [int(search.words[i]) for i in reversed(path)]
+    return count
+
+
+def clique_count(spec: GameSpec) -> int:
+    """Number of n-row sets that form a must-win plan; each is n! plans."""
+    return _cliques(spec, None)
+
+
+def first_clique(spec: GameSpec) -> list[int] | None:
+    """Row codes of the lexicographically first must-win plan, which is the
+    first in the (3**q)**n enumeration of :func:`matrix_chunk_codes`."""
+    path: list[int] = []
+    _cliques(spec, path)
+    return path or None

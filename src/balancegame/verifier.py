@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import engine
 from .adversary import AttackResult, find_winning_mask
@@ -100,23 +99,22 @@ def _builder_witnesses(spec: GameSpec):
 
 
 def _game_value_exhaustive(spec: GameSpec, matrix_cap: int) -> GameValue:
-    total = engine.check_matrix_cap(spec, matrix_cap)
+    engine.check_search_cap(spec, matrix_cap)
     checked = 0
     for probe in _builder_witnesses(spec):
         checked += 1
         if certify(spec, probe).must_win:
             return GameValue(PLAYER, "exhaustive", probe, checked)
-    for start in range(0, total, engine.PLAN_CHUNK):
-        codes = engine.matrix_chunk_codes(spec, start, min(start + engine.PLAN_CHUNK, total))
-        wins = engine.batch_balance_wins(spec, codes)
-        losers = np.nonzero(~wins)[0]
-        if losers.size:
-            first = codes[int(losers[0])]
-            witness = tuple(engine.decode_rows(first, spec.q))
-            if not certify(spec, witness).must_win:  # re-check the witness
-                raise AssertionError("internal error: enumerated witness failed recertification")
-            return GameValue(PLAYER, "exhaustive", witness, checked + start + int(losers[0]) + 1)
-    return GameValue(BALANCE, "exhaustive", None, checked + total)
+    first = engine.first_clique(spec)
+    if first is None:
+        return GameValue(BALANCE, "exhaustive", None, checked + (3**spec.q) ** spec.n)
+    witness = tuple(engine.decode_rows(first, spec.q))
+    if not certify(spec, witness).must_win:  # re-check the witness
+        raise AssertionError("internal error: clique witness failed recertification")
+    rank = 0  # the witness's index in the (3**q)**n enumeration, row 0 most significant
+    for code in first:
+        rank = rank * 3**spec.q + code
+    return GameValue(PLAYER, "exhaustive", witness, checked + rank + 1)
 
 
 def _game_value_constructive(spec: GameSpec) -> GameValue:
@@ -146,9 +144,15 @@ def game_value(
     mode: str = "auto",
     matrix_cap: int = engine.DEFAULT_MATRIX_CAP,
 ) -> GameValue:
-    """Best-play winner.  Exhaustive mode enumerates every plan; constructive
-    mode applies the capacity theorems (k=0) and the survivor-mass pigeonhole
-    (k>=1, balance side only).  ``auto`` prefers exhaustive within the matrix cap."""
+    """Best-play winner.  Exhaustive mode decides every plan: the builder
+    plans are probed first (k=0), then the lexicographically first must-win
+    plan is the first clique of compatible rows (:func:`engine.first_clique`),
+    and ``instances_checked`` counts the probes plus the plans a row-major
+    enumeration would visit up to it, or all 3**(n*q) when the balance wins.
+    Its work is held to ``matrix_cap`` by :func:`engine.check_search_cap`.
+    Constructive mode applies the capacity theorems (k=0) and the
+    survivor-mass pigeonhole (k>=1, balance side only).  ``auto`` prefers
+    exhaustive while the 3**(n*q) plans fit the matrix cap."""
     if mode == "exhaustive":
         return _game_value_exhaustive(spec, matrix_cap)
     if mode == "constructive":
@@ -161,13 +165,12 @@ def game_value(
 
 
 def census_perfect(spec: GameSpec, matrix_cap: int = engine.DEFAULT_MATRIX_CAP) -> int:
-    """Count every plan that certifies must-win, over all 3**(n*q) plans."""
-    total = engine.check_matrix_cap(spec, matrix_cap)
-    count = 0
-    for start in range(0, total, engine.PLAN_CHUNK):
-        codes = engine.matrix_chunk_codes(spec, start, min(start + engine.PLAN_CHUNK, total))
-        count += int((~engine.batch_balance_wins(spec, codes)).sum())
-    return count
+    """Count every plan that certifies must-win, over all 3**(n*q) plans:
+    n! row orders of each clique of compatible rows (:func:`engine.clique_count`).
+    The search is refused when its work may exceed ``matrix_cap``
+    (:func:`engine.check_search_cap`)."""
+    engine.check_search_cap(spec, matrix_cap)
+    return math.factorial(spec.n) * engine.clique_count(spec)
 
 
 @dataclass(frozen=True)
@@ -185,9 +188,10 @@ def theorem_sweep(
 ) -> list[SweepRow]:
     """Per-q win/lose boundary in n, exhaustive while the plan count fits the
     cap, else settled by the capacity theorems (k=0) or reported as the
-    pigeonhole bound only (k>=1)."""
+    pigeonhole bound only (k>=1).  Rows start at q = max(1, k), the fewest
+    rounds a lie budget of k allows."""
     rows = []
-    for q in range(1, q_max + 1):
+    for q in range(max(1, k), q_max + 1):
         last_player = 0
         balance_min = None
         n = 1

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -13,12 +14,16 @@ from balancegame import (
     CapacityError,
     DimensionError,
     DomainError,
+    GameSpec,
     ResourceLimitError,
     UndecidedError,
     cli,
+    engine,
+    montecarlo,
+    verifier,
 )
 from balancegame.cli import main
-from balancegame.formats import FormatError
+from balancegame.formats import FormatError, render_report, report
 
 
 def run(capsys, *argv):
@@ -149,7 +154,7 @@ class TestValue:
         assert code == 6
 
     def test_resource_exit_code(self, capsys):
-        code, _, _ = run(capsys, "value", "--spec", "10,2,0,heavy", "--exhaustive")
+        code, _, _ = run(capsys, "value", "--spec", "8,4,0,heavy", "--exhaustive")
         assert code == 4
 
 
@@ -169,6 +174,24 @@ class TestSweep:
         assert lines[0] == "q,player_max_n,balance_min_n,mode,capacity,mass_bound_min_n"
         assert lines[1].startswith("1,3,4,exhaustive,3,")
         assert lines[2].startswith("2,9,10,")
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_lie_budget_above_one_round(self, capsys, prior):
+        # Rows start at q = k, the first round count a budget of k fits.
+        code, out, _ = run(capsys, "sweep", "--qmax", "4", "--k", "2", "--prior", prior)
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [2, 3, 4]
+        for line in lines[1:]:
+            q, player_max, balance_min, mode, _, mass_min = line.split(",")
+            q, player_max, balance_min = int(q), int(player_max), int(balance_min)
+            assert mode == "exhaustive" and int(mass_min) == engine.pigeonhole_min_n(q, 2, prior)
+            assert balance_min == player_max + 1
+            if player_max:
+                spec = GameSpec(player_max, q, 2, prior)
+                assert verifier.game_value(spec, "exhaustive").winner == "player"
+            spec = GameSpec(balance_min, q, 2, prior)
+            assert verifier.game_value(spec, "exhaustive").winner == "balance"
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--qmax", "2"],
@@ -243,6 +266,24 @@ class TestSimulate:
         doc2 = run_json(capsys, "simulate", "--spec", "4,2,0,heavy", "--r", "0.5",
                         "--trials", "100", "--seed", "7")
         assert doc1 == doc2
+
+
+class TestTrialReports:
+    """simulate and perfect-rate render a TrialReport's fields shallowly;
+    the output is the deep dataclasses.asdict rendering."""
+
+    @pytest.mark.parametrize("argv, build", [
+        (["simulate", "--spec", "4,2,1,unknown", "--r", "0.5", "--trials", "30", "--seed", "2"],
+         lambda: montecarlo.simulate_random_player(GameSpec(4, 2, 1, "unknown"), 0.5, 30, 2)),
+        (["perfect-rate", "--n", "4", "--q", "2", "--prior", "unknown", "--trials", "50",
+          "--seed", "3"],
+         lambda: montecarlo.random_perfect_rate(4, 2, "unknown", 50, 3)),
+    ])
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+    def test_same_as_asdict(self, capsys, argv, build, pretty):
+        code, out, _ = run(capsys, *argv, *pretty)
+        doc = report(argv[0], **dataclasses.asdict(build()))
+        assert code == 0 and out == render_report(doc, pretty=bool(pretty)) + "\n"
 
 
 class TestConcentrate:
@@ -410,7 +451,7 @@ class TestInProcessReuse:
             (["attack", "--spec", "3,1,0,heavy", "--strategy", loser], ""),
             (["certify", "--spec", "4,2,0,heavy", "--strategy", four, "--pretty"], ""),
             (["certify", "--spec", "4,2,0,heavy", "--strategy", four], ""),
-            (["value", "--spec", "14,3,0,unknown", "--exhaustive"], ""),
+            (["value", "--spec", "8,4,0,heavy", "--exhaustive"], ""),
             (["value", "--spec", "14,3,0,unknown"], ""),
             (["value", "--spec", "3,1,0,heavy", "--constructive"], ""),
             (["value", "--spec", "3,1,0,heavy"], ""),
@@ -449,8 +490,8 @@ class TestInProcessReuse:
         assert first[-1][0] == 2 and first[7][0] == 4
 
     def test_value_mode_flags_do_not_carry_over(self, capsys):
-        assert run(capsys, "value", "--spec", "14,3,0,unknown", "--exhaustive")[0] == 4
-        assert run_json(capsys, "value", "--spec", "14,3,0,unknown")["mode"] == "constructive"
+        assert run(capsys, "value", "--spec", "8,4,0,heavy", "--exhaustive")[0] == 4
+        assert run_json(capsys, "value", "--spec", "8,4,0,heavy")["mode"] == "constructive"
         run_json(capsys, "value", "--spec", "3,1,0,heavy", "--constructive")
         assert run_json(capsys, "value", "--spec", "3,1,0,heavy")["mode"] == "exhaustive"
 

@@ -98,7 +98,7 @@ class TestMatrixEnumeration:
         np.testing.assert_array_equal(whole, pieces)
 
     def test_cap_raises(self):
-        from balancegame.engine import check_matrix_cap
+        from balancegame.engine import check_search_cap
 
-        with pytest.raises(ResourceLimitError):
-            check_matrix_cap(GameSpec(20, 3, 0, "heavy"))
+        with pytest.raises(ResourceLimitError):  # ~1.3e8 search nodes over 27 rows
+            check_search_cap(GameSpec(20, 3, 0, "heavy"))

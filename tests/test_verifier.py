@@ -208,8 +208,9 @@ class TestGameValue:
             game_value(GameSpec(2, 5, 1, "heavy"), mode="constructive")
 
     def test_matrix_cap(self):
+        # 81 admissible rows: up to sum_{j<=8} C(81, j) ~ 3.3e10 search nodes
         with pytest.raises(ResourceLimitError):
-            game_value(GameSpec(10, 2, 0, "heavy"), mode="exhaustive")
+            game_value(GameSpec(8, 4, 0, "heavy"), mode="exhaustive")
 
     def test_auto_prefers_exhaustive_when_cheap(self):
         value = game_value(GameSpec(3, 1, 0, "heavy"))
@@ -271,7 +272,90 @@ class TestCensusPerfect:
 
     def test_census_cap(self):
         with pytest.raises(ResourceLimitError):
-            census_perfect(GameSpec(8, 3, 0, "heavy"))
+            census_perfect(GameSpec(8, 4, 0, "heavy"))
+
+
+def enumerated(spec):
+    """The plan enumeration the clique search replaced: every plan in
+    row-major order, decided in chunks.  Returns the must-win count and the
+    first must-win plan's (index, row codes), or None."""
+    total, count, first = (3**spec.q) ** spec.n, 0, None
+    for start in range(0, total, 4096):
+        codes = engine.matrix_chunk_codes(spec, start, min(start + 4096, total))
+        losers = np.flatnonzero(~engine.batch_balance_wins(spec, codes))
+        if first is None and losers.size:
+            first = (start + int(losers[0]), [int(c) for c in codes[losers[0]]])
+        count += losers.size
+    return count, first
+
+
+SMALL_SPECS = [  # every spec with at most 3**12 = 531441 plans
+    (n, q, k) for q in range(1, 13) for n in range(1, 12 // q + 1) for k in range(q + 1)
+]
+
+
+class TestCliqueSearch:
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_matches_the_plan_enumeration(self, prior):
+        for n, q, k in SMALL_SPECS:
+            spec = GameSpec(n, q, k, prior)
+            count, first = enumerated(spec)
+            assert census_perfect(spec) == count, spec
+            assert engine.first_clique(spec) == (first and first[1]), spec
+            value = game_value(spec, "exhaustive")
+            probes = list(verifier._builder_witnesses(spec))
+            if probes and certify(spec, probes[0]).must_win:
+                assert (value.witness, value.instances_checked) == (probes[0], 1), spec
+            elif first is None:
+                assert value.winner == "balance" and value.witness is None, spec
+                assert value.instances_checked == len(probes) + (3**q) ** n, spec
+            else:
+                assert value.winner == "player", spec
+                assert value.witness == tuple(engine.decode_rows(first[1], q)), spec
+                assert value.instances_checked == len(probes) + first[0] + 1, spec
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_small_blocks(self, prior, monkeypatch):
+        # A 64-byte budget splits every row (and the unknown-prior admissible scan) into blocks.
+        specs = [GameSpec(n, q, k, prior) for n, q, k in ((3, 3, 1), (4, 2, 0), (2, 4, 1))]
+        want = [engine.clique_count(s) for s in specs]
+        monkeypatch.setattr(engine, "_PAIR_BYTES", 64)
+        assert [engine.clique_count(s) for s in specs] == want
+
+    def test_closed_forms_beyond_the_plan_enumeration(self):
+        # Every 8 distinct rows of 3 rounds are must-win at k = 0.
+        assert census_perfect(GameSpec(8, 3, 0, "heavy")) == math.perm(27, 8)
+        # Nine rows of 4 rounds pairwise 3 apart fill the space (a perfect code): 72 such sets.
+        assert census_perfect(GameSpec(9, 4, 1, "heavy"), matrix_cap=10**12) == (
+            math.factorial(9) * 72)
+        with pytest.raises(ResourceLimitError):
+            census_perfect(GameSpec(9, 4, 1, "heavy"))
+        # Past the unknown-prior capacity of 13: the pigeonhole decides.
+        value = game_value(GameSpec(14, 3, 0, "unknown"), "exhaustive")
+        assert (value.winner, value.instances_checked) == ("balance", 3**42)
+
+    def test_first_plan_builds_only_the_rows_it_branches_on(self):
+        search = engine._CliqueSearch(GameSpec(2, 5, 2, "heavy"))
+        path = []
+        search.search((1 << len(search.words)) - 1, 2, path)
+        assert path == [121, 0]  # RRRRR, then LLLLL: the first plan
+        assert [r is not None for r in search.rows].count(True) == 1
+
+    def test_cap_is_checked_before_the_graph_is_built(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("graph built before the cap check")
+        monkeypatch.setattr(engine, "_CliqueSearch", refuse)
+        with pytest.raises(ResourceLimitError):
+            census_perfect(GameSpec(8, 4, 0, "heavy"))
+        with pytest.raises(ResourceLimitError):
+            game_value(GameSpec(8, 4, 0, "heavy"), "exhaustive")
+
+    @given(st.integers(1, 30), st.integers(1, 8), st.integers(0, 8),
+           st.sampled_from(["heavy", "unknown"]))
+    @settings(max_examples=200, deadline=None)
+    def test_plan_count_within_the_cap_is_never_refused(self, n, q, k, prior):
+        spec = GameSpec(n, q, min(k, q), prior)
+        engine.check_search_cap(spec, (3**q) ** n)
 
 
 class TestTheoremSweep:
