@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .core import DomainError, GameSpec, Hypothesis, adjudicate
+from .core import OUTCOMES, DomainError, GameSpec, Hypothesis, adjudicate
 
 METHOD_EXHAUSTIVE = "exhaustive"
 METHOD_DUPLICATE = "duplicate-rows"
@@ -39,11 +39,11 @@ def find_winning_mask(spec: GameSpec, strategy) -> AttackResult | None:
     """First announcement, in L < R < D lexicographic order, with >= 2
     survivors; ``None`` when the plan is perfect and no such mask exists.
 
-    Decided from the close pairs of honest codes (:func:`engine.close_pairs`)
+    Decided from the close pairs of honest words (:func:`engine.close_pairs`)
     rather than by visiting masks: the first winning mask is the smallest
     of the pairs' first common words."""
-    rows = tuple(strategy)  # predicted_codes validates it
-    code = engine.first_winning_code(spec, engine.predicted_codes(spec, rows))
+    rows = tuple(strategy)  # predicted_digits validates it
+    code = engine.first_winning_code(spec, engine.predicted_digits(spec, rows))
     if code is None:
         return None
     return _checked(spec, rows, engine.decode_mask(code, spec.q), METHOD_EXHAUSTIVE)
@@ -61,19 +61,17 @@ def constructive_attack(spec: GameSpec, strategy) -> AttackResult | None:
     """
     if spec.k != 0:
         raise DomainError("constructive attacks cover only the zero-lie game (k=0)")
-    rows = tuple(strategy)  # predicted_codes validates it
-    preds = engine.predicted_codes(spec, rows)
-    n = spec.n
-    best: dict[int, int] = {}
-    for _, a, b in engine.close_pairs(spec, preds[None, :]):
-        kind = np.where(a // n == b // n, 0, np.where(a % n == b % n, 2, 1))
-        for rule, code in zip(kind.tolist(), preds[a].tolist()):
-            best[rule] = min(best.get(rule, code), code)
-    if not best:
+    rows = tuple(strategy)  # predicted_digits validates it
+    preds = engine.predicted_digits(spec, rows)
+    # One plan's close pairs come in one block, in ascending order of their shared code.
+    _, a, b = next(engine.close_pairs(spec, preds[:, None]))
+    if not a.size:
         return None
-    rule = min(best)
-    mask = engine.decode_mask(best[rule], spec.q)
-    return _checked(spec, rows, mask, _STRUCTURAL_METHODS[rule])
+    n = spec.n
+    kind = np.where(a // n == b // n, 0, np.where(a % n == b % n, 2, 1))
+    first = int(np.argmin(kind))  # the first kind present, at its smallest shared code
+    mask = engine.digit_rows(preds[None, :, a[first]], OUTCOMES)[0]
+    return _checked(spec, rows, mask, _STRUCTURAL_METHODS[kind[first]])
 
 
 def best_response_exists(spec: GameSpec, strategy) -> bool:

@@ -1,20 +1,23 @@
-"""Integer-coded bulk evaluation used by the verifier and the simulators.
+"""Digit-wise bulk evaluation used by the verifier and the simulators.
 
-Rows and masks share one base-3 code: most significant digit first, with
-L = 0, R = 1 and O/D = 2.  Under that code the announcement an honest
-balance makes for a heavy coin is the row's own code, and the one for a
-light coin is the code with 0/1 digits swapped -- so survival checks reduce
-to digit-wise Hamming distances between codes.
+Rows and masks share one base-3 alphabet, L = 0, R = 1 and O/D = 2.  Under
+it the announcement an honest balance makes for a heavy coin is the row's
+own word, and the one for a light coin is the word with 0/1 digits swapped
+-- so survival checks reduce to digit-wise Hamming distances.
+
+Plans cross into the kernel as uint8 digits laid out round first, (q, ...),
+and no consumer peels a code.  Base-3 codes, most significant digit first,
+stay where a word is born as one (mask and word ranges, random codes) and
+where order matters: the k = 0 sort key, a first winning mask, a clique's rank.
 
 Two hypotheses survive one announcement together exactly when their honest
-codes lie within Hamming distance 2k, where two radius-k lie balls meet.
+words lie within Hamming distance 2k, where two radius-k lie balls meet.
 :func:`close_pairs` finds those pairs without visiting the 3**q masks, and
 every verdict is decided from them; one blocked scan counts survivors per
 mask where that count is itself the result.  Censuses and exhaustive game
 values search cliques of pairwise compatible rows (:func:`clique_count`,
 :func:`first_clique`) instead of the 3**(n*q) plans.  Every Hamming distance
-here is one digit-wise count, :func:`_distances`, over digits laid out round
-first.
+here is one digit-wise count, :func:`_distances`.
 
 Everything here is re-derivable from :mod:`balancegame.core`; the test
 suite holds the two implementations against each other.
@@ -30,7 +33,7 @@ from .analysis import hamming_ball_volume
 from .core import GameSpec, HEAVY, OUTCOMES, PLACEMENTS, ResourceLimitError, validate_strategy
 
 MAX_ROUNDS = 39  # base-3 codes are int64 and 3**39 < 2**63 <= 3**40
-DEFAULT_MASK_CAP = 16  # max q an exhaustive scan of all 3**q masks will attempt
+DEFAULT_MASK_CAP = 16  # max q survivor_mass scans, visiting all 3**q masks
 DEFAULT_MATRIX_CAP = 10**8  # max work a census or exhaustive value will attempt (check_search_cap)
 
 _PAIR_BYTES = 1 << 22  # bytes one block of a blocked search or draw may build
@@ -68,7 +71,7 @@ def decode_row(code: int, q: int) -> str:
 
 def decode_rows(codes, q: int) -> list[str]:
     """Rows of many codes at once; any q (see :func:`code_digits`)."""
-    return digit_rows(code_digits(codes, q), PLACEMENTS)
+    return digit_rows(code_digits(codes, q).T, PLACEMENTS)
 
 
 def digit_rows(digits: np.ndarray, alphabet: str) -> list[str]:
@@ -89,35 +92,27 @@ def decode_mask(code: int, q: int) -> str:
 
 
 def code_digits(codes, q: int) -> np.ndarray:
-    """(..., q) uint8 base-3 digits of each code, most significant first.
+    """(q, ...) uint8 base-3 digits of each code, round first: ``digits[0]``
+    holds the most significant digit of every code.
 
     The digits are peeled off one round at a time, so any q works: past
-    MAX_ROUNDS the leading digits of an int64 code are 0.  They are stored
-    round-first, so ``np.moveaxis(digits, -1, 0)`` is contiguous."""
+    MAX_ROUNDS the leading digits of an int64 code are 0."""
     codes = np.asarray(codes, dtype=np.int64)
     digits = np.empty((q,) + codes.shape, dtype=np.uint8)
     for i in range(q - 1, -1, -1):
         rest = codes // 3  # floor division by a scalar runs about twice as fast as np.divmod
         digits[i] = codes - 3 * rest
         codes = rest
-    return np.moveaxis(digits, 0, -1)
+    return digits
 
 
 def digit_codes(digits: np.ndarray) -> np.ndarray:
-    """int64 codes of (..., q) base-3 digits, most significant first; q <= MAX_ROUNDS."""
-    codes = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for d in np.moveaxis(digits, -1, 0):  # Horner: a matmul costs more per short row
+    """int64 codes of (q, ...) base-3 digits, round first; q <= MAX_ROUNDS."""
+    codes = np.zeros(digits.shape[1:], dtype=np.int64)
+    for d in digits:  # Horner: a matmul costs more per short row
         codes *= 3
         codes += d
     return codes
-
-
-_MIRROR_DIGIT = np.array([1, 0, 2], dtype=np.uint8)
-
-
-def mirror_codes(codes: np.ndarray, q: int) -> np.ndarray:
-    """Codes of the pan-swapped rows: digits 0 and 1 swap, 2 stays."""
-    return digit_codes(_MIRROR_DIGIT[code_digits(codes, q)])
 
 
 def check_rounds(q: int) -> None:
@@ -128,24 +123,24 @@ def check_rounds(q: int) -> None:
         )
 
 
-def hypothesis_codes(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
-    """Honest-announcement codes per plan, (..., n) row codes to (..., H):
-    the heavy block is the row codes themselves, the light block their mirrors."""
+_ROW_BYTES = bytes.maketrans(PLACEMENTS.encode("ascii"), bytes(range(3)))
+_MIRROR_DIGIT = np.array([1, 0, 2], dtype=np.uint8)
+
+
+def _hypothesis_digits(spec: GameSpec, rows: np.ndarray) -> np.ndarray:
+    """Honest-announcement digits, (q, ..., n) rows to (q, ..., H): the heavy
+    block is the rows, the light block their mirrors (0 and 1 swap, 2 stays)."""
     if spec.prior == HEAVY:
-        return row_codes
-    return np.concatenate([row_codes, mirror_codes(row_codes, spec.q)], axis=-1)
+        return rows
+    return np.concatenate([rows, _MIRROR_DIGIT[rows]], axis=-1)
 
 
-def predicted_codes(spec: GameSpec, strategy) -> np.ndarray:
-    """Honest-announcement codes for every hypothesis, heavy block first."""
+def predicted_digits(spec: GameSpec, strategy) -> np.ndarray:
+    """(q, H) honest-announcement digits of every hypothesis, heavy block first."""
     rows = validate_strategy(spec, strategy)
     check_rounds(spec.q)
-    return hypothesis_codes(spec, np.array([encode_row(r) for r in rows], dtype=np.int64))
-
-
-def _round_digits(codes, q: int) -> np.ndarray:
-    """(q, ...) uint8 digits of codes, round first, as code_digits builds them."""
-    return np.moveaxis(code_digits(codes, q), -1, 0)
+    cells = np.frombuffer("".join(rows).encode("ascii").translate(_ROW_BYTES), dtype=np.uint8)
+    return _hypothesis_digits(spec, cells.reshape(spec.n, spec.q).T)
 
 
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -159,8 +154,8 @@ def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _survivor_blocks(
     spec: GameSpec, preds: np.ndarray
 ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (t0, m0, counts): survivor counts of plans t0.. of the (T, H)
-    hypothesis codes ``preds`` against masks m0.., in lexicographic order.
+    """Yield (t0, m0, counts): survivor counts of plans t0.. of the (q, T, H)
+    hypothesis digits ``preds`` against masks m0.., in lexicographic order.
 
     A mask costs its q digits twice (the last block's live until this
     block's are peeled), _CODE_BYTES while it is peeled, and q + 1 bytes per
@@ -168,7 +163,7 @@ def _survivor_blocks(
     keep that within _PAIR_BYTES, or take one mask when one does not fit.
     Refused when one plan's distances to one mask would exceed the budget.
     Counts take the narrowest dtype that holds H, so no mask overflows."""
-    T, H = preds.shape
+    _, T, H = preds.shape
     if H > _PAIR_BYTES:
         raise ResourceLimitError(
             f"{H} hypotheses exceed the {_PAIR_BYTES}-byte block of the survivor count"
@@ -178,17 +173,16 @@ def _survivor_blocks(
     masks = min(total, max(1, _PAIR_BYTES // (fixed + per_plan)))
     plans = max(1, (_PAIR_BYTES - fixed * masks) // (per_plan * masks))
     dtype = np.min_scalar_type(H)
-    plan_digits = _round_digits(preds, spec.q)[..., None]  # (q, T, H, 1)
     for m0 in range(0, total, masks):
-        mask_digits = _round_digits(np.arange(m0, min(m0 + masks, total)), spec.q)[:, None, None]
+        mask_digits = code_digits(np.arange(m0, min(m0 + masks, total)), spec.q)[:, None, None]
         for t0 in range(0, T, plans):
-            dist = _distances(plan_digits[:, t0 : t0 + plans], mask_digits)
+            dist = _distances(preds[:, t0 : t0 + plans, :, None], mask_digits)
             yield t0, m0, (dist <= spec.k).sum(axis=1, dtype=dtype)
 
 
 def iter_survivor_blocks(spec: GameSpec, strategy) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, counts) with survivor counts for masks start..start+len."""
-    for _, start, counts in _survivor_blocks(spec, predicted_codes(spec, strategy)[None, :]):
+    for _, start, counts in _survivor_blocks(spec, predicted_digits(spec, strategy)[:, None]):
         yield start, counts[0]
 
 
@@ -198,9 +192,9 @@ def survivor_counts(spec: GameSpec, strategy) -> np.ndarray:
 
 
 def batch_survivor_counts(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
-    """(T, 3**q) survivor counts for a batch of plans given as row codes."""
-    preds = hypothesis_codes(spec, row_codes)
-    counts = np.empty((len(preds), 3**spec.q), dtype=np.min_scalar_type(preds.shape[1]))
+    """(T, 3**q) survivor counts for a batch of plans given as (T, n) row codes."""
+    preds = _hypothesis_digits(spec, code_digits(row_codes, spec.q))
+    counts = np.empty((len(row_codes), 3**spec.q), dtype=np.min_scalar_type(preds.shape[-1]))
     for t0, m0, block in _survivor_blocks(spec, preds):
         counts[t0 : t0 + len(block), m0 : m0 + block.shape[1]] = block
     return counts
@@ -210,21 +204,21 @@ def close_pairs(
     spec: GameSpec, preds: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (plan, a, b) index arrays: hypotheses a < b of one plan whose
-    honest codes lie within Hamming distance 2k, so that two radius-k lie
+    honest words lie within Hamming distance 2k, so that two radius-k lie
     balls meet and some announcement keeps both alive.
 
-    ``preds`` is (T, H), one row of hypothesis codes per plan.  At k = 0 the
-    close pairs are equal codes, found by sorting; each group of equal codes
-    is reported as its neighbouring pairs in index order, in blocks whose
-    int64 codes fill at most _PAIR_BYTES.  At k >= 1 every pair's distance
-    is counted by :func:`_distances`, in blocks of at most _PAIR_BYTES
-    bytes: a cell costs q + 1 bytes, and a close one four int64 indices.
-    """
-    T, H = preds.shape
+    ``preds`` is (q, T, H) hypothesis digits.  At k = 0 the close pairs are
+    equal words, found by sorting their codes, in blocks whose int64 codes
+    fill at most _PAIR_BYTES; each group of equal codes is reported as its
+    neighbouring pairs in index order, groups in code order.  At k >= 1 every
+    pair's distance is counted by :func:`_distances`, in blocks of at most
+    _PAIR_BYTES bytes: a cell costs q + 1 bytes, and a close one four int64
+    indices."""
+    _, T, H = preds.shape
     if spec.k == 0:
         step = max(1, _PAIR_BYTES // (8 * H))
         for t0 in range(0, T, step):
-            block = preds[t0 : t0 + step]
+            block = digit_codes(preds[:, t0 : t0 + step])
             order = np.argsort(block, axis=1, kind="stable")
             ranked = np.take_along_axis(block, order, axis=1)
             same = ranked[:, 1:] == ranked[:, :-1]
@@ -232,7 +226,8 @@ def close_pairs(
             t, i = np.unravel_index(np.flatnonzero(same), same.shape)
             yield t0 + t, order[t, i], order[t, i + 1]
         return
-    digits = _round_digits(preds.T, spec.q)  # (q, H, T): a batch of small plans compares along T
+    # (q, H, T): a batch of small plans compares along T; a strided view runs about 2x slower.
+    digits = np.ascontiguousarray(preds.transpose(0, 2, 1))
     cells = max(1, _PAIR_BYTES // (spec.q + 1 + 4 * 8))
     plans, rows = (cells // (H * H), H) if cells >= H * H else (1, max(1, cells // H))
     for t0 in range(0, T, plans):
@@ -246,8 +241,8 @@ def close_pairs(
             yield t0 + t, r0 + a, r0 + 1 + b
 
 
-def _first_common_code(ca: np.ndarray, cb: np.ndarray, q: int, k: int) -> int:
-    """Smallest code within distance k of both ca[p] and cb[p], over all p.
+def _first_common_code(da: np.ndarray, db: np.ndarray, k: int) -> int:
+    """Smallest code within distance k of both da[:, p] and db[:, p], over all pairs p.
 
     Every pair must lie within 2k.  Digit by digit, a pair can take digit d
     when both remaining budgets stay >= 0 and the positions where the pair
@@ -255,38 +250,35 @@ def _first_common_code(ca: np.ndarray, cb: np.ndarray, q: int, k: int) -> int:
     takes its smallest such digit, so the smallest word over all pairs takes
     the smallest digit any pair can, kept by the pairs that can take it.
     """
-    da, db = code_digits(ca, q), code_digits(cb, q)  # (pairs, q): pairs drop out row by row
-    apart = _distances(da.T, db.T)
-    la = np.full(len(ca), k, dtype=np.int64)
-    lb = la
+    apart = _distances(da, db)
+    la = lb = np.full(da.shape[1], k, dtype=np.int64)
     word = 0
-    for i in range(q):
-        a, b = da[:, i], db[:, i]
+    for i in range(len(da)):
+        a, b = da[i], db[i]
         apart = apart - (a != b)
         for d in range(3):
             na, nb = la - (a != d), lb - (b != d)
             ok = (na >= 0) & (nb >= 0) & (apart <= na + nb)
             if ok.any():
                 break
-        da, db, apart, la, lb = da[ok], db[ok], apart[ok], na[ok], nb[ok]
+        da, db, apart, la, lb = da[:, ok], db[:, ok], apart[ok], na[ok], nb[ok]
         word = word * 3 + d
     return word
 
 
 def first_winning_code(spec: GameSpec, preds: np.ndarray) -> int | None:
     """Code of the first announcement, in L < R < D order, that keeps two of
-    the hypotheses ``preds`` (one plan's codes) alive; ``None`` if none does.
+    one plan's (q, H) hypothesis digits ``preds`` alive; ``None`` if none does.
 
     A block's close pairs go to :func:`_first_common_code` in pieces whose
     work fits _PAIR_BYTES: per pair 4q + 64 bytes under tracemalloc, for two
-    gathered codes, their digit rows and one filtered copy, one peel's
-    temporaries and the lie budgets."""
+    gathered digit columns and one filtered copy, and the lie budgets."""
     best = None
     piece = max(1, _PAIR_BYTES // (4 * spec.q + 64))
-    for _, a, b in close_pairs(spec, preds[None, :]):
+    for _, a, b in close_pairs(spec, preds[:, None]):
         for p0 in range(0, a.size, piece):
             ab = slice(p0, p0 + piece)
-            code = _first_common_code(preds[a[ab]], preds[b[ab]], spec.q, spec.k)
+            code = _first_common_code(preds[:, a[ab]], preds[:, b[ab]], spec.k)
             best = code if best is None else min(best, code)
     return best
 
@@ -300,13 +292,12 @@ def pigeonhole_min_n(q: int, k: int, prior: str) -> int:
     return 3**q // per_coin + 1
 
 
-def batch_balance_wins(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
-    """(T,) bools: does some mask leave >= 2 survivors against each plan?"""
-    preds = hypothesis_codes(spec, row_codes)
+def batch_balance_wins(spec: GameSpec, rows: np.ndarray) -> np.ndarray:
+    """(T,) bools: does some mask leave >= 2 survivors against each plan of (q, T, n) rows?"""
     if spec.n >= pigeonhole_min_n(spec.q, spec.k, spec.prior):
-        return np.ones(len(preds), dtype=bool)
-    wins = np.zeros(len(preds), dtype=bool)
-    for t, _, _ in close_pairs(spec, preds):
+        return np.ones(rows.shape[1], dtype=bool)
+    wins = np.zeros(rows.shape[1], dtype=bool)
+    for t, _, _ in close_pairs(spec, _hypothesis_digits(spec, rows)):
         wins[t] = True
     return wins
 
@@ -336,21 +327,31 @@ def admissible_count(spec: GameSpec) -> int:
     return 3**spec.q - hamming_ball_volume(spec.q, 2 * spec.k)
 
 
+def _settled_count(spec: GameSpec) -> int | None:
+    """``spec``'s n-clique count where it takes no search, else ``None``: 0
+    past the W admissible words or from the pigeonhole threshold, W at n = 1."""
+    words = admissible_count(spec)
+    if spec.n > words or spec.n >= pigeonhole_min_n(spec.q, spec.k, spec.prior):
+        return 0
+    return words if spec.n == 1 else None
+
+
 def check_search_cap(spec: GameSpec, cap: int = DEFAULT_MATRIX_CAP) -> None:
     """Refuse a census or exhaustive value whose work may exceed ``cap``,
     before anything is allocated.
 
     Nothing whose 3**(n*q) plans fit the cap is refused, so whatever a plan
-    enumeration decided within the cap is still decided.  Past that, over W
-    admissible words the clique search visits at most sum_{j <= n} C(W, j)
-    nodes and, for n >= 2, builds at most W**2 graph cells; its scan of the
-    3**q words for admissible ones costs no more, since W >= 2**q whenever
-    W > 0 (n = 1 builds nothing).  That work is held to the cap."""
+    enumeration decided within the cap is still decided, and nothing that
+    :func:`_settled_count` answers without a search.  Past that, n >= 2, and
+    over W admissible words the clique search visits at most
+    sum_{j <= n} C(W, j) nodes and builds at most W**2 graph cells; its scan
+    of the 3**q words for admissible ones costs no more, since W >= 2**q
+    whenever W > 0.  That work is held to the cap."""
     check_rounds(spec.q)
-    if (3**spec.q) ** spec.n <= cap:
+    if (3**spec.q) ** spec.n <= cap or _settled_count(spec) is not None:
         return
     words = admissible_count(spec)
-    work, term = (words * words if spec.n >= 2 else 0), 1
+    work, term = words * words, 1
     for j in range(min(spec.n, words) + 1):
         work += term  # term = C(words, j)
         if work > cap:
@@ -367,11 +368,11 @@ class _CliqueSearch:
     """Must-win plans of one spec as cliques of compatible rows.
 
     A plan is must-win exactly when its rows, as a set, are pairwise
-    compatible: every two hypotheses' honest codes lie more than 2k apart.
-    Under the heavy prior two rows are compatible when they lie more than 2k
-    apart; under the unknown prior each row must also lie that far from its
-    own mirror (admissible), and each pair from the other's mirror, so all
-    four heavy/light images of a pair stay apart.
+    compatible: every two hypotheses' honest announcements lie more than 2k
+    apart.  Under the heavy prior two rows are compatible when they lie more
+    than 2k apart; under the unknown prior each row must also lie that far
+    from its own mirror (admissible), and each pair from the other's mirror,
+    so all four heavy/light images of a pair stay apart.
 
     The graph holds the admissible codes in ascending order and, for word
     i, a Python-int bitset of the later words compatible with it; a row is
@@ -381,35 +382,37 @@ class _CliqueSearch:
 
     def __init__(self, spec: GameSpec):
         self.spec = spec
-        self.words = self._admissible_codes()
-        self.digits = _round_digits(self.words, spec.q)  # (q, W)
+        self.words, self.digits = self._admissible()  # (W,) codes, (q, W) digits
         self.rows: list[int | None] = [None] * len(self.words)
 
-    def _admissible_codes(self) -> np.ndarray:
+    def _admissible(self) -> tuple[np.ndarray, np.ndarray]:
+        """Codes and digits of the admissible words (:func:`admissible_count`),
+        scanned in blocks of at most _PAIR_BYTES."""
         q, total = self.spec.q, 3**self.spec.q
-        if self.spec.prior == HEAVY:
-            return np.arange(total, dtype=np.int64)
         step = max(1, _PAIR_BYTES // (2 * q + _CODE_BYTES))
-        parts = []
+        codes, digits = [], []
         for c0 in range(0, total, step):
-            codes = np.arange(c0, min(c0 + step, total), dtype=np.int64)
-            digits = _round_digits(codes, q)
-            parts.append(codes[_distances(digits, _MIRROR_DIGIT[digits]) > 2 * self.spec.k])
-        return np.concatenate(parts)
+            part = np.arange(c0, min(c0 + step, total), dtype=np.int64)
+            part_digits = code_digits(part, q)
+            if self.spec.prior != HEAVY:
+                keep = _distances(part_digits, 2) > 2 * self.spec.k  # 2: off the balance
+                part, part_digits = part[keep], part_digits[:, keep]
+            codes.append(part)
+            digits.append(part_digits)
+        return np.concatenate(codes), np.concatenate(digits, axis=1)
 
     def neighbours(self, i: int) -> int:
         """Bitset of the words j > i compatible with word i, built on first
         use; distances are counted in blocks of at most _PAIR_BYTES."""
         row = self.rows[i]
         if row is None:
-            far, later = 2 * self.spec.k, self.digits[:, i + 1 :]
-            word = self.digits[:, i : i + 1]
-            images = (word,) if self.spec.prior == HEAVY else (word, _MIRROR_DIGIT[word])
-            ok = np.ones(later.shape[1], dtype=bool)
-            step = max(1, _PAIR_BYTES // (self.spec.q + 1))
+            far, later = 2 * self.spec.k, self.digits[:, None, i + 1 :]
+            images = _hypothesis_digits(self.spec, self.digits[:, i : i + 1])[..., None]
+            ok = np.empty(later.shape[-1], dtype=bool)
+            step = max(1, _PAIR_BYTES // (images.shape[1] * (self.spec.q + 1)))
             for j0 in range(0, len(ok), step):
-                for image in images:
-                    ok[j0 : j0 + step] &= _distances(image, later[:, j0 : j0 + step]) > far
+                dist = _distances(images, later[..., j0 : j0 + step])
+                ok[j0 : j0 + step] = (dist > far).all(axis=0)
             bits = np.packbits(ok, bitorder="little").tobytes()
             row = self.rows[i] = int.from_bytes(bits, "little") << (i + 1)
         return row
@@ -438,15 +441,13 @@ class _CliqueSearch:
 def _cliques(spec: GameSpec, path: list[int] | None) -> int:
     """Count ``spec``'s n-cliques; with a ``path``, stop at the first and
     leave its row codes there."""
-    words = admissible_count(spec)
-    if spec.n > words or spec.n >= pigeonhole_min_n(spec.q, spec.k, spec.prior):
-        return 0
-    if spec.n == 1:  # one admissible row is a clique; all-L (code 0) is admissible first
-        if path is not None:
+    count = _settled_count(spec)
+    if count is not None:
+        if count and path is not None:  # n = 1: all-L (code 0) is admissible first
             path.append(0)
-        return words
+        return count
     search = _CliqueSearch(spec)
-    count = search.search((1 << words) - 1, spec.n, path)
+    count = search.search((1 << len(search.words)) - 1, spec.n, path)
     if path is not None:
         path[:] = [int(search.words[i]) for i in reversed(path)]
     return count

@@ -73,8 +73,8 @@ def simulate_random_player(spec: GameSpec, r: float, trials: int, seed: int = 0)
     RandomStrategyParams(r, seed)  # rejects an on-rate outside [0, 1]
     wins = 0
     for seeds in _seed_blocks(seed, trials, spec.n * spec.q):
-        codes = engine.digit_codes(random_plan_digits(seeds, spec.n, spec.q, r))
-        wins += int(engine.batch_balance_wins(spec, codes).sum())
+        rows = np.moveaxis(random_plan_digits(seeds, spec.n, spec.q, r), -1, 0)  # round first
+        wins += int(engine.batch_balance_wins(spec, rows).sum())
     return _report(spec, {"r": r}, trials, wins, seed)
 
 
@@ -125,7 +125,7 @@ def random_perfect_rate(
     for t in range(trials):
         rng = random.Random(trial_seed(seed, t))
         codes[t] = [rng.randrange(3**q) for _ in range(n)]
-    perfect = int((~engine.batch_balance_wins(spec, codes)).sum())
+    perfect = int((~engine.batch_balance_wins(spec, engine.code_digits(codes, q))).sum())
     total = (3**q) ** n
     extras: dict[str, Any] = {
         "pair_count_rate": 2**n * math.factorial(n) / total,

@@ -51,7 +51,7 @@ def certify(spec: GameSpec, strategy) -> Certificate:
     return Certificate("balance-wins", engine.encode_mask(attack.mask) + 1, attack)
 
 
-def survivor_mass(spec: GameSpec, strategy, cap: int = engine.DEFAULT_MASK_CAP) -> int:
+def survivor_mass(spec: GameSpec, strategy) -> int:
     """Total survivor count summed over every possible announcement.
 
     Brute-force side of an exact conservation law: each hypothesis survives
@@ -60,10 +60,10 @@ def survivor_mass(spec: GameSpec, strategy, cap: int = engine.DEFAULT_MASK_CAP) 
     :func:`survivor_mass_expected`.
     """
     validate_strategy(spec, strategy)
-    if spec.q > cap:
+    if spec.q > engine.DEFAULT_MASK_CAP:
         raise ResourceLimitError(
-            f"{spec.q} rounds (3**{spec.q} masks) exceed the mask cap (q <= {cap}); "
-            f"raise the cap explicitly to proceed"
+            f"{spec.q} rounds (3**{spec.q} masks) exceed the {engine.DEFAULT_MASK_CAP} rounds "
+            f"a survivor-mass scan visits"
         )
     return int(sum(int(c.sum()) for _, c in engine.iter_survivor_blocks(spec, strategy)))
 

@@ -33,7 +33,12 @@ from balancegame import (
     simulate_random_player,
     transcribe,
 )
-from balancegame.engine import batch_balance_wins, batch_survivor_counts, matrix_chunk_codes
+from balancegame.engine import (
+    batch_balance_wins,
+    batch_survivor_counts,
+    code_digits,
+    matrix_chunk_codes,
+)
 from balancegame.verifier import survivor_mass_expected
 
 BIN42 = ("LL", "LR", "RL", "RR")
@@ -140,7 +145,7 @@ def test_criterion_06_single_lie_sweep_all_729_plans(announce):
     assert survivor_mass_expected(spec) > 3**spec.q
     t0 = time.perf_counter()
     codes = matrix_chunk_codes(spec, 0, 3**6)
-    wins = batch_balance_wins(spec, codes)
+    wins = batch_balance_wins(spec, code_digits(codes, spec.q))
     elapsed = time.perf_counter() - t0
     assert wins.shape == (729,)
     assert bool(wins.all())

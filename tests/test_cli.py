@@ -166,6 +166,20 @@ class TestCensus:
         assert doc["perfect_rate"] == pytest.approx(384 / 6561)
 
 
+class TestSearchFreeAnswers:
+    """What the clique search answers without searching is decided at the
+    default matrix cap, however many plans there are."""
+
+    @pytest.mark.parametrize("argv,field,want", [
+        (["value", "--spec", "100,4,0,heavy", "--exhaustive"], "winner", "balance"),  # n > 81 rows
+        (["census", "--n", "10", "--q", "4", "--k", "1"], "perfect_count", 0),  # pigeonhole
+        (["census", "--n", "1", "--q", "30"], "perfect_count", 3**30),  # every row
+        (["value", "--spec", "1,30,0,heavy", "--exhaustive"], "winner", "player"),
+    ])
+    def test_decided_at_the_default_cap(self, capsys, argv, field, want):
+        assert run_json(capsys, *argv)[field] == want
+
+
 class TestSweep:
     def test_csv_shape(self, capsys):
         code, out, _ = run(capsys, "sweep", "--qmax", "2", "--prior", "heavy")

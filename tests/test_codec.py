@@ -39,7 +39,7 @@ from balancegame.engine import (
     encode,
     encode_mask,
     encode_row,
-    mirror_codes,
+    predicted_digits,
 )
 
 # Seeds at the edges of the 32-bit seeding words and derived trial seeds of a
@@ -70,16 +70,19 @@ class TestCodec:
     def test_digits_round_trip_and_equal_the_digit_loop(self, case):
         q, codes = case
         digits = code_digits(np.array(codes, dtype=np.int64), q)
-        assert digits.shape == (len(codes), q) and digits.dtype == np.uint8
-        assert digits.tolist() == [[int(d) for d in decode(c, q, "012")] for c in codes]
+        assert digits.shape == (q, len(codes)) and digits.dtype == np.uint8
+        assert digits.T.tolist() == [[int(d) for d in decode(c, q, "012")] for c in codes]
         assert digit_codes(digits).tolist() == codes
 
-    @given(coded_rows())
+    @given(coded_rows(), st.sampled_from(["heavy", "unknown"]))
     @settings(max_examples=200, deadline=None)
-    def test_mirror_codes_swap_the_pans(self, case):
+    def test_hypothesis_digits_are_the_rows_then_their_mirrors(self, case, prior):
         q, codes = case
-        want = [encode_row(partial_complement(decode_row(c, q))) for c in codes]
-        assert mirror_codes(np.array(codes, dtype=np.int64), q).tolist() == want
+        rows = [decode_row(c, q) for c in codes]
+        words = rows if prior == "heavy" else rows + [partial_complement(r) for r in rows]
+        want = [[int(d) for d in decode(encode_row(w), q, "012")] for w in words]
+        digits = predicted_digits(GameSpec(len(rows), q, 0, prior), rows)
+        assert digits.shape == (q, len(words)) and digits.T.tolist() == want
 
     @pytest.mark.parametrize("q", [40, 45])
     def test_decode_rows_past_the_round_bound_pads_with_l(self, q):
@@ -87,7 +90,7 @@ class TestCodec:
         want = [decode(c, q, PLACEMENTS) for c in codes]
         assert decode_rows(np.array(codes, dtype=np.int64), q) == want
         digits = code_digits(np.array(codes, dtype=np.int64), q)
-        assert digits.tolist() == [[int(d) for d in decode(c, q, "012")] for c in codes]
+        assert digits.T.tolist() == [[int(d) for d in decode(c, q, "012")] for c in codes]
         assert ternary_strategy(5, q) == tuple(decode(i, q, PLACEMENTS) for i in range(5))
         assert complement_free_strategy(3, q) == ternary_strategy(3, q)
 
@@ -161,7 +164,7 @@ class TestSeededDraws:
         wins = 0
         for t in range(trials):
             codes = np.array([readable_row_codes(spec.n, spec.q, r, trial_seed(seed, t))])
-            wins += int(engine.batch_balance_wins(spec, codes)[0])
+            wins += int(engine.batch_balance_wins(spec, code_digits(codes, spec.q))[0])
         assert simulate_random_player(spec, r, trials, seed).successes == wins
         monkeypatch.setattr(engine, "_PAIR_BYTES", 16 * spec.n * spec.q * 11)
         assert simulate_random_player(spec, r, trials, seed).successes == wins

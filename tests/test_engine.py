@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balancegame import GameSpec, ResourceLimitError, partial_complement, surviving_hypotheses
+from balancegame import GameSpec, ResourceLimitError, surviving_hypotheses
 from balancegame.engine import (
     batch_balance_wins,
     batch_survivor_counts,
@@ -14,7 +14,6 @@ from balancegame.engine import (
     encode_mask,
     encode_row,
     matrix_chunk_codes,
-    mirror_codes,
     survivor_counts,
 )
 
@@ -34,13 +33,7 @@ class TestCodes:
         table = code_digits(np.arange(27), 3)
         for code in range(27):
             row = decode_row(code, 3)
-            assert [int(d) for d in table[code]] == ["LRO".index(c) for c in row]
-
-    def test_mirror_codes_match_partial_complement(self):
-        table = mirror_codes(np.arange(27), 3)
-        for code in range(27):
-            mirrored = partial_complement(decode_row(code, 3))
-            assert int(table[code]) == encode_row(mirrored)
+            assert [int(d) for d in table[:, code]] == ["LRO".index(c) for c in row]
 
 
 class TestSurvivorCounts:
@@ -76,8 +69,8 @@ class TestSurvivorCounts:
 
     def test_batch_balance_wins(self):
         spec = GameSpec(2, 1, 0, "heavy")
-        codes = np.array([[0, 0], [0, 1]])  # ("L","L") loses, ("L","R") wins
-        np.testing.assert_array_equal(batch_balance_wins(spec, codes), [True, False])
+        rows = code_digits(np.array([[0, 0], [0, 1]]), 1)  # ("L","L") loses, ("L","R") wins
+        np.testing.assert_array_equal(batch_balance_wins(spec, rows), [True, False])
 
 
 class TestMatrixEnumeration:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from balancegame.adversary import METHOD_ALL_OFF, METHOD_DUPLICATE, METHOD_MIRRO
 from balancegame.engine import (
     batch_balance_wins,
     batch_survivor_counts,
+    code_digits,
     decode_mask,
     decode_row,
     survivor_counts,
@@ -80,7 +82,7 @@ def test_kernel_agrees_with_the_block_scan(budget, case):
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(engine, "_PAIR_BYTES", budget)
-        wins = batch_balance_wins(spec, np.array(batch, dtype=np.int64))
+        wins = batch_balance_wins(spec, code_digits(np.array(batch, dtype=np.int64), q))
         attacks = [find_winning_mask(spec, tuple(decode_row(c, q) for c in plan)) for plan in batch]
     scan = batch_survivor_counts(spec, np.array(batch, dtype=np.int64))
     np.testing.assert_array_equal(wins, (scan >= 2).any(axis=1))
@@ -113,7 +115,7 @@ def test_planted_pair_on_both_sides_of_2k(prior, k, q, seed=5):
         attack = find_winning_mask(spec, rows)
         assert (attack and attack.mask) == want
         codes = np.array([[engine.encode_row(r) for r in rows]])
-        assert bool(batch_balance_wins(spec, codes)[0]) == (want is not None)
+        assert bool(batch_balance_wins(spec, code_digits(codes, q))[0]) == (want is not None)
 
 
 def test_close_pair_blocks_stay_bounded_when_every_pair_is_close():
@@ -169,6 +171,42 @@ def test_certify_and_attack_past_sixteen_rounds(q, tmp_path, capsys):
                 doc = cli_json(capsys, "attack", "--spec", spec, "--strategy", path,
                                "--constructive")
                 assert (doc["mask"] is None) == (want is None)
+
+
+@pytest.mark.parametrize("k,prior", [(0, "heavy"), (0, "unknown"), (1, "heavy"), (2, "unknown")])
+def test_verdicts_convert_no_codes_to_digits(k, prior, tmp_path, capsys, monkeypatch):
+    # Plans enter the kernel as digits, so no verdict peels a code; the
+    # outputs are those of an unpatched run.
+    rng, q = random.Random(k), 7
+    spec = f"6,{q},{k},{prior}"
+    argvs = [["simulate", "--spec", spec, "--r", "0.6", "--trials", "50", "--seed", "3"]]
+    for spread in (2 * k, 2 * k + 1):
+        rows = ["".join(rng.choice("LRO") for _ in range(q)) for _ in range(6)]
+        twin = list(rows[0])
+        for p in rng.sample(range(q), spread):
+            twin[p] = rng.choice([c for c in "LRO" if c != twin[p]])
+        rows[4] = "".join(twin)
+        path = tmp_path / f"plan{spread}.txt"
+        path.write_text("\n".join(rows) + "\n")
+        for argv in (["certify"], ["attack"], ["attack", "--constructive"]):
+            argvs.append(argv + ["--spec", spec, "--strategy", str(path)])
+
+    def outputs():
+        got = []
+        for argv in argvs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            got.append((code, re.sub(r'"elapsed_ms": [^,}\n]+', "", out), err))
+        return got
+
+    want = outputs()
+    assert [code for code, _, _ in want].count(0) >= 5
+
+    def refuse(codes, q):
+        raise AssertionError("a verdict converted codes to digits")
+
+    monkeypatch.setattr(engine, "code_digits", refuse)
+    assert outputs() == want
 
 
 @pytest.mark.parametrize("q", [17, 22, 39])

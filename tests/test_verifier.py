@@ -80,7 +80,7 @@ class TestCertify:
         with pytest.raises(ResourceLimitError):
             certify(GameSpec(2, 40, 0, "heavy"), ("L" * 40, "R" * 40))
         # survivor_mass does visit every mask and keeps the mask cap.
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="exceed the 16 rounds a survivor-mass scan"):
             survivor_mass(GameSpec(2, 17, 0, "heavy"), ("L" * 17, "R" * 17))
 
 
@@ -252,7 +252,8 @@ class TestPigeonhole:
         monkeypatch.setattr(engine, "close_pairs", lambda *a: calls.append(a) or pairs(*a))
         for n in (least - 1, least):
             codes = np.arange(2 * n, dtype=np.int64).reshape(2, n)  # distinct rows
-            wins = engine.batch_balance_wins(GameSpec(n, 3, 1, "heavy"), codes)
+            rows = engine.code_digits(codes, 3)
+            wins = engine.batch_balance_wins(GameSpec(n, 3, 1, "heavy"), rows)
             assert len(calls) == 1 and wins.all()  # every pair here lies within 2k = 2
 
 
@@ -282,7 +283,7 @@ def enumerated(spec):
     total, count, first = (3**spec.q) ** spec.n, 0, None
     for start in range(0, total, 4096):
         codes = engine.matrix_chunk_codes(spec, start, min(start + 4096, total))
-        losers = np.flatnonzero(~engine.batch_balance_wins(spec, codes))
+        losers = np.flatnonzero(~engine.batch_balance_wins(spec, engine.code_digits(codes, spec.q)))
         if first is None and losers.size:
             first = (start + int(losers[0]), [int(c) for c in codes[losers[0]]])
         count += losers.size
