@@ -84,6 +84,15 @@ class TestCodec:
         digits = predicted_digits(GameSpec(len(rows), q, 0, prior), rows)
         assert digits.shape == (q, len(words)) and digits.T.tolist() == want
 
+    @given(coded_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_mirror_codes_swap_the_pans(self, case):
+        q, codes = case
+        rows = [decode_row(c, q) for c in codes]
+        light = predicted_digits(GameSpec(len(rows), q, 0, "unknown"), rows)[:, len(rows):]
+        want = [encode_row(partial_complement(r)) for r in rows]
+        assert digit_codes(light).tolist() == want
+
     @pytest.mark.parametrize("q", [40, 45])
     def test_decode_rows_past_the_round_bound_pads_with_l(self, q):
         codes = [0, 1, 2, 3**20 + 5, 2**63 - 1]

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balancegame import GameSpec, ResourceLimitError, surviving_hypotheses
+from balancegame import GameSpec, ResourceLimitError, partial_complement, surviving_hypotheses
 from balancegame.engine import (
     batch_balance_wins,
     batch_survivor_counts,
     code_digits,
     decode_mask,
     decode_row,
+    digit_codes,
     encode_mask,
     encode_row,
     matrix_chunk_codes,
+    predicted_digits,
     survivor_counts,
 )
 
@@ -34,6 +36,13 @@ class TestCodes:
         for code in range(27):
             row = decode_row(code, 3)
             assert [int(d) for d in table[:, code]] == ["LRO".index(c) for c in row]
+
+    def test_mirror_codes_match_partial_complement(self):
+        rows = [decode_row(code, 3) for code in range(27)]
+        table = digit_codes(predicted_digits(GameSpec(27, 3, 0, "unknown"), rows)[:, 27:])
+        for code in range(27):
+            mirrored = partial_complement(decode_row(code, 3))
+            assert int(table[code]) == encode_row(mirrored)
 
 
 class TestSurvivorCounts:
