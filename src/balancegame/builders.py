@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -90,6 +91,16 @@ class RandomStrategyParams:
             )
 
 
+def reseeded(rng: random.Random, seeds):
+    """Yield ``rng`` once per seed, reseeded with it.  ``rng.seed(s)`` leaves
+    it in exactly the state ``random.Random(s)`` starts in, at the cost of
+    CPython's seeding alone, not of a construction; each yield reseeds the
+    same generator, so use it up before taking the next."""
+    for s in seeds:
+        rng.seed(s)
+        yield rng
+
+
 def draw_uniforms(rngs, count: int) -> np.ndarray:
     """(k, count) floats for the k generators ``rngs`` yields, count >= 1:
     row i holds the next ``count`` values of the i-th generator's
@@ -112,11 +123,71 @@ def draw_uniforms(rngs, count: int) -> np.ndarray:
     return u
 
 
+def _first_draw(bound: int, count: int) -> int:
+    """Candidates drawn per trial at first for ``count`` values below
+    ``bound``: their mean number, count / p for the acceptance rate
+    p = bound / 2**k > 1/2, plus four standard deviations, so that few
+    trials come up short."""
+    p = bound / 2 ** bound.bit_length()
+    return math.ceil((count + 4 * math.sqrt(count * (1 - p))) / p)
+
+
+def below_bytes(bound: int, count: int) -> int:
+    """Bytes per trial that bound the peak of :func:`draw_below`'s first
+    draw under tracemalloc: 160 for the trial's Python objects; per
+    candidate 4 + 8 per word, for its words twice while they are joined, or
+    for its value, acceptance mask and accepted copy; and 24 per value kept,
+    for its gather index, its value and its cell of the output."""
+    words = -(-bound.bit_length() // 32)
+    return 160 + (4 + 8 * words) * _first_draw(bound, count) + 24 * count
+
+
+def draw_below(seeds, bound: int, count: int) -> np.ndarray:
+    """(len(seeds), count) int64: row i holds the first ``count`` values of
+    ``random.Random(seeds[i]).randrange(bound)``, bit for bit, for
+    2 <= bound < 2**63.
+
+    CPython's ``_randbelow_with_getrandbits`` draws candidates of
+    k = bound.bit_length() bits and rejects one >= bound.  A candidate takes
+    one 32-bit generator word when k <= 32 and two when k > 32: the first
+    word is its low half, and the top word is shifted right by
+    32 * words - k.  One ``getrandbits(32 * words * m)`` call draws the words
+    of m candidates, the first in the lowest bits, so all trials' candidates
+    are formed and screened at once.  The trials whose m candidates hold
+    fewer than ``count`` accepted ones are drawn again, reseeded, with twice
+    as many."""
+    k = bound.bit_length()
+    words = -(-k // 32)
+    out = np.empty((len(seeds), count), dtype=np.int64)
+    rng = random.Random()
+    todo, m = np.arange(len(seeds)), _first_draw(bound, count)
+    while todo.size:
+        nbits = 32 * words * m
+        raw = b"".join(
+            rng.getrandbits(nbits).to_bytes(nbits // 8, "little")
+            for _ in reseeded(rng, map(seeds.__getitem__, todo.tolist()))
+        )
+        w = np.frombuffer(raw, dtype="<u4").reshape(todo.size, m, words)
+        cand = w[..., -1] >> (32 * words - k)
+        if words == 2:  # the first word is the low half
+            cand = cand.astype(np.int64)
+            cand <<= 32
+            cand |= w[..., 0]
+        del raw, w
+        ok = cand < bound
+        kept = ok.sum(axis=1)
+        full = kept >= count
+        start = np.cumsum(kept) - kept  # where each trial's accepted candidates begin in cand[ok]
+        out[todo[full]] = cand[ok][start[full, None] + np.arange(count)]
+        todo, m = todo[~full], 2 * m
+    return out
+
+
 def random_plan_digits(seeds, n: int, q: int, on_fraction: float) -> np.ndarray:
     """(len(seeds), n, q) base-3 cells of one seeded random plan per seed.
     Cells are drawn row-major, one uniform each: L (0) below
     ``on_fraction / 2``, else R (1) below ``on_fraction``, else O (2)."""
-    u = draw_uniforms(map(random.Random, seeds), n * q).reshape(len(seeds), n, q)
+    u = draw_uniforms(reseeded(random.Random(), seeds), n * q).reshape(len(seeds), n, q)
     return (u >= on_fraction / 2.0).astype(np.uint8) + (u >= on_fraction)
 
 

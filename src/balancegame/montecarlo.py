@@ -3,6 +3,16 @@
 Reproducibility scheme: trial ``t`` of a run with master seed ``s`` uses the
 derived seed ``s * 1_000_003 + t``, so any subset of trials can be re-run
 on its own and the whole run is a pure function of its arguments.
+
+Trials run in blocks that fit the engine's block budget.  Each block builds
+one ``random.Random`` and reseeds it per trial (``builders.reseeded``),
+which leaves it in exactly the state ``random.Random(seed)`` starts in.  A
+trial's numbers come from one ``getrandbits`` call, whose raw words are
+turned into ``random()`` values by ``builders.draw_uniforms`` and into
+``randrange`` values by ``builders.draw_below``, a word-level replay of
+CPython's rejection sampling (a trial that comes up short is drawn again).
+What remains per trial is mostly CPython's seeding itself (Mersenne
+Twister ``init_by_array``), which is now most of the time of a run.
 """
 
 from __future__ import annotations
@@ -16,7 +26,14 @@ import numpy as np
 
 from . import engine
 from .analysis import chernoff_tail_bound
-from .builders import RandomStrategyParams, draw_uniforms, random_plan_digits
+from .builders import (
+    RandomStrategyParams,
+    below_bytes,
+    draw_below,
+    draw_uniforms,
+    random_plan_digits,
+    reseeded,
+)
 from .core import DomainError, GameSpec
 from .verifier import census_perfect
 
@@ -29,12 +46,12 @@ def trial_seed(seed: int, t: int) -> int:
     return seed * 1_000_003 + t
 
 
-def _seed_blocks(seed: int, trials: int, cells: int):
-    """Trial seeds in consecutive blocks whose draws, ``cells`` uniforms per
-    trial, fit in the engine's block budget."""
-    step = max(1, engine._PAIR_BYTES // (_CELL_BYTES * cells))
+def _seed_blocks(seed: int, trials: int, trial_bytes: int):
+    """Trial seeds, as ranges, in consecutive blocks whose draws,
+    ``trial_bytes`` per trial, fit in the engine's block budget."""
+    step = max(1, engine._PAIR_BYTES // trial_bytes)
     for t0 in range(0, trials, step):
-        yield [trial_seed(seed, t) for t in range(t0, min(trials, t0 + step))]
+        yield range(trial_seed(seed, t0), trial_seed(seed, min(trials, t0 + step)))
 
 
 @dataclass(frozen=True)
@@ -72,7 +89,7 @@ def simulate_random_player(spec: GameSpec, r: float, trials: int, seed: int = 0)
     engine.check_rounds(spec.q)
     RandomStrategyParams(r, seed)  # rejects an on-rate outside [0, 1]
     wins = 0
-    for seeds in _seed_blocks(seed, trials, spec.n * spec.q):
+    for seeds in _seed_blocks(seed, trials, _CELL_BYTES * spec.n * spec.q):
         rows = np.moveaxis(random_plan_digits(seeds, spec.n, spec.q, r), -1, 0)  # round first
         wins += int(engine.batch_balance_wins(spec, rows).sum())
     return _report(spec, {"r": r}, trials, wins, seed)
@@ -93,8 +110,8 @@ def concentration_experiment(
     _check_trials(trials)
     piece = max(1, engine._PAIR_BYTES // _CELL_BYTES)  # a longer row is drawn in pieces
     hits = 0
-    for seeds in _seed_blocks(seed, trials, q):
-        rngs = map(random.Random, seeds)
+    for seeds in _seed_blocks(seed, trials, _CELL_BYTES * q):
+        rngs = reseeded(random.Random(), seeds)
         if q > piece:  # a block of one trial, its row drawn piece by piece
             rngs = list(rngs)
         draws = (draw_uniforms(rngs, min(piece, q - c)) for c in range(0, q, piece))
@@ -121,11 +138,10 @@ def random_perfect_rate(
     _check_trials(trials)
     spec = GameSpec(n, q, 0, prior)
     engine.check_rounds(spec.q)
-    codes = np.empty((trials, n), dtype=np.int64)
-    for t in range(trials):
-        rng = random.Random(trial_seed(seed, t))
-        codes[t] = [rng.randrange(3**q) for _ in range(n)]
-    perfect = int((~engine.batch_balance_wins(spec, engine.code_digits(codes, q))).sum())
+    perfect = 0
+    for seeds in _seed_blocks(seed, trials, below_bytes(3**q, n)):
+        codes = draw_below(seeds, 3**q, n)
+        perfect += int((~engine.batch_balance_wins(spec, engine.code_digits(codes, q))).sum())
     total = (3**q) ** n
     extras: dict[str, Any] = {
         "pair_count_rate": 2**n * math.factorial(n) / total,

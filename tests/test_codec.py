@@ -19,8 +19,8 @@ from balancegame import (
     ternary_strategy,
     trial_seed,
 )
-from balancegame import engine
-from balancegame.builders import draw_uniforms
+from balancegame import builders, engine
+from balancegame.builders import draw_below, draw_uniforms
 from balancegame.core import (
     OUTCOMES,
     PLACEMENTS,
@@ -143,6 +143,36 @@ class TestSeededDraws:
             reference = random.Random(seed)
             assert row.tolist() == [reference.random() for _ in range(13)]
             assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("q", range(1, engine.MAX_ROUNDS + 1))
+    def test_word_randrange_equals_random_random(self, q):
+        # q <= 20 draws one 32-bit word per candidate, q >= 21 two
+        seeds = SEEDS + [trial_seed(s, t) for s in (0, 7, 10**6 + 3) for t in range(40)]
+        got = draw_below(seeds, 3**q, 6)
+        for seed, row in zip(seeds, got):
+            reference = random.Random(seed)
+            assert row.tolist() == [reference.randrange(3**q) for _ in range(6)]
+
+    @pytest.mark.parametrize("q", [1, 2, 5, 20, 21, 25, 39])
+    def test_word_randrange_redraws_the_short_trials(self, q, monkeypatch):
+        # A first draw of exactly `count` candidates is short for every trial
+        # with a rejection among them, and often again when doubled.
+        monkeypatch.setattr(builders, "_first_draw", lambda bound, count: count)
+        reseeds = []
+        reseeded = builders.reseeded
+
+        def counted(rng, seeds):
+            for r in reseeded(rng, seeds):
+                reseeds.append(r)
+                yield r
+
+        monkeypatch.setattr(builders, "reseeded", counted)
+        seeds = SEEDS + [trial_seed(10**6 + 17, t) for t in range(60)]
+        got = draw_below(seeds, 3**q, 5)
+        for seed, row in zip(seeds, got):
+            reference = random.Random(seed)
+            assert row.tolist() == [reference.randrange(3**q) for _ in range(5)]
+        assert len(reseeds) > len(seeds)  # some trials were drawn again
 
     @pytest.mark.parametrize("on_fraction", [0.0, 1.0, 2 / 3, 0.3])
     @pytest.mark.parametrize("q", [1, 4, 45])

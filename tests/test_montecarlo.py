@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,6 +17,7 @@ from balancegame import (
     simulate_random_player,
     trial_seed,
 )
+from balancegame import engine, montecarlo
 from balancegame.montecarlo import Z_95
 
 
@@ -131,3 +133,48 @@ class TestRandomPerfectRate:
     def test_no_census_extras_when_space_is_large(self):
         report = random_perfect_rate(13, 3, "unknown", 5, seed=0)
         assert "census_count" not in report.extras
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        peaks = []
+        for trials in (50_000, 400_000):
+            tracemalloc.start()
+            try:
+                random_perfect_rate(4, 2, "unknown", trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("budget", [None, 4096])
+    def test_one_generator_per_block(self, budget, monkeypatch):
+        built, blocks = [], []
+
+        class Counting(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        seed_blocks = montecarlo._seed_blocks
+
+        def counted(*args):
+            for seeds in seed_blocks(*args):
+                blocks.append(len(seeds))
+                yield seeds
+
+        monkeypatch.setattr(random, "Random", Counting)
+        monkeypatch.setattr(montecarlo, "_seed_blocks", counted)
+        if budget:
+            monkeypatch.setattr(engine, "_PAIR_BYTES", budget)
+        runs = [
+            lambda: simulate_random_player(GameSpec(5, 3, 0, "heavy"), 0.6, 500, seed=3),
+            lambda: concentration_experiment(7, 0.6, 0.1, 500, seed=3),
+            lambda: random_perfect_rate(4, 2, "unknown", 500, seed=3),
+        ]
+        for run in runs:
+            built.clear()
+            blocks.clear()
+            run()
+            assert sum(blocks) == 500
+            assert 1 <= len(built) <= len(blocks)
