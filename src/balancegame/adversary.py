@@ -74,18 +74,12 @@ def constructive_attack(spec: GameSpec, strategy) -> AttackResult | None:
     return _checked(spec, rows, mask, _STRUCTURAL_METHODS[kind[first]])
 
 
-def best_response_exists(spec: GameSpec, strategy) -> bool:
-    """Whether the balance has any winning announcement against this plan."""
-    return find_winning_mask(spec, strategy) is not None
-
-
 __all__ = [
     "AttackResult",
     "METHOD_ALL_OFF",
     "METHOD_DUPLICATE",
     "METHOD_EXHAUSTIVE",
     "METHOD_MIRROR",
-    "best_response_exists",
     "constructive_attack",
     "find_winning_mask",
 ]

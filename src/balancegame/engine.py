@@ -13,9 +13,11 @@ where order matters: the k = 0 sort key, a first winning mask, a clique's rank.
 Two hypotheses survive one announcement together exactly when their honest
 words lie within Hamming distance 2k, where two radius-k lie balls meet.
 :func:`close_pairs` finds those pairs without visiting the 3**q masks, and
-every verdict is decided from them; one blocked scan counts survivors per
-mask where that count is itself the result.  Censuses and exhaustive game
-values search cliques of pairwise compatible rows (:func:`clique_count`,
+every verdict is decided from them.  One blocked scan still counts the
+survivors of every mask (:func:`iter_survivor_blocks`,
+:func:`batch_survivor_counts`); no verdict uses it, and it is the tests'
+oracle for the conservation law and the verdicts.  Censuses and exhaustive
+game values search cliques of pairwise compatible rows (:func:`clique_count`,
 :func:`first_clique`) instead of the 3**(n*q) plans.  Every Hamming distance
 here is one digit-wise count, :func:`_distances`.
 
@@ -33,7 +35,6 @@ from .analysis import hamming_ball_volume
 from .core import GameSpec, HEAVY, OUTCOMES, PLACEMENTS, ResourceLimitError, validate_strategy
 
 MAX_ROUNDS = 39  # base-3 codes are int64 and 3**39 < 2**63 <= 3**40
-DEFAULT_MASK_CAP = 16  # max q survivor_mass scans, visiting all 3**q masks
 DEFAULT_MATRIX_CAP = 10**8  # max work a census or exhaustive value will attempt (check_search_cap)
 
 _PAIR_BYTES = 1 << 22  # bytes one block of a blocked search or draw may build
@@ -186,11 +187,6 @@ def iter_survivor_blocks(spec: GameSpec, strategy) -> Iterator[tuple[int, np.nda
         yield start, counts[0]
 
 
-def survivor_counts(spec: GameSpec, strategy) -> np.ndarray:
-    """(3**q,) survivor count per mask, mask codes in lexicographic order."""
-    return np.concatenate([counts for _, counts in iter_survivor_blocks(spec, strategy)])
-
-
 def batch_survivor_counts(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
     """(T, 3**q) survivor counts for a batch of plans given as (T, n) row codes."""
     preds = _hypothesis_digits(spec, code_digits(row_codes, spec.q))
@@ -198,6 +194,19 @@ def batch_survivor_counts(spec: GameSpec, row_codes: np.ndarray) -> np.ndarray:
     for t0, m0, block in _survivor_blocks(spec, preds):
         counts[t0 : t0 + len(block), m0 : m0 + block.shape[1]] = block
     return counts
+
+
+def _plan_bytes(spec: GameSpec, H: int) -> int:
+    """Bytes one plan of H hypotheses adds to a :func:`close_pairs` block at
+    its peak under tracemalloc, every pair close.  At k = 0 a hypothesis costs
+    three int64 (its code, sort index and ranked code) and an equality flag,
+    and the pair it closes eight int64: six indices in the block (two
+    unravelled, one shifted, three yielded) and two that a consumer still
+    holds from the block before.  At k >= 1 a cell, one ordered pair, costs
+    q + 1 bytes in :func:`_distances` and four int64 indices."""
+    if spec.k == 0:
+        return (3 * 8 + 1 + 8 * 8) * H
+    return (spec.q + 1 + 4 * 8) * H * H
 
 
 def close_pairs(
@@ -208,15 +217,13 @@ def close_pairs(
     balls meet and some announcement keeps both alive.
 
     ``preds`` is (q, T, H) hypothesis digits.  At k = 0 the close pairs are
-    equal words, found by sorting their codes, in blocks whose int64 codes
-    fill at most _PAIR_BYTES; each group of equal codes is reported as its
-    neighbouring pairs in index order, groups in code order.  At k >= 1 every
-    pair's distance is counted by :func:`_distances`, in blocks of at most
-    _PAIR_BYTES bytes: a cell costs q + 1 bytes, and a close one four int64
-    indices."""
+    equal words, found by sorting their codes; each group of equal codes is
+    reported as its neighbouring pairs in index order, groups in code order.
+    At k >= 1 every pair's distance is counted by :func:`_distances`.  Either
+    way blocks cost at most _PAIR_BYTES by :func:`_plan_bytes`."""
     _, T, H = preds.shape
     if spec.k == 0:
-        step = max(1, _PAIR_BYTES // (8 * H))
+        step = max(1, _PAIR_BYTES // _plan_bytes(spec, H))
         for t0 in range(0, T, step):
             block = digit_codes(preds[:, t0 : t0 + step])
             order = np.argsort(block, axis=1, kind="stable")
@@ -228,7 +235,7 @@ def close_pairs(
         return
     # (q, H, T): a batch of small plans compares along T; a strided view runs about 2x slower.
     digits = np.ascontiguousarray(preds.transpose(0, 2, 1))
-    cells = max(1, _PAIR_BYTES // (spec.q + 1 + 4 * 8))
+    cells = max(1, _PAIR_BYTES // _plan_bytes(spec, 1))  # H = 1: the bytes of one cell
     plans, rows = (cells // (H * H), H) if cells >= H * H else (1, max(1, cells // H))
     for t0 in range(0, T, plans):
         for r0 in range(0, H, rows):
@@ -290,6 +297,22 @@ def pigeonhole_min_n(q: int, k: int, prior: str) -> int:
     announcement keeps two hypotheses alive and the balance wins."""
     per_coin = (1 if prior == HEAVY else 2) * hamming_ball_volume(q, k)
     return 3**q // per_coin + 1
+
+
+def verdict_bytes(spec: GameSpec) -> int:
+    """Bytes per plan that bound :func:`batch_balance_wins`' peak under
+    tracemalloc, its (q, T, n) input rows included: q per row, and 3q more
+    under the unknown prior while the mirrored rows are joined to them; at
+    k >= 1 a copy of the hypothesis digits, q per hypothesis; the plan's
+    share of a :func:`close_pairs` block (:func:`_plan_bytes`); and one for
+    its verdict.  From the pigeonhole threshold on, the rows and the verdict."""
+    rows = spec.q * spec.n
+    if spec.n >= pigeonhole_min_n(spec.q, spec.k, spec.prior):
+        return rows + 1
+    H = spec.hypothesis_count
+    light = 0 if spec.prior == HEAVY else 3 * rows
+    copy = spec.q * H if spec.k else 0
+    return rows + light + copy + _plan_bytes(spec, H) + 1
 
 
 def batch_balance_wins(spec: GameSpec, rows: np.ndarray) -> np.ndarray:

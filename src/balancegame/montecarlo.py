@@ -47,8 +47,8 @@ def trial_seed(seed: int, t: int) -> int:
 
 
 def _seed_blocks(seed: int, trials: int, trial_bytes: int):
-    """Trial seeds, as ranges, in consecutive blocks whose draws,
-    ``trial_bytes`` per trial, fit in the engine's block budget."""
+    """Trial seeds, as ranges, in consecutive blocks whose draws and
+    verdicts, ``trial_bytes`` per trial, fit in the engine's block budget."""
     step = max(1, engine._PAIR_BYTES // trial_bytes)
     for t0 in range(0, trials, step):
         yield range(trial_seed(seed, t0), trial_seed(seed, min(trials, t0 + step)))
@@ -89,7 +89,8 @@ def simulate_random_player(spec: GameSpec, r: float, trials: int, seed: int = 0)
     engine.check_rounds(spec.q)
     RandomStrategyParams(r, seed)  # rejects an on-rate outside [0, 1]
     wins = 0
-    for seeds in _seed_blocks(seed, trials, _CELL_BYTES * spec.n * spec.q):
+    trial_bytes = max(_CELL_BYTES * spec.n * spec.q, engine.verdict_bytes(spec))
+    for seeds in _seed_blocks(seed, trials, trial_bytes):
         rows = np.moveaxis(random_plan_digits(seeds, spec.n, spec.q, r), -1, 0)  # round first
         wins += int(engine.batch_balance_wins(spec, rows).sum())
     return _report(spec, {"r": r}, trials, wins, seed)
@@ -139,7 +140,8 @@ def random_perfect_rate(
     spec = GameSpec(n, q, 0, prior)
     engine.check_rounds(spec.q)
     perfect = 0
-    for seeds in _seed_blocks(seed, trials, below_bytes(3**q, n)):
+    decide = n * engine._CODE_BYTES + engine.verdict_bytes(spec)  # codes peeled, then decided
+    for seeds in _seed_blocks(seed, trials, max(below_bytes(3**q, n), decide)):
         codes = draw_below(seeds, 3**q, n)
         perfect += int((~engine.batch_balance_wins(spec, engine.code_digits(codes, q))).sum())
     total = (3**q) ** n

@@ -9,14 +9,7 @@ from . import engine
 from .adversary import AttackResult, find_winning_mask
 from .analysis import hamming_ball_volume
 from .builders import complement_free_strategy, ternary_strategy
-from .core import (
-    BalanceGameError,
-    GameSpec,
-    HEAVY,
-    ResourceLimitError,
-    UNKNOWN,
-    validate_strategy,
-)
+from .core import HEAVY, BalanceGameError, GameSpec
 
 PLAYER = "player"
 BALANCE = "balance"
@@ -51,26 +44,11 @@ def certify(spec: GameSpec, strategy) -> Certificate:
     return Certificate("balance-wins", engine.encode_mask(attack.mask) + 1, attack)
 
 
-def survivor_mass(spec: GameSpec, strategy) -> int:
-    """Total survivor count summed over every possible announcement.
-
-    Brute-force side of an exact conservation law: each hypothesis survives
-    precisely the masks within lie distance k of its honest announcement,
-    a Hamming ball whose size does not depend on the plan.  Compare
-    :func:`survivor_mass_expected`.
-    """
-    validate_strategy(spec, strategy)
-    if spec.q > engine.DEFAULT_MASK_CAP:
-        raise ResourceLimitError(
-            f"{spec.q} rounds (3**{spec.q} masks) exceed the {engine.DEFAULT_MASK_CAP} rounds "
-            f"a survivor-mass scan visits"
-        )
-    return int(sum(int(c.sum()) for _, c in engine.iter_survivor_blocks(spec, strategy)))
-
-
 def survivor_mass_expected(spec: GameSpec) -> int:
-    """Closed form for :func:`survivor_mass`: hypotheses times the volume of a
-    radius-k lie ball (:func:`analysis.hamming_ball_volume`)."""
+    """Survivor count of any plan summed over every announcement: each
+    hypothesis survives exactly the masks within lie distance k of its honest
+    announcement, so hypotheses times the volume of a radius-k lie ball
+    (:func:`analysis.hamming_ball_volume`), whatever the plan."""
     return spec.hypothesis_count * hamming_ball_volume(spec.q, spec.k)
 
 
@@ -89,50 +67,47 @@ class GameValue:
     instances_checked: int
 
 
-def _builder_witnesses(spec: GameSpec):
-    if spec.k != 0:
-        return
-    if spec.prior == HEAVY and spec.n <= 3**spec.q:
-        yield ternary_strategy(spec.n, spec.q)
-    if spec.prior == UNKNOWN and spec.n <= perfect_capacity(spec.q, UNKNOWN):
-        yield complement_free_strategy(spec.n, spec.q)
+def _builder_witness(spec: GameSpec) -> tuple[str, ...] | None:
+    """The builder plan that wins for the player where a theorem says one
+    does: the ternary plan when one heavy coin is the only hypothesis, and at
+    k = 0 the ternary or mirror-free plan up to :func:`perfect_capacity`;
+    ``None`` elsewhere.  The plan is certified again whenever its codes fit
+    in int64 (q <= MAX_ROUNDS)."""
+    if not (spec.prior == HEAVY and spec.n == 1
+            or spec.k == 0 and spec.n <= perfect_capacity(spec.q, spec.prior)):
+        return None
+    build = ternary_strategy if spec.prior == HEAVY else complement_free_strategy
+    witness = build(spec.n, spec.q)
+    if spec.q <= engine.MAX_ROUNDS and not certify(spec, witness).must_win:
+        raise AssertionError("internal error: builder witness failed certification")
+    return witness
 
 
 def _game_value_exhaustive(spec: GameSpec, matrix_cap: int) -> GameValue:
     engine.check_search_cap(spec, matrix_cap)
-    checked = 0
-    for probe in _builder_witnesses(spec):
-        checked += 1
-        if certify(spec, probe).must_win:
-            return GameValue(PLAYER, "exhaustive", probe, checked)
+    witness = _builder_witness(spec)
+    if witness is not None:
+        return GameValue(PLAYER, "exhaustive", witness, 1)
     first = engine.first_clique(spec)
     if first is None:
-        return GameValue(BALANCE, "exhaustive", None, checked + (3**spec.q) ** spec.n)
+        return GameValue(BALANCE, "exhaustive", None, (3**spec.q) ** spec.n)
     witness = tuple(engine.decode_rows(first, spec.q))
     if not certify(spec, witness).must_win:  # re-check the witness
         raise AssertionError("internal error: clique witness failed recertification")
     rank = 0  # the witness's index in the (3**q)**n enumeration, row 0 most significant
     for code in first:
         rank = rank * 3**spec.q + code
-    return GameValue(PLAYER, "exhaustive", witness, checked + rank + 1)
+    return GameValue(PLAYER, "exhaustive", witness, rank + 1)
 
 
 def _game_value_constructive(spec: GameSpec) -> GameValue:
-    if spec.hypothesis_count < 2:
-        witness = ternary_strategy(spec.n, spec.q)
+    witness = _builder_witness(spec)
+    if witness is not None:
         return GameValue(PLAYER, "constructive", witness, 1)
-    if spec.k == 0:
-        cap = perfect_capacity(spec.q, spec.prior)
-        if spec.n <= cap:
-            witness = next(_builder_witnesses(spec))
-            if spec.q <= engine.MAX_ROUNDS and not certify(spec, witness).must_win:
-                raise AssertionError("internal error: builder witness failed certification")
-            return GameValue(PLAYER, "constructive", witness, 1)
-        # Beyond capacity every plan repeats a row, mirrors one, or idles a
-        # coin, and the structural attack wins; no enumeration needed.
-        return GameValue(BALANCE, "constructive", None, 0)
-    if spec.n >= engine.pigeonhole_min_n(spec.q, spec.k, spec.prior):
-        # Conservation: more survivors than masks forces a mask with >= 2.
+    # Past capacity (k = 0) every plan repeats a row, mirrors one, or idles a
+    # coin; from the pigeonhole threshold more survivors than masks force a
+    # mask with >= 2.  Either way the balance wins with no enumeration.
+    if spec.k == 0 or spec.n >= engine.pigeonhole_min_n(spec.q, spec.k, spec.prior):
         return GameValue(BALANCE, "constructive", None, 0)
     raise UndecidedError(
         f"no constructive rule decides {spec.compact()}; use exhaustive mode"
@@ -144,14 +119,16 @@ def game_value(
     mode: str = "auto",
     matrix_cap: int = engine.DEFAULT_MATRIX_CAP,
 ) -> GameValue:
-    """Best-play winner.  Exhaustive mode decides every plan: the builder
-    plans are probed first (k=0), then the lexicographically first must-win
-    plan is the first clique of compatible rows (:func:`engine.first_clique`),
-    and ``instances_checked`` counts the probes plus the plans a row-major
-    enumeration would visit up to it, or all 3**(n*q) when the balance wins.
-    Its work is held to ``matrix_cap`` by :func:`engine.check_search_cap`.
-    Constructive mode applies the capacity theorems (k=0) and the
-    survivor-mass pigeonhole (k>=1, balance side only).  ``auto`` prefers
+    """Best-play winner.  Both modes hand out the builder plan where a
+    capacity theorem gives one (one heavy coin, or k = 0 up to capacity),
+    with ``instances_checked`` 1.  Past that, exhaustive mode takes the
+    lexicographically first must-win plan, the first clique of compatible
+    rows (:func:`engine.first_clique`), and ``instances_checked`` counts the
+    plans a row-major enumeration would visit up to it, or all 3**(n*q) when
+    the balance wins; its work is held to ``matrix_cap`` by
+    :func:`engine.check_search_cap`, checked first.  Constructive mode gives
+    the balance every k = 0 instance past capacity and every instance from
+    the survivor-mass pigeonhole on, and refuses the rest.  ``auto`` prefers
     exhaustive while the 3**(n*q) plans fit the matrix cap."""
     if mode == "exhaustive":
         return _game_value_exhaustive(spec, matrix_cap)

@@ -9,13 +9,13 @@ from balancegame import (
     DomainError,
     GameSpec,
     adjudicate,
-    best_response_exists,
     binary_strategy,
     complement_free_strategy,
     constructive_attack,
     find_winning_mask,
     ternary_strategy,
 )
+from balancegame import engine
 from balancegame.adversary import (
     METHOD_ALL_OFF,
     METHOD_DUPLICATE,
@@ -143,7 +143,7 @@ class TestConverse:
             (13, 3, "unknown", complement_free_strategy),
         ]:
             spec = GameSpec(n, q, 0, prior)
-            assert not best_response_exists(spec, build(n, q))
+            assert find_winning_mask(spec, build(n, q)) is None
 
 
 class TestBestResponseExists:
@@ -156,7 +156,9 @@ class TestBestResponseExists:
             strategy = tuple(
                 "".join(rng.choice("LRO") for _ in range(q)) for _ in range(n)
             )
-            assert best_response_exists(spec, strategy) == (
+            # A best response exists when some announcement leaves two survivors.
+            scan = engine.iter_survivor_blocks(spec, strategy)
+            assert any(counts.max() >= 2 for _, counts in scan) == (
                 find_winning_mask(spec, strategy) is not None
             )
 

@@ -14,10 +14,15 @@ from balancegame.engine import (
     digit_codes,
     encode_mask,
     encode_row,
+    iter_survivor_blocks,
     matrix_chunk_codes,
     predicted_digits,
-    survivor_counts,
 )
+
+
+def survivor_counts(spec, rows):
+    """(3**q,) survivor count per mask of one plan, joined from the blocked scan."""
+    return np.concatenate([counts for _, counts in iter_survivor_blocks(spec, rows)])
 
 
 class TestCodes:

@@ -30,7 +30,6 @@ from balancegame.engine import (
     code_digits,
     decode_mask,
     decode_row,
-    survivor_counts,
 )
 
 
@@ -136,6 +135,25 @@ def test_close_pair_blocks_stay_bounded_when_every_pair_is_close():
     assert peak <= 2.5 * engine._PAIR_BYTES
 
 
+@pytest.mark.parametrize("prior", ["heavy", "unknown"])
+def test_zero_lie_close_pair_blocks_fit_the_budget(prior):
+    # Every plan is six all-off rows, so under either prior all hypotheses share
+    # one word and each closes a pair with the next: the sort arrays and the pair
+    # indices, not the int64 codes alone, are the bulk of a block.
+    spec, plans = GameSpec(6, 3, 0, prior), 100_000
+    preds = engine._hypothesis_digits(spec, np.full((3, plans, 6), 2, dtype=np.uint8))
+    pairs = blocks = 0
+    tracemalloc.start()
+    try:
+        for t, _, _ in engine.close_pairs(spec, preds):  # held as batch_balance_wins holds them
+            pairs, blocks = pairs + t.size, blocks + 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs == plans * (spec.hypothesis_count - 1) and blocks > 1
+    assert peak <= 1.1 * engine._PAIR_BYTES
+
+
 def readable_random_plan(n, q, r, seed):
     """The seeded cell draw spelled out: row-major, one uniform per cell."""
     rng = random.Random(seed)
@@ -239,7 +257,8 @@ class TestOverflow:
         rows = ("L", "R", "O") * 13333 + ("L",)
         codes = np.array([[engine.encode_row(r) for r in rows]])
         counts = batch_survivor_counts(self.spec, codes)
-        np.testing.assert_array_equal(counts[0], survivor_counts(self.spec, rows))
+        scan = np.concatenate([c for _, c in engine.iter_survivor_blocks(self.spec, rows)])
+        np.testing.assert_array_equal(counts[0], scan)
         np.testing.assert_array_equal(counts[0], [40000] * 3)
 
     def test_simulated_balance_always_wins(self):

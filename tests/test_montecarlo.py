@@ -146,6 +146,27 @@ class TestRandomPerfectRate:
         assert peaks[1] <= 1.1 * peaks[0]
 
 
+class TestBlockMemory:
+    @pytest.mark.parametrize("command,args", [
+        ("perfect-rate", (30, 5, "unknown")),
+        ("perfect-rate", (6, 39, "unknown")),
+        ("simulate", (13, 3, 0, "unknown")),
+        ("simulate", (4, 2, 0, "unknown")),
+    ])
+    def test_blocks_fit_the_larger_of_draw_and_decide(self, command, args):
+        # On these plans deciding a trial costs more than drawing it.
+        tracemalloc.start()
+        try:
+            if command == "perfect-rate":
+                random_perfect_rate(*args, 20_000, seed=1)
+            else:
+                simulate_random_player(GameSpec(*args), 0.6, 20_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * engine._PAIR_BYTES
+
+
 class TestGenerators:
     @pytest.mark.parametrize("budget", [None, 4096])
     def test_one_generator_per_block(self, budget, monkeypatch):

@@ -19,7 +19,6 @@ from balancegame import (
     complement_free_strategy,
     game_value,
     perfect_capacity,
-    survivor_mass,
     survivor_mass_expected,
     ternary_strategy,
     theorem_sweep,
@@ -34,6 +33,11 @@ EIGHT = ("RLL", "RLR", "RLO", "RRL", "LRR", "LRO", "LOL", "LOR")
 
 def random_plan(rng, n, q):
     return tuple("".join(rng.choice("LRO") for _ in range(q)) for _ in range(n))
+
+
+def survivor_mass(spec, plan):
+    """Survivor count summed over every mask, from the blocked scan."""
+    return sum(int(counts.sum()) for _, counts in engine.iter_survivor_blocks(spec, plan))
 
 
 class TestCertify:
@@ -79,9 +83,6 @@ class TestCertify:
         assert certify(GameSpec(2, 17, 0, "heavy"), ("L" * 17, "R" * 17)).must_win
         with pytest.raises(ResourceLimitError):
             certify(GameSpec(2, 40, 0, "heavy"), ("L" * 40, "R" * 40))
-        # survivor_mass does visit every mask and keeps the mask cap.
-        with pytest.raises(ResourceLimitError, match="exceed the 16 rounds a survivor-mass scan"):
-            survivor_mass(GameSpec(2, 17, 0, "heavy"), ("L" * 17, "R" * 17))
 
 
 class TestSurvivorMass:
@@ -197,6 +198,17 @@ class TestGameValue:
     def test_single_hypothesis_is_trivially_player(self):
         value = game_value(GameSpec(1, 1, 0, "heavy"), mode="constructive")
         assert value.winner == "player"
+        # Any lie budget, any rounds: past MAX_ROUNDS the plan is built but not certified.
+        for q, k in itertools.product((5, engine.MAX_ROUNDS, 45), (0, 1, 2)):
+            value = game_value(GameSpec(1, q, k, "heavy"), mode="constructive")
+            assert (value.winner, value.witness, value.instances_checked) == (
+                "player", ("L" * q,), 1)
+
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "constructive"])
+    def test_builder_witness_is_certified_before_it_is_handed_out(self, mode, monkeypatch):
+        monkeypatch.setattr(verifier, "complement_free_strategy", lambda n, q: ("LR", "RL"))
+        with pytest.raises(AssertionError, match="builder witness failed certification"):
+            game_value(GameSpec(2, 2, 0, "unknown"), mode=mode)
 
     def test_lie_budget_mass_bound(self):
         # 13 coins, 3 rounds, 1 lie: mass 26 * 7 = 182 > 27 masks
@@ -304,16 +316,17 @@ class TestCliqueSearch:
             assert census_perfect(spec) == count, spec
             assert engine.first_clique(spec) == (first and first[1]), spec
             value = game_value(spec, "exhaustive")
-            probes = list(verifier._builder_witnesses(spec))
-            if probes and certify(spec, probes[0]).must_win:
-                assert (value.witness, value.instances_checked) == (probes[0], 1), spec
+            witness = verifier._builder_witness(spec)
+            if witness is not None:
+                assert first is not None, spec
+                assert (value.witness, value.instances_checked) == (witness, 1), spec
             elif first is None:
                 assert value.winner == "balance" and value.witness is None, spec
-                assert value.instances_checked == len(probes) + (3**q) ** n, spec
+                assert value.instances_checked == (3**q) ** n, spec
             else:
                 assert value.winner == "player", spec
                 assert value.witness == tuple(engine.decode_rows(first[1], q)), spec
-                assert value.instances_checked == len(probes) + first[0] + 1, spec
+                assert value.instances_checked == first[0] + 1, spec
 
     @pytest.mark.parametrize("prior", ["heavy", "unknown"])
     def test_small_blocks(self, prior, monkeypatch):
