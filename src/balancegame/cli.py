@@ -30,6 +30,7 @@ from .core import (
     DomainError,
     GameSpec,
     ResourceLimitError,
+    Verdict,
     adjudicate,
     transcribe,
 )
@@ -263,7 +264,7 @@ def _cmd_play(args) -> None:
             print("perfect plan: the balance concedes, every announcement is safe")
         else:
             print(f"balance announces {result.mask}")
-            print(adjudicate(spec, rows, result.mask).describe())
+            print(Verdict(result.survivors).describe())  # find_winning_mask adjudicated it
         return
     if not args.strategy:
         raise FormatError("play needs --strategy unless --as-player reads one from stdin")

@@ -233,19 +233,24 @@ def close_pairs(
             t, i = np.unravel_index(np.flatnonzero(same), same.shape)
             yield t0 + t, order[t, i], order[t, i + 1]
         return
-    # (q, H, T): a batch of small plans compares along T; a strided view runs about 2x slower.
-    digits = np.ascontiguousarray(preds.transpose(0, 2, 1))
     cells = max(1, _PAIR_BYTES // _plan_bytes(spec, 1))  # H = 1: the bytes of one cell
     plans, rows = (cells // (H * H), H) if cells >= H * H else (1, max(1, cells // H))
     for t0 in range(0, T, plans):
+        # (q, H, T) one plan block at a time: a batch of small plans compares
+        # along T, and a strided view runs about 2x slower.
+        digits = np.ascontiguousarray(preds[:, t0 : t0 + plans].transpose(0, 2, 1))
         for r0 in range(0, H, rows):
-            left = digits[:, r0 : r0 + rows, None, t0 : t0 + plans]
-            right = digits[:, None, r0 + 1 :, t0 : t0 + plans]
+            left = digits[:, r0 : r0 + rows, None]
+            right = digits[:, None, r0 + 1 :]
             near = _distances(left, right) <= 2 * spec.k
             i = np.arange(r0, r0 + near.shape[0])
             near &= (i[:, None] < np.arange(r0 + 1, H))[..., None]
+            # Offsets go on in place: no shifted copy sits beside the yielded indices.
             a, b, t = np.unravel_index(np.flatnonzero(near), near.shape)
-            yield t0 + t, r0 + a, r0 + 1 + b
+            t += t0
+            a += r0
+            b += r0 + 1
+            yield t, a, b
 
 
 def _first_common_code(da: np.ndarray, db: np.ndarray, k: int) -> int:
@@ -303,9 +308,10 @@ def verdict_bytes(spec: GameSpec) -> int:
     """Bytes per plan that bound :func:`batch_balance_wins`' peak under
     tracemalloc, its (q, T, n) input rows included: q per row, and 3q more
     under the unknown prior while the mirrored rows are joined to them; at
-    k >= 1 a copy of the hypothesis digits, q per hypothesis; the plan's
-    share of a :func:`close_pairs` block (:func:`_plan_bytes`); and one for
-    its verdict.  From the pigeonhole threshold on, the rows and the verdict."""
+    k >= 1 a copy of the hypothesis digits, q per hypothesis (an upper bound:
+    :func:`close_pairs` copies one plan block at a time); the plan's share of
+    a :func:`close_pairs` block (:func:`_plan_bytes`); and one for its
+    verdict.  From the pigeonhole threshold on, the rows and the verdict."""
     rows = spec.q * spec.n
     if spec.n >= pigeonhole_min_n(spec.q, spec.k, spec.prior):
         return rows + 1

@@ -1,4 +1,6 @@
-"""Certification: exhaustive must-win checks, censuses and boundary sweeps."""
+"""Certification: exhaustive must-win checks, censuses and boundary sweeps.
+
+:func:`game_value` tries its rules on one ladder and certifies its witness in one place."""
 
 from __future__ import annotations
 
@@ -53,8 +55,9 @@ def survivor_mass_expected(spec: GameSpec) -> int:
 
 
 def perfect_capacity(q: int, prior: str) -> int:
-    """Largest coin count with a zero-lie must-win plan."""
-    return 3**q if prior == HEAVY else (3**q - 1) // 2
+    """Largest coin count with a zero-lie must-win plan: one less than the
+    k = 0 pigeonhole threshold, 3**q heavy or (3**q - 1) // 2 unknown."""
+    return engine.pigeonhole_min_n(q, 0, prior) - 1
 
 
 @dataclass(frozen=True)
@@ -71,47 +74,12 @@ def _builder_witness(spec: GameSpec) -> tuple[str, ...] | None:
     """The builder plan that wins for the player where a theorem says one
     does: the ternary plan when one heavy coin is the only hypothesis, and at
     k = 0 the ternary or mirror-free plan up to :func:`perfect_capacity`;
-    ``None`` elsewhere.  The plan is certified again whenever its codes fit
-    in int64 (q <= MAX_ROUNDS)."""
+    ``None`` elsewhere."""
     if not (spec.prior == HEAVY and spec.n == 1
             or spec.k == 0 and spec.n <= perfect_capacity(spec.q, spec.prior)):
         return None
     build = ternary_strategy if spec.prior == HEAVY else complement_free_strategy
-    witness = build(spec.n, spec.q)
-    if spec.q <= engine.MAX_ROUNDS and not certify(spec, witness).must_win:
-        raise AssertionError("internal error: builder witness failed certification")
-    return witness
-
-
-def _game_value_exhaustive(spec: GameSpec, matrix_cap: int) -> GameValue:
-    engine.check_search_cap(spec, matrix_cap)
-    witness = _builder_witness(spec)
-    if witness is not None:
-        return GameValue(PLAYER, "exhaustive", witness, 1)
-    first = engine.first_clique(spec)
-    if first is None:
-        return GameValue(BALANCE, "exhaustive", None, (3**spec.q) ** spec.n)
-    witness = tuple(engine.decode_rows(first, spec.q))
-    if not certify(spec, witness).must_win:  # re-check the witness
-        raise AssertionError("internal error: clique witness failed recertification")
-    rank = 0  # the witness's index in the (3**q)**n enumeration, row 0 most significant
-    for code in first:
-        rank = rank * 3**spec.q + code
-    return GameValue(PLAYER, "exhaustive", witness, rank + 1)
-
-
-def _game_value_constructive(spec: GameSpec) -> GameValue:
-    witness = _builder_witness(spec)
-    if witness is not None:
-        return GameValue(PLAYER, "constructive", witness, 1)
-    # Past capacity (k = 0) every plan repeats a row, mirrors one, or idles a
-    # coin; from the pigeonhole threshold more survivors than masks force a
-    # mask with >= 2.  Either way the balance wins with no enumeration.
-    if spec.k == 0 or spec.n >= engine.pigeonhole_min_n(spec.q, spec.k, spec.prior):
-        return GameValue(BALANCE, "constructive", None, 0)
-    raise UndecidedError(
-        f"no constructive rule decides {spec.compact()}; use exhaustive mode"
-    )
+    return build(spec.n, spec.q)
 
 
 def game_value(
@@ -119,26 +87,44 @@ def game_value(
     mode: str = "auto",
     matrix_cap: int = engine.DEFAULT_MATRIX_CAP,
 ) -> GameValue:
-    """Best-play winner.  Both modes hand out the builder plan where a
-    capacity theorem gives one (one heavy coin, or k = 0 up to capacity),
-    with ``instances_checked`` 1.  Past that, exhaustive mode takes the
-    lexicographically first must-win plan, the first clique of compatible
-    rows (:func:`engine.first_clique`), and ``instances_checked`` counts the
-    plans a row-major enumeration would visit up to it, or all 3**(n*q) when
-    the balance wins; its work is held to ``matrix_cap`` by
-    :func:`engine.check_search_cap`, checked first.  Constructive mode gives
-    the balance every k = 0 instance past capacity and every instance from
-    the survivor-mass pigeonhole on, and refuses the rest.  ``auto`` prefers
-    exhaustive while the 3**(n*q) plans fit the matrix cap."""
-    if mode == "exhaustive":
-        return _game_value_exhaustive(spec, matrix_cap)
-    if mode == "constructive":
-        return _game_value_constructive(spec)
-    if mode != "auto":
+    """Best-play winner, by one ladder of rules tried in order:
+
+    1. ``auto`` is exhaustive while the 3**(n*q) plans fit ``matrix_cap``.
+    2. Exhaustive mode checks :func:`engine.check_search_cap` first.
+    3. A capacity theorem's builder plan (one heavy coin, or k = 0 up to
+       capacity) wins for the player, with ``instances_checked`` 1.
+    4. Exhaustive mode takes the first clique of compatible rows, the
+       lexicographically first must-win plan (:func:`engine.first_clique`),
+       with ``instances_checked`` its rank + 1 in a row-major enumeration;
+       with none the balance wins and all 3**(n*q) plans count.
+    5. Constructive mode gives the balance every instance from the
+       survivor-mass pigeonhole on (at k = 0, just past capacity) and
+       refuses the rest with :class:`UndecidedError`.
+
+    The one plan handed out is certified again when q <= MAX_ROUNDS."""
+    if mode == "auto":
+        mode = "exhaustive" if (3**spec.q) ** spec.n <= matrix_cap else "constructive"
+    elif mode not in ("exhaustive", "constructive"):
         raise ValueError(f"mode must be auto, exhaustive or constructive, got {mode!r}")
-    if (3**spec.q) ** spec.n <= matrix_cap:
-        return _game_value_exhaustive(spec, matrix_cap)
-    return _game_value_constructive(spec)
+    if mode == "exhaustive":
+        engine.check_search_cap(spec, matrix_cap)
+    witness, source, rank = _builder_witness(spec), "builder", 0
+    if witness is None and mode == "exhaustive":
+        first = engine.first_clique(spec)
+        if first is None:
+            return GameValue(BALANCE, mode, None, (3**spec.q) ** spec.n)
+        witness, source = tuple(engine.decode_rows(first, spec.q)), "clique"
+        for code in first:  # the witness's index in the (3**q)**n enumeration, row 0 first
+            rank = rank * 3**spec.q + code
+    elif witness is None:
+        if spec.n < engine.pigeonhole_min_n(spec.q, spec.k, spec.prior):
+            raise UndecidedError(
+                f"no constructive rule decides {spec.compact()}; use exhaustive mode"
+            )
+        return GameValue(BALANCE, mode, None, 0)
+    if spec.q <= engine.MAX_ROUNDS and not certify(spec, witness).must_win:
+        raise AssertionError(f"internal error: {source} witness failed certification")
+    return GameValue(PLAYER, mode, witness, rank + 1)
 
 
 def census_perfect(spec: GameSpec, matrix_cap: int = engine.DEFAULT_MATRIX_CAP) -> int:
@@ -180,15 +166,14 @@ def theorem_sweep(
             else:
                 balance_min = n
                 break
-        capacity = perfect_capacity(q, prior) if k == 0 else None
-        mass_min = engine.pigeonhole_min_n(q, k, prior) if k >= 1 else None
+        least = engine.pigeonhole_min_n(q, k, prior)
+        capacity, mass_min = (least - 1, None) if k == 0 else (None, least)
         if balance_min is not None:
             rows.append(SweepRow(q, last_player, balance_min, "exhaustive", capacity, mass_min))
-        elif k == 0:
-            # The capacity theorem: its builder plan is must-win by construction
-            # (the builders' tests certify it), and past capacity the balance wins.
-            rows.append(SweepRow(q, capacity, capacity + 1, "constructive", capacity, mass_min))
         else:
-            player_max = last_player if last_player else None
-            rows.append(SweepRow(q, player_max, mass_min, "mass-bound", capacity, mass_min))
+            # Past the cap the pigeonhole bounds the balance's side; at k = 0 it is exact,
+            # the capacity plan being must-win by construction (the builders' tests certify it).
+            mode = "constructive" if k == 0 else "mass-bound"
+            player_max = capacity or last_player or None
+            rows.append(SweepRow(q, player_max, least, mode, capacity, mass_min))
     return rows

@@ -132,7 +132,25 @@ def test_close_pair_blocks_stay_bounded_when_every_pair_is_close():
         tracemalloc.stop()
     assert sum(row.count("L") >= 3 for row in rows) >= 2  # so the first winner is LLLLLL
     assert attack.mask == "L" * 6
-    assert peak <= 2.5 * engine._PAIR_BYTES
+    assert peak <= 1.5 * engine._PAIR_BYTES
+
+
+def test_close_pair_blocks_of_many_small_plans_fit_the_budget():
+    # At q = 3, k = 2 every pair of a plan lies within 2k = 4, so each of the
+    # 20,000 plans closes all 190 pairs.  The digits are copied one plan block at
+    # a time, not the whole batch, and the indices are yielded as unravelled.
+    spec, plans = GameSpec(20, 3, 2, "heavy"), 20_000
+    preds = np.random.default_rng(1).integers(0, 3, size=(3, plans, 20), dtype=np.uint8)
+    pairs = blocks = 0
+    tracemalloc.start()
+    try:
+        for t, _, _ in engine.close_pairs(spec, preds):  # held as batch_balance_wins holds them
+            pairs, blocks, last = pairs + t.size, blocks + 1, int(t[-1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pairs == plans * 190 and blocks > 1 and last == plans - 1
+    assert peak <= 1.1 * engine._PAIR_BYTES
 
 
 @pytest.mark.parametrize("prior", ["heavy", "unknown"])

@@ -156,6 +156,12 @@ class TestPerfectCapacity:
         assert perfect_capacity(3, "unknown") == 13
         assert perfect_capacity(4, "unknown") == 40
 
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_is_the_zero_lie_pigeonhole_less_one(self, prior):
+        for q in range(1, engine.MAX_ROUNDS + 1):
+            closed = 3**q if prior == "heavy" else (3**q - 1) // 2
+            assert perfect_capacity(q, prior) == engine.pigeonhole_min_n(q, 0, prior) - 1 == closed
+
 
 class TestGameValue:
     @pytest.mark.parametrize("n,q,prior,winner", [
@@ -209,6 +215,13 @@ class TestGameValue:
         monkeypatch.setattr(verifier, "complement_free_strategy", lambda n, q: ("LR", "RL"))
         with pytest.raises(AssertionError, match="builder witness failed certification"):
             game_value(GameSpec(2, 2, 0, "unknown"), mode=mode)
+
+    def test_clique_witness_is_certified_before_it_is_handed_out(self, monkeypatch):
+        spec = GameSpec(2, 3, 1, "heavy")  # no builder plan: k = 1 and two coins
+        assert verifier._builder_witness(spec) is None
+        monkeypatch.setattr(engine, "first_clique", lambda spec: [0, 0])  # LLL twice loses
+        with pytest.raises(AssertionError, match="clique witness failed certification"):
+            game_value(spec, mode="exhaustive")
 
     def test_lie_budget_mass_bound(self):
         # 13 coins, 3 rounds, 1 lie: mass 26 * 7 = 182 > 27 masks
