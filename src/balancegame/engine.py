@@ -19,7 +19,8 @@ survivors of every mask (:func:`iter_survivor_blocks`,
 oracle for the conservation law and the verdicts.  Censuses and exhaustive
 game values search cliques of pairwise compatible rows (:func:`clique_count`,
 :func:`first_clique`) instead of the 3**(n*q) plans.  Every Hamming distance
-here is one digit-wise count, :func:`_distances`.
+here is one digit-wise count, :func:`_distances`, and every block but the
+survivor scan's, Monte Carlo's too, is cut by one rule, :func:`_blocks`.
 
 Everything here is re-derivable from :mod:`balancegame.core`; the test
 suite holds the two implementations against each other.
@@ -144,11 +145,18 @@ def predicted_digits(spec: GameSpec, strategy) -> np.ndarray:
     return _hypothesis_digits(spec, cells.reshape(spec.n, spec.q).T)
 
 
+def _blocks(total: int, item_bytes: int) -> Iterator[slice]:
+    """Slices tiling range(total), each of at most max(1, _PAIR_BYTES // item_bytes) items."""
+    step = max(1, _PAIR_BYTES // item_bytes)
+    for start in range(0, total, step):
+        yield slice(start, min(start + step, total))
+
+
 def _distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """uint8 Hamming distances between round-first digit arrays of equal
     rank whose other axes broadcast: the count of rounds i with x[i] != y[i].
-    A cell costs q + 1 bytes, its q comparisons and its distance; uint8
-    holds any count, since every path keeps q <= MAX_ROUNDS."""
+    A cell costs q + 1 bytes, its q comparisons and its distance; uint8 holds
+    any count, as :func:`check_rounds` guards every entry (q <= MAX_ROUNDS)."""
     return (x != y).view(np.uint8).sum(axis=0, dtype=np.uint8)
 
 
@@ -164,6 +172,7 @@ def _survivor_blocks(
     keep that within _PAIR_BYTES, or take one mask when one does not fit.
     Refused when one plan's distances to one mask would exceed the budget.
     Counts take the narrowest dtype that holds H, so no mask overflows."""
+    check_rounds(spec.q)
     _, T, H = preds.shape
     if H > _PAIR_BYTES:
         raise ResourceLimitError(
@@ -203,7 +212,9 @@ def _plan_bytes(spec: GameSpec, H: int) -> int:
     and the pair it closes eight int64: six indices in the block (two
     unravelled, one shifted, three yielded) and two that a consumer still
     holds from the block before.  At k >= 1 a cell, one ordered pair, costs
-    q + 1 bytes in :func:`_distances` and four int64 indices."""
+    q + 1 bytes in :func:`_distances` and four int64 indices, close or not
+    (blocks with few close pairs sit far under budget), but not the three a
+    consumer still holds of each close pair (all close, blocks peak near 1.4x)."""
     if spec.k == 0:
         return (3 * 8 + 1 + 8 * 8) * H
     return (spec.q + 1 + 4 * 8) * H * H
@@ -221,35 +232,30 @@ def close_pairs(
     reported as its neighbouring pairs in index order, groups in code order.
     At k >= 1 every pair's distance is counted by :func:`_distances`.  Either
     way blocks cost at most _PAIR_BYTES by :func:`_plan_bytes`."""
+    check_rounds(spec.q)
     _, T, H = preds.shape
-    if spec.k == 0:
-        step = max(1, _PAIR_BYTES // _plan_bytes(spec, H))
-        for t0 in range(0, T, step):
-            block = digit_codes(preds[:, t0 : t0 + step])
+    plan_bytes = _plan_bytes(spec, H)
+    for ts in _blocks(T, plan_bytes):
+        if spec.k == 0:
+            block = digit_codes(preds[:, ts])
             order = np.argsort(block, axis=1, kind="stable")
             ranked = np.take_along_axis(block, order, axis=1)
             same = ranked[:, 1:] == ranked[:, :-1]
             # Flat indices first: np.nonzero on an n-d array is many times slower.
             t, i = np.unravel_index(np.flatnonzero(same), same.shape)
-            yield t0 + t, order[t, i], order[t, i + 1]
-        return
-    cells = max(1, _PAIR_BYTES // _plan_bytes(spec, 1))  # H = 1: the bytes of one cell
-    plans, rows = (cells // (H * H), H) if cells >= H * H else (1, max(1, cells // H))
-    for t0 in range(0, T, plans):
+            yield ts.start + t, order[t, i], order[t, i + 1]
+            continue
         # (q, H, T) one plan block at a time: a batch of small plans compares
         # along T, and a strided view runs about 2x slower.
-        digits = np.ascontiguousarray(preds[:, t0 : t0 + plans].transpose(0, 2, 1))
-        for r0 in range(0, H, rows):
-            left = digits[:, r0 : r0 + rows, None]
-            right = digits[:, None, r0 + 1 :]
-            near = _distances(left, right) <= 2 * spec.k
-            i = np.arange(r0, r0 + near.shape[0])
-            near &= (i[:, None] < np.arange(r0 + 1, H))[..., None]
+        digits = np.ascontiguousarray(preds[:, ts].transpose(0, 2, 1))
+        for rs in _blocks(H, plan_bytes // H):  # rows, when one plan does not fit
+            near = _distances(digits[:, rs, None], digits[:, None, rs.start + 1 :]) <= 2 * spec.k
+            near &= ~np.tri(*near.shape[:2], -1, dtype=bool)[..., None]  # a < b
             # Offsets go on in place: no shifted copy sits beside the yielded indices.
             a, b, t = np.unravel_index(np.flatnonzero(near), near.shape)
-            t += t0
-            a += r0
-            b += r0 + 1
+            t += ts.start
+            a += rs.start
+            b += rs.start + 1
             yield t, a, b
 
 
@@ -286,10 +292,8 @@ def first_winning_code(spec: GameSpec, preds: np.ndarray) -> int | None:
     work fits _PAIR_BYTES: per pair 4q + 64 bytes under tracemalloc, for two
     gathered digit columns and one filtered copy, and the lie budgets."""
     best = None
-    piece = max(1, _PAIR_BYTES // (4 * spec.q + 64))
     for _, a, b in close_pairs(spec, preds[:, None]):
-        for p0 in range(0, a.size, piece):
-            ab = slice(p0, p0 + piece)
+        for ab in _blocks(a.size, 4 * spec.q + 64):
             code = _first_common_code(preds[:, a[ab]], preds[:, b[ab]], spec.k)
             best = code if best is None else min(best, code)
     return best
@@ -417,12 +421,10 @@ class _CliqueSearch:
     def _admissible(self) -> tuple[np.ndarray, np.ndarray]:
         """Codes and digits of the admissible words (:func:`admissible_count`),
         scanned in blocks of at most _PAIR_BYTES."""
-        q, total = self.spec.q, 3**self.spec.q
-        step = max(1, _PAIR_BYTES // (2 * q + _CODE_BYTES))
         codes, digits = [], []
-        for c0 in range(0, total, step):
-            part = np.arange(c0, min(c0 + step, total), dtype=np.int64)
-            part_digits = code_digits(part, q)
+        for cs in _blocks(3**self.spec.q, 2 * self.spec.q + _CODE_BYTES):
+            part = np.arange(cs.start, cs.stop, dtype=np.int64)
+            part_digits = code_digits(part, self.spec.q)
             if self.spec.prior != HEAVY:
                 keep = _distances(part_digits, 2) > 2 * self.spec.k  # 2: off the balance
                 part, part_digits = part[keep], part_digits[:, keep]
@@ -438,10 +440,8 @@ class _CliqueSearch:
             far, later = 2 * self.spec.k, self.digits[:, None, i + 1 :]
             images = _hypothesis_digits(self.spec, self.digits[:, i : i + 1])[..., None]
             ok = np.empty(later.shape[-1], dtype=bool)
-            step = max(1, _PAIR_BYTES // (images.shape[1] * (self.spec.q + 1)))
-            for j0 in range(0, len(ok), step):
-                dist = _distances(images, later[..., j0 : j0 + step])
-                ok[j0 : j0 + step] = (dist > far).all(axis=0)
+            for js in _blocks(len(ok), images.shape[1] * (self.spec.q + 1)):
+                ok[js] = (_distances(images, later[..., js]) > far).all(axis=0)
             bits = np.packbits(ok, bitorder="little").tobytes()
             row = self.rows[i] = int.from_bytes(bits, "little") << (i + 1)
         return row

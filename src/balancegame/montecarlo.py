@@ -49,9 +49,8 @@ def trial_seed(seed: int, t: int) -> int:
 def _seed_blocks(seed: int, trials: int, trial_bytes: int):
     """Trial seeds, as ranges, in consecutive blocks whose draws and
     verdicts, ``trial_bytes`` per trial, fit in the engine's block budget."""
-    step = max(1, engine._PAIR_BYTES // trial_bytes)
-    for t0 in range(0, trials, step):
-        yield range(trial_seed(seed, t0), trial_seed(seed, min(trials, t0 + step)))
+    for ts in engine._blocks(trials, trial_bytes):
+        yield range(trial_seed(seed, ts.start), trial_seed(seed, ts.stop))
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,13 @@ def concentration_experiment(
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"on-balance rate must lie in [0, 1], got {r}")
     _check_trials(trials)
-    piece = max(1, engine._PAIR_BYTES // _CELL_BYTES)  # a longer row is drawn in pieces
+    pieces = list(engine._blocks(q, _CELL_BYTES))  # a longer row is drawn in pieces
     hits = 0
     for seeds in _seed_blocks(seed, trials, _CELL_BYTES * q):
         rngs = reseeded(random.Random(), seeds)
-        if q > piece:  # a block of one trial, its row drawn piece by piece
+        if len(pieces) > 1:  # a block of one trial, its row drawn piece by piece
             rngs = list(rngs)
-        draws = (draw_uniforms(rngs, min(piece, q - c)) for c in range(0, q, piece))
-        on = sum((u < r).sum(axis=1) for u in draws)
+        on = sum((draw_uniforms(rngs, cs.stop - cs.start) < r).sum(axis=1) for cs in pieces)
         hits += int((np.abs(on / q - r) > delta).sum())
     return hits / trials, chernoff_tail_bound(q, delta)
 

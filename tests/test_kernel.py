@@ -8,10 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from balancegame import (
     GameSpec,
     RandomStrategyParams,
+    ResourceLimitError,
     adjudicate,
     constructive_attack,
     find_winning_mask,
@@ -170,6 +172,70 @@ def test_zero_lie_close_pair_blocks_fit_the_budget(prior):
         tracemalloc.stop()
     assert pairs == plans * (spec.hypothesis_count - 1) and blocks > 1
     assert peak <= 1.1 * engine._PAIR_BYTES
+
+
+@pytest.mark.parametrize("budget", [None, 64, 4096])
+@given(st.integers(0, 10**4), st.integers(1, 10**7))
+@settings(max_examples=100, deadline=None)
+def test_blocks_tile_the_range_within_the_budget(budget, total, item_bytes):
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(engine, "_PAIR_BYTES", budget)
+        blocks = list(engine._blocks(total, item_bytes))
+        most = max(1, engine._PAIR_BYTES // item_bytes)
+    edges = [0] + [s.stop for s in blocks]
+    assert [s.start for s in blocks] == edges[:-1] and edges[-1] == total
+    assert all(s.step is None and 0 < s.stop - s.start <= most for s in blocks)
+
+
+# (q, T, H) digit batches with q <= 6 and a lie budget k in 1..3 (k <= q).
+digit_batches = st.tuples(st.integers(1, 6), st.integers(1, 7), st.integers(1, 12)).flatmap(
+    lambda shape: st.tuples(
+        st.integers(1, min(3, shape[0])), arrays(np.uint8, shape, elements=st.integers(0, 2))
+    )
+)
+
+
+@pytest.mark.parametrize("budget", [None, 64, 1024])  # 64: one row a block; 1024: a few
+@given(digit_batches)
+@settings(max_examples=100, deadline=None)
+def test_close_pairs_yield_each_close_pair_once(budget, case):
+    k, preds = case
+    q, T, H = preds.shape
+    spec = GameSpec(H, q, k, "heavy")
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(engine, "_PAIR_BYTES", budget)
+        found = [
+            triple
+            for t, a, b in engine.close_pairs(spec, preds)
+            for triple in zip(t.tolist(), a.tolist(), b.tolist())
+        ]
+    want = {
+        (t, a, b)
+        for t in range(T)
+        for a in range(H)
+        for b in range(a + 1, H)
+        if np.count_nonzero(preds[:, t, a] != preds[:, t, b]) <= 2 * k
+    }
+    assert len(found) == len(set(found))
+    assert set(found) == want
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_plans_past_max_rounds_are_refused_by_the_kernel(k):
+    # The two rows differ in all 257 rounds.  At k = 1 a uint8 distance wraps
+    # that to 1, within 2k = 2, a balance win that does not exist; at k = 0
+    # the int64 codes of 257 digits overflow.
+    spec = GameSpec(2, 257, k, "heavy")
+    rows = np.zeros((257, 1, 2), dtype=np.uint8)
+    rows[:, 0, 1] = 1
+    with pytest.raises(ResourceLimitError):
+        batch_balance_wins(spec, rows)
+    with pytest.raises(ResourceLimitError):
+        engine.first_winning_code(spec, rows[:, 0])
+    with pytest.raises(ResourceLimitError):
+        next(engine._survivor_blocks(spec, rows))
 
 
 def readable_random_plan(n, q, r, seed):
