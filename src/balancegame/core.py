@@ -19,6 +19,7 @@ the player wins by catching it.  Two or more: the balance wins.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -183,10 +184,12 @@ def predicted_mask(row: str, sign: str = HEAVY) -> str:
 
 
 def lie_count(row: str, mask: str, sign: str = HEAVY) -> int:
-    """Rounds where the announcement contradicts this hypothesis's truth."""
+    """Rounds where the announcement contradicts this hypothesis's truth:
+    the announced outcomes that differ from its honest ones, compared
+    character by character (``map(operator.ne, ...)`` runs the loop in C)."""
     if len(row) != len(mask):
         raise DimensionError(f"row length {len(row)} != mask length {len(mask)}")
-    return sum(a != b for a, b in zip(mask, predicted_mask(row, sign)))
+    return sum(map(operator.ne, mask, predicted_mask(row, sign)))
 
 
 def transcribe(strategy, mask: str, prior: str = HEAVY) -> tuple[str, ...]:

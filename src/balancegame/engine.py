@@ -259,6 +259,9 @@ def close_pairs(
             yield t, a, b
 
 
+_DIGITS = np.arange(3, dtype=np.uint8)[:, None, None]
+
+
 def _first_common_code(da: np.ndarray, db: np.ndarray, k: int) -> int:
     """Smallest code within distance k of both da[:, p] and db[:, p], over all pairs p.
 
@@ -267,19 +270,18 @@ def _first_common_code(da: np.ndarray, db: np.ndarray, k: int) -> int:
     still disagrees number at most their sum; each pair's first common word
     takes its smallest such digit, so the smallest word over all pairs takes
     the smallest digit any pair can, kept by the pairs that can take it.
+    The others are retired with budgets of -1, which no digit can meet.
     """
     apart = _distances(da, db)
-    la = lb = np.full(da.shape[1], k, dtype=np.int64)
+    ca, cb = da != _DIGITS, db != _DIGITS  # (3, q, P): digit d's cost to each side
+    la = lb = np.full(da.shape[1], k, dtype=np.int8)  # k <= q <= MAX_ROUNDS
     word = 0
     for i in range(len(da)):
-        a, b = da[i], db[i]
-        apart = apart - (a != b)
-        for d in range(3):
-            na, nb = la - (a != d), lb - (b != d)
-            ok = (na >= 0) & (nb >= 0) & (apart <= na + nb)
-            if ok.any():
-                break
-        da, db, apart, la, lb = da[:, ok], db[:, ok], apart[ok], na[ok], nb[ok]
+        apart -= da[i] != db[i]
+        na, nb = la - ca[:, i], lb - cb[:, i]  # (3, P)
+        ok = (na >= 0) & (nb >= 0) & (apart <= na + nb)
+        d = int(ok.argmax()) // ok.shape[1]  # the first digit some pair can take
+        la, lb = np.where(ok[d], na[d], -1), np.where(ok[d], nb[d], -1)
         word = word * 3 + d
     return word
 
@@ -288,12 +290,21 @@ def first_winning_code(spec: GameSpec, preds: np.ndarray) -> int | None:
     """Code of the first announcement, in L < R < D order, that keeps two of
     one plan's (q, H) hypothesis digits ``preds`` alive; ``None`` if none does.
 
-    A block's close pairs go to :func:`_first_common_code` in pieces whose
-    work fits _PAIR_BYTES: per pair 4q + 64 bytes under tracemalloc, for two
-    gathered digit columns and one filtered copy, and the lie budgets."""
+    At k = 0 that is the first close pair's shared word: one plan's pairs
+    come in one block, in ascending order of it.  At k >= 1 a block's close
+    pairs go to :func:`_first_common_code` in pieces.  A piece's search takes
+    8q + 24 bytes a pair under tracemalloc: two gathered digit columns, their
+    six digit costs, and one round's budgets, flags and distances.  It shares
+    _PAIR_BYTES with the block's close-pair indices, 24 bytes a pair and at
+    most one pair per cell of :func:`_plan_bytes`, so pieces get the rest."""
+    if spec.k == 0:
+        _, a, _ = next(close_pairs(spec, preds[:, None]))
+        return int(digit_codes(preds[:, a[:1]])[0]) if a.size else None
+    cell = _plan_bytes(spec, 1)
+    pair_bytes = (8 * spec.q + 24) * cell // (cell - 24)
     best = None
     for _, a, b in close_pairs(spec, preds[:, None]):
-        for ab in _blocks(a.size, 4 * spec.q + 64):
+        for ab in _blocks(a.size, pair_bytes):
             code = _first_common_code(preds[:, a[ab]], preds[:, b[ab]], spec.k)
             best = code if best is None else min(best, code)
     return best

@@ -17,6 +17,7 @@ from balancegame import (
     adjudicate,
     constructive_attack,
     find_winning_mask,
+    partial_complement,
     predicted_mask,
     random_strategy,
     simulate_random_player,
@@ -117,6 +118,57 @@ def test_planted_pair_on_both_sides_of_2k(prior, k, q, seed=5):
         assert (attack and attack.mask) == want
         codes = np.array([[engine.encode_row(r) for r in rows]])
         assert bool(batch_balance_wins(spec, code_digits(codes, q))[0]) == (want is not None)
+
+
+@pytest.mark.parametrize("prior", ["heavy", "unknown"])
+@pytest.mark.parametrize("plant", ["duplicate", "mirror", "all-off"])
+def test_zero_lie_first_winner_is_read_off_the_sort(plant, prior, monkeypatch, seed=3):
+    # At k = 0 the first winning mask is the smallest honest word that two
+    # hypotheses share, so no first-common-word search runs.
+    def refuse(da, db, k):
+        raise AssertionError("a k = 0 verdict searched for a first common word")
+
+    monkeypatch.setattr(engine, "_first_common_code", refuse)
+    rng, rank = random.Random(seed), str.maketrans("LRD", "012")
+    for _ in range(60):
+        q = rng.randint(1, 4)
+        rows = ["".join(rng.choice("LRO") for _ in range(q)) for _ in range(rng.randint(2, 6))]
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[j] = {"duplicate": rows[i], "mirror": partial_complement(rows[i]), "all-off": "O" * q}[plant]
+        spec = GameSpec(len(rows), q, 0, prior)
+        words = [predicted_mask(row, sign) for sign in spec.signs for row in rows]
+        shared = [w for w in set(words) if words.count(w) >= 2]
+        want = min(shared, key=lambda w: w.translate(rank), default=None)
+        if plant == "duplicate" or prior == "unknown":
+            assert want is not None  # the planted rows share an honest word
+        attack = find_winning_mask(spec, rows)
+        assert (attack and attack.mask) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_first_common_code_matches_brute_force(k, seed=7):
+    # Each call gets many pairs within 2k; the oracle tries all 3**q words.
+    rng = np.random.default_rng([seed, k])
+    rounds = set()
+    for _ in range(40):
+        q = int(rng.integers(k, 7))
+        pairs = int(rng.integers(1, 30))
+        da = rng.integers(0, 3, size=(q, pairs), dtype=np.uint8)
+        db = da.copy()
+        for p in range(pairs):
+            flips = rng.choice(q, int(rng.integers(0, min(2 * k, q) + 1)), replace=False)
+            db[flips, p] = (db[flips, p] + rng.integers(1, 3, size=flips.size)) % 3
+        words = code_digits(np.arange(3**q), q)[:, :, None]  # (q, 3**q, 1), ascending code
+        common = ((words != da[:, None]).sum(axis=0) <= k) & ((words != db[:, None]).sum(axis=0) <= k)
+        firsts = common.argmax(axis=0)  # each pair's first common word
+        assert common.any(axis=0).all()
+        assert engine._first_common_code(da, db, k) == firsts.min()
+        # The round where each other pair's first word leaves the winner's.
+        best = code_digits(firsts.min(), q)
+        for other in code_digits(firsts, q).T:
+            if (other != best).any():
+                rounds.add(int(np.argmax(other != best)))
+    assert len(rounds) >= 3
 
 
 def test_close_pair_blocks_stay_bounded_when_every_pair_is_close():
