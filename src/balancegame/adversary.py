@@ -25,7 +25,8 @@ class AttackResult:
     method: str
 
 
-def _checked(spec: GameSpec, strategy, mask: str, method: str) -> AttackResult:
+def _checked(spec: GameSpec, strategy, word: list[int], method: str) -> AttackResult:
+    mask = "".join(OUTCOMES[d] for d in word)
     # Soundness gate: every attack we hand out must actually win the game.
     verdict = adjudicate(spec, strategy, mask)
     if verdict.winner != "balance":
@@ -43,10 +44,10 @@ def find_winning_mask(spec: GameSpec, strategy) -> AttackResult | None:
     rather than by visiting masks: the first winning mask is the smallest
     of the pairs' first common words."""
     rows = tuple(strategy)  # predicted_digits validates it
-    code = engine.first_winning_code(spec, engine.predicted_digits(spec, rows))
-    if code is None:
+    word = engine.first_winning_word(spec, engine.predicted_digits(spec, rows))
+    if word is None:
         return None
-    return _checked(spec, rows, engine.decode_mask(code, spec.q), METHOD_EXHAUSTIVE)
+    return _checked(spec, rows, word, METHOD_EXHAUSTIVE)
 
 
 def constructive_attack(spec: GameSpec, strategy) -> AttackResult | None:
@@ -70,8 +71,7 @@ def constructive_attack(spec: GameSpec, strategy) -> AttackResult | None:
     n = spec.n
     kind = np.where(a // n == b // n, 0, np.where(a % n == b % n, 2, 1))
     first = int(np.argmin(kind))  # the first kind present, at its smallest shared code
-    mask = engine.digit_rows(preds[None, :, a[first]], OUTCOMES)[0]
-    return _checked(spec, rows, mask, _STRUCTURAL_METHODS[kind[first]])
+    return _checked(spec, rows, preds[:, a[first]].tolist(), _STRUCTURAL_METHODS[kind[first]])
 
 
 __all__ = [

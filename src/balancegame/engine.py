@@ -8,7 +8,7 @@ own word, and the one for a light coin is the word with 0/1 digits swapped
 Plans cross into the kernel as uint8 digits laid out round first, (q, ...),
 and no consumer peels a code.  Base-3 codes, most significant digit first,
 stay where a word is born as one (mask and word ranges, random codes) and
-where order matters: the k = 0 sort key, a first winning mask, a clique's rank.
+where order matters: the k = 0 sort key and a clique's rank.
 
 Two hypotheses survive one announcement together exactly when their honest
 words lie within Hamming distance 2k, where two radius-k lie balls meet.
@@ -67,10 +67,6 @@ def encode_row(row: str) -> int:
     return int(row.translate(_ROW_DIGITS), 3)
 
 
-def decode_row(code: int, q: int) -> str:
-    return decode(code, q, PLACEMENTS)
-
-
 def decode_rows(codes, q: int) -> list[str]:
     """Rows of many codes at once; any q (see :func:`code_digits`)."""
     return digit_rows(code_digits(codes, q).T, PLACEMENTS)
@@ -87,10 +83,6 @@ def digit_rows(digits: np.ndarray, alphabet: str) -> list[str]:
 def encode_mask(mask: str) -> int:
     """Code of a validated mask (callers check the alphabet first)."""
     return int(mask.translate(_MASK_DIGITS), 3)
-
-
-def decode_mask(code: int, q: int) -> str:
-    return decode(code, q, OUTCOMES)
 
 
 def code_digits(codes, q: int) -> np.ndarray:
@@ -212,12 +204,12 @@ def _plan_bytes(spec: GameSpec, H: int) -> int:
     and the pair it closes eight int64: six indices in the block (two
     unravelled, one shifted, three yielded) and two that a consumer still
     holds from the block before.  At k >= 1 a cell, one ordered pair, costs
-    q + 1 bytes in :func:`_distances` and four int64 indices, close or not
-    (blocks with few close pairs sit far under budget), but not the three a
-    consumer still holds of each close pair (all close, blocks peak near 1.4x)."""
+    q + 1 bytes in :func:`_distances` and seven int64, close or not: four
+    indices in the block and the three a consumer still holds of a close pair
+    from the block before (blocks with few close pairs sit far under budget)."""
     if spec.k == 0:
         return (3 * 8 + 1 + 8 * 8) * H
-    return (spec.q + 1 + 4 * 8) * H * H
+    return (spec.q + 1 + 7 * 8) * H * H
 
 
 def close_pairs(
@@ -262,8 +254,8 @@ def close_pairs(
 _DIGITS = np.arange(3, dtype=np.uint8)[:, None, None]
 
 
-def _first_common_code(da: np.ndarray, db: np.ndarray, k: int) -> int:
-    """Smallest code within distance k of both da[:, p] and db[:, p], over all pairs p.
+def _first_common_word(da: np.ndarray, db: np.ndarray, k: int) -> list[int]:
+    """Smallest word within distance k of both da[:, p] and db[:, p], over all pairs p.
 
     Every pair must lie within 2k.  Digit by digit, a pair can take digit d
     when both remaining budgets stay >= 0 and the positions where the pair
@@ -275,38 +267,39 @@ def _first_common_code(da: np.ndarray, db: np.ndarray, k: int) -> int:
     apart = _distances(da, db)
     ca, cb = da != _DIGITS, db != _DIGITS  # (3, q, P): digit d's cost to each side
     la = lb = np.full(da.shape[1], k, dtype=np.int8)  # k <= q <= MAX_ROUNDS
-    word = 0
+    word = []
     for i in range(len(da)):
         apart -= da[i] != db[i]
         na, nb = la - ca[:, i], lb - cb[:, i]  # (3, P)
         ok = (na >= 0) & (nb >= 0) & (apart <= na + nb)
         d = int(ok.argmax()) // ok.shape[1]  # the first digit some pair can take
         la, lb = np.where(ok[d], na[d], -1), np.where(ok[d], nb[d], -1)
-        word = word * 3 + d
+        word.append(d)
     return word
 
 
-def first_winning_code(spec: GameSpec, preds: np.ndarray) -> int | None:
-    """Code of the first announcement, in L < R < D order, that keeps two of
+def first_winning_word(spec: GameSpec, preds: np.ndarray) -> list[int] | None:
+    """Digits of the first announcement, in L < R < D order, that keeps two of
     one plan's (q, H) hypothesis digits ``preds`` alive; ``None`` if none does.
 
     At k = 0 that is the first close pair's shared word: one plan's pairs
     come in one block, in ascending order of it.  At k >= 1 a block's close
-    pairs go to :func:`_first_common_code` in pieces.  A piece's search takes
-    8q + 24 bytes a pair under tracemalloc: two gathered digit columns, their
-    six digit costs, and one round's budgets, flags and distances.  It shares
-    _PAIR_BYTES with the block's close-pair indices, 24 bytes a pair and at
-    most one pair per cell of :func:`_plan_bytes`, so pieces get the rest."""
+    pairs go to :func:`_first_common_word` in pieces; digit lists compare in
+    L < R < D order.  A piece's search takes 8q + 24 bytes a pair under
+    tracemalloc: two gathered digit columns, their six digit costs, and one
+    round's budgets, flags and distances.  It shares _PAIR_BYTES with the
+    block's close-pair indices, 24 bytes a pair and at most one pair per cell
+    of :func:`_plan_bytes`, so pieces get the rest."""
     if spec.k == 0:
         _, a, _ = next(close_pairs(spec, preds[:, None]))
-        return int(digit_codes(preds[:, a[:1]])[0]) if a.size else None
+        return preds[:, a[0]].tolist() if a.size else None
     cell = _plan_bytes(spec, 1)
     pair_bytes = (8 * spec.q + 24) * cell // (cell - 24)
     best = None
     for _, a, b in close_pairs(spec, preds[:, None]):
         for ab in _blocks(a.size, pair_bytes):
-            code = _first_common_code(preds[:, a[ab]], preds[:, b[ab]], spec.k)
-            best = code if best is None else min(best, code)
+            word = _first_common_word(preds[:, a[ab]], preds[:, b[ab]], spec.k)
+            best = word if best is None else min(best, word)
     return best
 
 

@@ -132,21 +132,23 @@ def random_perfect_rate(
     2**n n! / 3**(n q) of one-row-per-mirror-pair plans when n equals the
     unknown-prior capacity, ``pair_count_rate_with_columns`` multiplies in a
     q! column factor, and ``census_rate`` is the enumerated ground truth
-    whenever the full census fits under ``CENSUS_CAP``.
+    whenever the full census fits under ``CENSUS_CAP``.  A rate past a float is a ``DomainError``.
     """
     _check_trials(trials)
     spec = GameSpec(n, q, 0, prior)
     engine.check_rounds(spec.q)
+    total = (3**q) ** n
+    extras: dict[str, Any] = {}
+    for name, columns in (("pair_count_rate", 1), ("pair_count_rate_with_columns", q)):
+        try:
+            extras[name] = 2**n * math.factorial(n) * math.factorial(columns) / total
+        except OverflowError:
+            raise DomainError(f"{name} overflows a float at n={n}, q={q}") from None
     perfect = 0
     decide = n * engine._CODE_BYTES + engine.verdict_bytes(spec)  # codes peeled, then decided
     for seeds in _seed_blocks(seed, trials, max(below_bytes(3**q, n), decide)):
         codes = draw_below(seeds, 3**q, n)
         perfect += int((~engine.batch_balance_wins(spec, engine.code_digits(codes, q))).sum())
-    total = (3**q) ** n
-    extras: dict[str, Any] = {
-        "pair_count_rate": 2**n * math.factorial(n) / total,
-        "pair_count_rate_with_columns": 2**n * math.factorial(n) * math.factorial(q) / total,
-    }
     if total <= CENSUS_CAP:
         extras["census_count"] = census_perfect(spec, CENSUS_CAP)
         extras["census_rate"] = extras["census_count"] / total

@@ -316,6 +316,20 @@ class TestPerfectRate:
                        "--prior", "unknown", "--trials", "200", "--seed", "3")
         assert doc["extras"]["census_count"] == 384
 
+    @pytest.mark.parametrize("n,q,field", [
+        ("200", "1", "pair_count_rate"),
+        ("324", "3", "pair_count_rate_with_columns"),  # only the q! factor overflows
+    ])
+    def test_rates_past_a_float_are_refused(self, capsys, n, q, field):
+        code, out, err = run(capsys, "perfect-rate", "--n", n, "--q", q, "--trials", "1")
+        assert (code, out) == (5, "")
+        assert err == f"error: {field} overflows a float at n={n}, q={q}\n"
+
+    def test_rates_within_a_float_are_kept(self, capsys):
+        doc = run_json(capsys, "perfect-rate", "--n", "5", "--q", "1", "--trials", "1")
+        assert doc["extras"]["pair_count_rate"] == 15.802469135802468
+        assert doc["extras"]["pair_count_rate_with_columns"] == 15.802469135802468
+
 
 class TestPlay:
     def test_balance_announces_against_file(self, capsys, plan_file, monkeypatch):

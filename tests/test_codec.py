@@ -33,7 +33,6 @@ from balancegame.engine import (
     batch_survivor_counts,
     code_digits,
     decode,
-    decode_row,
     decode_rows,
     digit_codes,
     encode,
@@ -78,7 +77,7 @@ class TestCodec:
     @settings(max_examples=200, deadline=None)
     def test_hypothesis_digits_are_the_rows_then_their_mirrors(self, case, prior):
         q, codes = case
-        rows = [decode_row(c, q) for c in codes]
+        rows = [decode(c, q, PLACEMENTS) for c in codes]
         words = rows if prior == "heavy" else rows + [partial_complement(r) for r in rows]
         want = [[int(d) for d in decode(encode_row(w), q, "012")] for w in words]
         digits = predicted_digits(GameSpec(len(rows), q, 0, prior), rows)
@@ -88,7 +87,7 @@ class TestCodec:
     @settings(max_examples=200, deadline=None)
     def test_mirror_codes_swap_the_pans(self, case):
         q, codes = case
-        rows = [decode_row(c, q) for c in codes]
+        rows = [decode(c, q, PLACEMENTS) for c in codes]
         light = predicted_digits(GameSpec(len(rows), q, 0, "unknown"), rows)[:, len(rows):]
         want = [encode_row(partial_complement(r)) for r in rows]
         assert digit_codes(light).tolist() == want

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from balancegame import GameSpec, ResourceLimitError, partial_complement, surviving_hypotheses
+from balancegame.core import OUTCOMES, PLACEMENTS
 from balancegame.engine import (
     batch_balance_wins,
     batch_survivor_counts,
     code_digits,
-    decode_mask,
-    decode_row,
+    decode,
     digit_codes,
     encode_mask,
     encode_row,
@@ -29,24 +29,24 @@ class TestCodes:
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_row_round_trip(self, q):
         for code in range(3**q):
-            assert encode_row(decode_row(code, q)) == code
+            assert encode_row(decode(code, q, PLACEMENTS)) == code
 
     def test_mask_order_is_lexicographic(self):
         masks = ["".join(t) for t in itertools.product("LRD", repeat=3)]
-        assert [decode_mask(i, 3) for i in range(27)] == masks
+        assert [decode(i, 3, OUTCOMES) for i in range(27)] == masks
         assert [encode_mask(m) for m in masks] == list(range(27))
 
     def test_code_digits_match_decode(self):
         table = code_digits(np.arange(27), 3)
         for code in range(27):
-            row = decode_row(code, 3)
+            row = decode(code, 3, PLACEMENTS)
             assert [int(d) for d in table[:, code]] == ["LRO".index(c) for c in row]
 
     def test_mirror_codes_match_partial_complement(self):
-        rows = [decode_row(code, 3) for code in range(27)]
+        rows = [decode(code, 3, PLACEMENTS) for code in range(27)]
         table = digit_codes(predicted_digits(GameSpec(27, 3, 0, "unknown"), rows)[:, 27:])
         for code in range(27):
-            mirrored = partial_complement(decode_row(code, 3))
+            mirrored = partial_complement(decode(code, 3, PLACEMENTS))
             assert int(table[code]) == encode_row(mirrored)
 
 
@@ -66,11 +66,11 @@ class TestSurvivorCounts:
         q, codes, k, prior = case
         k = min(k, q)
         spec = GameSpec(len(codes), q, k, prior)
-        rows = tuple(decode_row(c, q) for c in codes)
+        rows = tuple(decode(c, q, PLACEMENTS) for c in codes)
         counts = survivor_counts(spec, rows)
         assert counts.shape == (3**q,)
         for mask_code in range(3**q):
-            mask = decode_mask(mask_code, q)
+            mask = decode(mask_code, q, OUTCOMES)
             assert int(counts[mask_code]) == len(surviving_hypotheses(spec, rows, mask))
 
     def test_batch_matches_single(self):
@@ -91,7 +91,7 @@ class TestMatrixEnumeration:
     def test_order_is_lexicographic_on_matrices(self):
         spec = GameSpec(2, 1, 0, "heavy")
         codes = matrix_chunk_codes(spec, 0, 9)
-        matrices = [tuple(decode_row(int(c), 1) for c in row) for row in codes]
+        matrices = [tuple(decode(int(c), 1, PLACEMENTS) for c in row) for row in codes]
         assert matrices == [
             tuple(p) for p in itertools.product(["L", "R", "O"], repeat=2)
         ]

@@ -27,12 +27,12 @@ from balancegame import (
 from balancegame import engine
 from balancegame.cli import main
 from balancegame.adversary import METHOD_ALL_OFF, METHOD_DUPLICATE, METHOD_MIRROR
+from balancegame.core import OUTCOMES, PLACEMENTS
 from balancegame.engine import (
     batch_balance_wins,
     batch_survivor_counts,
     code_digits,
-    decode_mask,
-    decode_row,
+    decode,
 )
 
 
@@ -85,16 +85,16 @@ def test_kernel_agrees_with_the_block_scan(budget, case):
         if budget is not None:
             mp.setattr(engine, "_PAIR_BYTES", budget)
         wins = batch_balance_wins(spec, code_digits(np.array(batch, dtype=np.int64), q))
-        attacks = [find_winning_mask(spec, tuple(decode_row(c, q) for c in plan)) for plan in batch]
+        plans = [tuple(decode(c, q, PLACEMENTS) for c in plan) for plan in batch]
+        attacks = [find_winning_mask(spec, rows) for rows in plans]
     scan = batch_survivor_counts(spec, np.array(batch, dtype=np.int64))
     np.testing.assert_array_equal(wins, (scan >= 2).any(axis=1))
-    for plan, attack, counts in zip(batch, attacks, scan):
-        rows = tuple(decode_row(c, q) for c in plan)
+    for rows, attack, counts in zip(plans, attacks, scan):
         hits = np.nonzero(counts >= 2)[0]
         if hits.size == 0:
             assert attack is None
         else:
-            assert attack is not None and attack.mask == decode_mask(int(hits[0]), q)
+            assert attack is not None and attack.mask == decode(int(hits[0]), q, OUTCOMES)
             assert len(surviving_hypotheses(spec, rows, attack.mask)) >= 2
 
 
@@ -128,7 +128,7 @@ def test_zero_lie_first_winner_is_read_off_the_sort(plant, prior, monkeypatch, s
     def refuse(da, db, k):
         raise AssertionError("a k = 0 verdict searched for a first common word")
 
-    monkeypatch.setattr(engine, "_first_common_code", refuse)
+    monkeypatch.setattr(engine, "_first_common_word", refuse)
     rng, rank = random.Random(seed), str.maketrans("LRD", "012")
     for _ in range(60):
         q = rng.randint(1, 4)
@@ -143,6 +143,18 @@ def test_zero_lie_first_winner_is_read_off_the_sort(plant, prior, monkeypatch, s
             assert want is not None  # the planted rows share an honest word
         attack = find_winning_mask(spec, rows)
         assert (attack and attack.mask) == want
+
+
+@pytest.mark.parametrize("prior", ["heavy", "unknown"])
+def test_zero_lie_winner_leaves_the_kernel_as_digits(prior, monkeypatch):
+    # The sort key is the one base-3 code a k = 0 attack forms; the winning
+    # word is rendered from the digits the sort left, not coded again.
+    calls, digit_codes = [], engine.digit_codes
+    monkeypatch.setattr(engine, "digit_codes", lambda d: calls.append(d.shape) or digit_codes(d))
+    spec = GameSpec(4, 3, 0, prior)
+    attack = find_winning_mask(spec, ("LRO", "RLL", "LRO", "OOO"))
+    assert attack.mask == "LRD"  # the duplicate rows' honest word
+    assert calls == [(3, 1, spec.hypothesis_count)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -162,9 +174,9 @@ def test_first_common_code_matches_brute_force(k, seed=7):
         common = ((words != da[:, None]).sum(axis=0) <= k) & ((words != db[:, None]).sum(axis=0) <= k)
         firsts = common.argmax(axis=0)  # each pair's first common word
         assert common.any(axis=0).all()
-        assert engine._first_common_code(da, db, k) == firsts.min()
-        # The round where each other pair's first word leaves the winner's.
         best = code_digits(firsts.min(), q)
+        assert engine._first_common_word(da, db, k) == best.tolist()
+        # The round where each other pair's first word leaves the winner's.
         for other in code_digits(firsts, q).T:
             if (other != best).any():
                 rounds.add(int(np.argmax(other != best)))
@@ -173,8 +185,8 @@ def test_first_common_code_matches_brute_force(k, seed=7):
 
 def test_close_pair_blocks_stay_bounded_when_every_pair_is_close():
     # At q = 6, k = 3 all of the 1500 * 1499 / 2 pairs are close, so each
-    # block's close-pair indices, and first_winning_code's work on them, dominate:
-    # the indices take about 0.6x the budget, one piece of pairs at most 1x.
+    # block's close-pair indices, and first_winning_word's work on them, dominate:
+    # the indices take about 0.4x the budget and one piece of pairs the rest.
     rng = random.Random(1)
     rows = tuple("".join(rng.choice("LRO") for _ in range(6)) for _ in range(1500))
     spec = GameSpec(len(rows), 6, 3, "heavy")
@@ -186,7 +198,7 @@ def test_close_pair_blocks_stay_bounded_when_every_pair_is_close():
         tracemalloc.stop()
     assert sum(row.count("L") >= 3 for row in rows) >= 2  # so the first winner is LLLLLL
     assert attack.mask == "L" * 6
-    assert peak <= 1.5 * engine._PAIR_BYTES
+    assert peak <= 1.1 * engine._PAIR_BYTES
 
 
 def test_close_pair_blocks_of_many_small_plans_fit_the_budget():
@@ -285,7 +297,7 @@ def test_plans_past_max_rounds_are_refused_by_the_kernel(k):
     with pytest.raises(ResourceLimitError):
         batch_balance_wins(spec, rows)
     with pytest.raises(ResourceLimitError):
-        engine.first_winning_code(spec, rows[:, 0])
+        engine.first_winning_word(spec, rows[:, 0])
     with pytest.raises(ResourceLimitError):
         next(engine._survivor_blocks(spec, rows))
 
@@ -379,7 +391,7 @@ def test_simulate_and_perfect_rate_past_sixteen_rounds(q, capsys):
     perfect = 0
     for t in range(30):
         rng = random.Random(trial_seed(seed, t))
-        plan = [decode_row(rng.randrange(3**q), q) for _ in range(4)]
+        plan = [decode(rng.randrange(3**q), q, PLACEMENTS) for _ in range(4)]
         perfect += readable_first_winning_mask(GameSpec(4, q, 0, "unknown"), plan) is None
     doc = cli_json(capsys, "perfect-rate", "--n", 4, "--q", q, "--prior", "unknown",
                    "--trials", 30, "--seed", seed)
