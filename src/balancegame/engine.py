@@ -17,8 +17,17 @@ every verdict is decided from them.  One blocked scan still counts the
 survivors of every mask (:func:`iter_survivor_blocks`,
 :func:`batch_survivor_counts`); no verdict uses it, and it is the tests'
 oracle for the conservation law and the verdicts.  Censuses and exhaustive
-game values search cliques of pairwise compatible rows (:func:`clique_count`,
-:func:`first_clique`) instead of the 3**(n*q) plans.  Every Hamming distance
+game values count or search cliques of pairwise compatible rows
+(:func:`clique_count`, :func:`first_clique`) instead of the 3**(n*q) plans.
+At k = 0 the count is a closed form, C(3**q, n) under the heavy prior and
+2**n C((3**q - 1) / 2, n) under the unknown one; at k >= 1 it is an orbit
+sum over the game's symmetries, S_3 wr S_q heavy and S_2 wr S_q unknown
+(orbit-stabiliser counting; McKay, J. Algorithms 26, 1998): 3**q c0 / n
+with c0 = (1/(n-1)) sum_{w>2k} C(q, w) 2**w c(0, v_w) heavy, and
+(1/n) sum_{j<q-2k} C(q, j) 2**(q-j) c(v_j) unknown, where c counts the
+cliques left to complete inside full neighbourhoods.  The heavy first
+clique holds word 0, so its search branches there alone.  What
+:func:`check_search_cap` refuses is unchanged.  Every Hamming distance
 here is one digit-wise count, :func:`_distances`, and every block but the
 survivor scan's, Monte Carlo's too, is cut by one rule, :func:`_blocks`.
 
@@ -28,6 +37,7 @@ suite holds the two implementations against each other.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -285,7 +295,8 @@ def first_winning_word(spec: GameSpec, preds: np.ndarray) -> list[int] | None:
     At k = 0 that is the first close pair's shared word: one plan's pairs
     come in one block, in ascending order of it.  At k >= 1 a block's close
     pairs go to :func:`_first_common_word` in pieces; digit lists compare in
-    L < R < D order.  A piece's search takes 8q + 24 bytes a pair under
+    L < R < D order, and an all-L word ends the search, as none comes before
+    it.  A piece's search takes 8q + 24 bytes a pair under
     tracemalloc: two gathered digit columns, their six digit costs, and one
     round's budgets, flags and distances.  It shares _PAIR_BYTES with the
     block's close-pair indices, 24 bytes a pair and at most one pair per cell
@@ -300,6 +311,8 @@ def first_winning_word(spec: GameSpec, preds: np.ndarray) -> list[int] | None:
         for ab in _blocks(a.size, pair_bytes):
             word = _first_common_word(preds[:, a[ab]], preds[:, b[ab]], spec.k)
             best = word if best is None else min(best, word)
+            if not any(best):  # all-L: no word comes before it
+                return best
     return best
 
 
@@ -436,19 +449,27 @@ class _CliqueSearch:
             digits.append(part_digits)
         return np.concatenate(codes), np.concatenate(digits, axis=1)
 
+    def _compatible(self, i: int, lo: int) -> int:
+        """Bitset of the words j >= lo compatible with word i; distances are
+        counted in blocks of at most _PAIR_BYTES."""
+        far, later = 2 * self.spec.k, self.digits[:, None, lo:]
+        images = _hypothesis_digits(self.spec, self.digits[:, i : i + 1])[..., None]
+        ok = np.empty(later.shape[-1], dtype=bool)
+        for js in _blocks(len(ok), images.shape[1] * (self.spec.q + 1)):
+            ok[js] = (_distances(images, later[..., js]) > far).all(axis=0)
+        bits = np.packbits(ok, bitorder="little").tobytes()
+        return int.from_bytes(bits, "little") << lo
+
     def neighbours(self, i: int) -> int:
-        """Bitset of the words j > i compatible with word i, built on first
-        use; distances are counted in blocks of at most _PAIR_BYTES."""
+        """Bitset of the words j > i compatible with word i, built on first use."""
         row = self.rows[i]
         if row is None:
-            far, later = 2 * self.spec.k, self.digits[:, None, i + 1 :]
-            images = _hypothesis_digits(self.spec, self.digits[:, i : i + 1])[..., None]
-            ok = np.empty(later.shape[-1], dtype=bool)
-            for js in _blocks(len(ok), images.shape[1] * (self.spec.q + 1)):
-                ok[js] = (_distances(images, later[..., js]) > far).all(axis=0)
-            bits = np.packbits(ok, bitorder="little").tobytes()
-            row = self.rows[i] = int.from_bytes(bits, "little") << (i + 1)
+            row = self.rows[i] = self._compatible(i, i + 1)
         return row
+
+    def neighbourhood(self, code: int) -> int:
+        """Bitset of every word compatible with the admissible word ``code``, its full row."""
+        return self._compatible(int(np.searchsorted(self.words, code)), 0)
 
     def search(self, cands: int, size: int, path: list[int] | None) -> int:
         """Count the size-cliques among the words in bitset ``cands``.  With
@@ -471,29 +492,79 @@ class _CliqueSearch:
         return total
 
 
-def _cliques(spec: GameSpec, path: list[int] | None) -> int:
-    """Count ``spec``'s n-cliques; with a ``path``, stop at the first and
-    leave its row codes there."""
-    count = _settled_count(spec)
-    if count is not None:
-        if count and path is not None:  # n = 1: all-L (code 0) is admissible first
-            path.append(0)
-        return count
+def _exact(total: int, parts: int) -> int:
+    """total / parts, which the orbit counting makes an integer."""
+    share, rest = divmod(total, parts)
+    if rest:
+        raise AssertionError(f"internal error: orbit sum {total} is not a multiple of {parts}")
+    return share
+
+
+def _orbit_count(spec: GameSpec) -> int:
+    """n-clique count at k >= 1 and n >= 2 from one root per orbit of the
+    game's symmetries (orbit-stabiliser double counting; McKay, J. Algorithms
+    26, 1998).
+
+    Heavy prior: per-column translations mod 3 move any word to any other,
+    so every word lies in the same number c0 of cliques and the count is
+    3**q * c0 / n.  Word 0's stabiliser, column permutations and per-column
+    swaps of digits 1 and 2, has one orbit per weight w, C(q, w) 2**w words,
+    and a clique through 0 holds n - 1 other words, so c0 = (1/(n-1))
+    sum_{w>2k} C(q, w) 2**w c(0, v_w), with c(0, v_w) the (n-2)-cliques in
+    N(0) & N(v_w).
+    Unknown prior: column permutations and per-column L<->R swaps
+    (S_2 wr S_q) commute with the mirror and have one orbit per count j of
+    off-balance rounds, C(q, j) 2**(q-j) words, admissible for j < q - 2k,
+    so the count is (1/n) sum_j C(q, j) 2**(q-j) c(v_j), with c(v_j) the
+    (n-1)-cliques in N(v_j).  Each division is checked to be exact."""
+    n, q, k = spec.n, spec.q, spec.k
     search = _CliqueSearch(spec)
-    count = search.search((1 << len(search.words)) - 1, spec.n, path)
-    if path is not None:
-        path[:] = [int(search.words[i]) for i in reversed(path)]
-    return count
+    if spec.prior == HEAVY:
+        root, through = search.neighbours(0), 0  # word 0 comes first: its later words are all of N(0)
+        for w in range(2 * k + 1, q + 1):
+            v = (3**w - 1) // 2  # R in the last w rounds
+            pairs = 1 if n == 2 else search.search(root & search.neighbourhood(v), n - 2, None)
+            through += math.comb(q, w) * 2**w * pairs
+        return _exact(3**q * _exact(through, n - 1), n)
+    total = 0
+    for j in range(q - 2 * k):
+        v = 3**q - 3 ** (q - j)  # O in the first j rounds, L after
+        total += math.comb(q, j) * 2 ** (q - j) * search.search(search.neighbourhood(v), n - 1, None)
+    return _exact(total, n)
 
 
 def clique_count(spec: GameSpec) -> int:
-    """Number of n-row sets that form a must-win plan; each is n! plans."""
-    return _cliques(spec, None)
+    """Number of n-row sets that form a must-win plan; each is n! plans.
+
+    One ladder: :func:`_settled_count`; at k = 0 the closed form, any n
+    distinct words under the heavy prior, C(3**q, n), and one word from each
+    of n mirror pairs of the 3**q - 1 admissible ones under the unknown
+    prior, 2**n C((3**q - 1) / 2, n); at k >= 1 the orbit sums of
+    :func:`_orbit_count`."""
+    count = _settled_count(spec)
+    if count is not None:
+        return count
+    if spec.k == 0:
+        if spec.prior == HEAVY:
+            return math.comb(3**spec.q, spec.n)
+        return 2**spec.n * math.comb((3**spec.q - 1) // 2, spec.n)
+    return _orbit_count(spec)
 
 
 def first_clique(spec: GameSpec) -> list[int] | None:
     """Row codes of the lexicographically first must-win plan, which is the
-    first in the (3**q)**n enumeration of :func:`matrix_chunk_codes`."""
-    path: list[int] = []
-    _cliques(spec, path)
-    return path or None
+    first in the (3**q)**n enumeration of :func:`matrix_chunk_codes`.
+
+    Under the heavy prior the search branches on word 0 alone: translations
+    move any clique onto one that holds word 0, so the first clique holds it,
+    and none without it means none at all."""
+    count = _settled_count(spec)
+    if count is not None:
+        return [0] if count else None  # n = 1: all-L (code 0) is admissible first
+    search, path = _CliqueSearch(spec), []
+    if spec.prior == HEAVY:
+        if search.search(search.neighbours(0), spec.n - 1, path):
+            path.append(0)
+    else:
+        search.search((1 << len(search.words)) - 1, spec.n, path)
+    return [int(search.words[i]) for i in reversed(path)] or None

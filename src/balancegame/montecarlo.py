@@ -38,7 +38,7 @@ from .core import DomainError, GameSpec
 from .verifier import census_perfect
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
-CENSUS_CAP = 500_000  # most plans random_perfect_rate enumerates for its census_rate
+CENSUS_CAP = 500_000  # most plans for which random_perfect_rate reports census_count and census_rate
 _CELL_BYTES = 16  # peak bytes per cell of builders.draw_uniforms; sizes blocks of draws
 
 
@@ -131,8 +131,10 @@ def random_perfect_rate(
     Extras carry two reference points: ``pair_count_rate`` is the exact rate
     2**n n! / 3**(n q) of one-row-per-mirror-pair plans when n equals the
     unknown-prior capacity, ``pair_count_rate_with_columns`` multiplies in a
-    q! column factor, and ``census_rate`` is the enumerated ground truth
-    whenever the full census fits under ``CENSUS_CAP``.  A rate past a float is a ``DomainError``.
+    q! column factor, and ``census_count`` and ``census_rate`` give the exact
+    census (:func:`verifier.census_perfect`, in closed form at zero lies, so
+    nothing is enumerated) whenever the 3**(n q) plans number at most
+    ``CENSUS_CAP``.  A rate past a float is a ``DomainError``.
     """
     _check_trials(trials)
     spec = GameSpec(n, q, 0, prior)

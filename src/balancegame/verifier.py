@@ -130,8 +130,13 @@ def game_value(
 def census_perfect(spec: GameSpec, matrix_cap: int = engine.DEFAULT_MATRIX_CAP) -> int:
     """Count every plan that certifies must-win, over all 3**(n*q) plans:
     n! row orders of each clique of compatible rows (:func:`engine.clique_count`).
-    The search is refused when its work may exceed ``matrix_cap``
-    (:func:`engine.check_search_cap`)."""
+    The cliques are counted in closed form at k = 0, C(3**q, n) heavy and
+    2**n C((3**q - 1) / 2, n) unknown, and at k >= 1 from one root per orbit
+    of the game's symmetries (orbit-stabiliser counting; McKay, J. Algorithms
+    26, 1998): 3**q c0 / n heavy, with c0 the cliques through word 0, and
+    (1/n) sum_j C(q, j) 2**(q-j) c(v_j) unknown.  Refusals are as before: the
+    count is refused when the plain search's a-priori work may exceed
+    ``matrix_cap`` (:func:`engine.check_search_cap`)."""
     engine.check_search_cap(spec, matrix_cap)
     return math.factorial(spec.n) * engine.clique_count(spec)
 

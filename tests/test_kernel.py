@@ -1,5 +1,6 @@
 """The close-pair decision kernel held to the mask scan and the readable rules."""
 
+import itertools
 import json
 import random
 import re
@@ -199,6 +200,33 @@ def test_close_pair_blocks_stay_bounded_when_every_pair_is_close():
     assert sum(row.count("L") >= 3 for row in rows) >= 2  # so the first winner is LLLLLL
     assert attack.mask == "L" * 6
     assert peak <= 1.1 * engine._PAIR_BYTES
+
+
+def test_first_winner_search_stops_at_an_all_left_word(monkeypatch):
+    # At q = 6, k = 3 every pair is close, and rows 0 and 1 lie within 3 of
+    # LLLLLL, so the first piece of pairs, (0, 1) first, gives the all-L word:
+    # no later piece can give a smaller one.
+    rng = random.Random(2)
+    rows = ("LLLRRO", "OLLLRL") + tuple("".join(rng.choice("LRO") for _ in range(6)) for _ in range(58))
+    spec, calls = GameSpec(len(rows), 6, 3, "heavy"), []
+    search = engine._first_common_word
+
+    def counted(da, db, k):
+        calls.append(da.shape[1])
+        return search(da, db, k)
+
+    monkeypatch.setattr(engine, "_first_common_word", counted)
+    monkeypatch.setattr(engine, "_PAIR_BYTES", 1000)  # one row of pairs a block, 8 pairs a piece
+    attack = find_winning_mask(spec, rows)
+    assert attack.mask == "L" * 6 and calls == [8]
+    # Rows with at most two L are more than 3 from LLLLLL: every piece runs.
+    rows = [row for row in rows[2:] if row.count("L") <= 2]
+    want = min((find_winning_mask(GameSpec(2, 6, 3, "heavy"), pair).mask
+                for pair in itertools.combinations(rows, 2)),
+               key=lambda mask: mask.translate(str.maketrans("LRD", "012")))
+    calls.clear()
+    assert find_winning_mask(GameSpec(len(rows), 6, 3, "heavy"), rows).mask == want
+    assert sum(calls) == len(rows) * (len(rows) - 1) // 2 and len(calls) > len(rows)
 
 
 def test_close_pair_blocks_of_many_small_plans_fit_the_budget():

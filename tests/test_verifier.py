@@ -342,12 +342,81 @@ class TestCliqueSearch:
                 assert value.instances_checked == first[0] + 1, spec
 
     @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_counts_match_the_all_roots_search(self, prior):
+        # The k = 0 closed form and the k >= 1 orbit sums against the plain
+        # search from every root, on every small spec and on q <= 5, k <= 2,
+        # n <= 7 wherever the default cap lets a census run.
+        grid = [(n, q, k) for q in range(1, 6) for k in range(min(2, q) + 1) for n in range(1, 8)]
+        checked = 0
+        for n, q, k in dict.fromkeys(SMALL_SPECS + grid):
+            spec = GameSpec(n, q, k, prior)
+            try:
+                engine.check_search_cap(spec)
+            except ResourceLimitError:
+                continue
+            search = engine._CliqueSearch(spec)
+            assert engine.clique_count(spec) == search.search((1 << len(search.words)) - 1, n, None), spec
+            checked += 1
+        assert checked >= 170
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
     def test_small_blocks(self, prior, monkeypatch):
-        # A 64-byte budget splits every row (and the unknown-prior admissible scan) into blocks.
-        specs = [GameSpec(n, q, k, prior) for n, q, k in ((3, 3, 1), (4, 2, 0), (2, 4, 1))]
+        # A 64-byte budget splits every row, full neighbourhoods included, (and
+        # the unknown-prior admissible scan) into blocks.
+        specs = [GameSpec(n, q, k, prior) for n, q, k in ((3, 3, 1), (4, 2, 0), (2, 4, 1), (3, 4, 1))]
+
+        def rows(spec):
+            search = engine._CliqueSearch(spec)
+            return [search.neighbourhood(int(code)) for code in search.words]
+
         want = [engine.clique_count(s) for s in specs]
+        full = [rows(s) for s in specs]
         monkeypatch.setattr(engine, "_PAIR_BYTES", 64)
         assert [engine.clique_count(s) for s in specs] == want
+        assert [rows(s) for s in specs] == full
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_full_neighbourhoods_keep_the_graph_rule(self, prior):
+        # A full row is symmetric and, past its own word, the neighbours row.
+        for spec in (GameSpec(3, 3, 1, prior), GameSpec(3, 4, 1, prior), GameSpec(2, 4, 2, prior)):
+            search = engine._CliqueSearch(spec)
+            full = [search.neighbourhood(int(code)) for code in search.words]
+            for i, row in enumerate(full):
+                assert row >> (i + 1) << (i + 1) == search.neighbours(i), spec
+                assert [j for j in range(len(full)) if full[j] >> i & 1] == [
+                    j for j in range(len(full)) if row >> j & 1], spec
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_inexact_orbit_sums_are_internal_errors(self, prior, monkeypatch):
+        # One clique completing every root: heavy 5,4,1 gets c0 = 48 / 4 and then
+        # 81 * 12 / 5, unknown 5,5,1 gets 192 / 5; both leave a remainder.
+        monkeypatch.setattr(engine._CliqueSearch, "search", lambda self, cands, size, path: 1)
+        q = 4 if prior == "heavy" else 5
+        with pytest.raises(AssertionError, match="internal error"):
+            engine.clique_count(GameSpec(5, q, 1, prior))
+
+    def test_heavy_balance_win_branches_only_inside_the_root_neighbourhood(self, monkeypatch):
+        # 4 rows of 5 rounds pairwise 5 apart do not exist, which the pigeonhole
+        # does not see (it starts at 5).  Translations move any clique onto word
+        # 0, so after its one branch nothing is left to search.
+        spec, searches = GameSpec(4, 5, 2, "heavy"), []
+
+        class Recorded(engine._CliqueSearch):
+            def __init__(self, spec):
+                super().__init__(spec)
+                searches.append(self)
+
+        monkeypatch.setattr(engine, "_CliqueSearch", Recorded)
+        assert engine.first_clique(spec) is None
+        (search,) = searches
+        root = search.neighbours(0)
+        built = [i for i, row in enumerate(search.rows) if row is not None]
+        assert built[0] == 0 and len(built) > 1
+        assert all(root >> i & 1 for i in built[1:])
+        # The all-roots search goes on to words outside N(0).
+        plain = engine._CliqueSearch(spec)
+        assert plain.search((1 << len(plain.words)) - 1, spec.n, []) == 0
+        assert any(row is not None and not root >> i & 1 for i, row in enumerate(plain.rows[1:], 1))
 
     def test_closed_forms_beyond_the_plan_enumeration(self):
         # Every 8 distinct rows of 3 rounds are must-win at k = 0.
