@@ -278,9 +278,9 @@ def _cmd_play(args) -> None:
         print(adjudicate(spec, rows, mask).describe())
 
 
-MATRIX_CAP_HELP = ("bound on the clique search: at most sum_{j<=n} C(W, j) nodes plus W^2 "
-                   "graph cells over the W admissible rows, or the 3^(nq) plans if fewer; "
-                   "exit 4 beyond it")
+MATRIX_CAP_HELP = ("bound on the clique search: W^2 graph cells over the W admissible rows, "
+                   "checked before the graph is built, and search nodes, counted as they are "
+                   "visited; exit 4 beyond it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,11 +25,13 @@ sum over the game's symmetries, S_3 wr S_q heavy and S_2 wr S_q unknown
 (orbit-stabiliser counting; McKay, J. Algorithms 26, 1998): 3**q c0 / n
 with c0 = (1/(n-1)) sum_{w>2k} C(q, w) 2**w c(0, v_w) heavy, and
 (1/n) sum_{j<q-2k} C(q, j) 2**(q-j) c(v_j) unknown, where c counts the
-cliques left to complete inside full neighbourhoods.  The heavy first
-clique holds word 0, so its search branches there alone.  What
-:func:`check_search_cap` refuses is unchanged.  Every Hamming distance
-here is one digit-wise count, :func:`_distances`, and every block but the
-survivor scan's, Monte Carlo's too, is cut by one rule, :func:`_blocks`.
+cliques left to complete inside full neighbourhoods.  The first clique is
+searched from the same orbits' smallest words, in ascending order.  The
+matrix cap meters every clique search: its W**2 graph cells are checked
+before anything is allocated, and its nodes are counted as they are
+visited.  Every Hamming distance here is one digit-wise count,
+:func:`_distances`, and every block but the survivor scan's, Monte Carlo's
+too, is cut by one rule, :func:`_blocks`.
 
 Everything here is re-derivable from :mod:`balancegame.core`; the test
 suite holds the two implementations against each other.
@@ -46,7 +48,7 @@ from .analysis import hamming_ball_volume
 from .core import GameSpec, HEAVY, OUTCOMES, PLACEMENTS, ResourceLimitError, validate_strategy
 
 MAX_ROUNDS = 39  # base-3 codes are int64 and 3**39 < 2**63 <= 3**40
-DEFAULT_MATRIX_CAP = 10**8  # max work a census or exhaustive value will attempt (check_search_cap)
+DEFAULT_MATRIX_CAP = 10**8  # max graph cells, and max nodes, of a clique search (_CliqueSearch)
 
 _PAIR_BYTES = 1 << 22  # bytes one block of a blocked search or draw may build
 _CODE_BYTES = 40  # per code while code_digits peels it: the int64 code and four temporaries
@@ -386,34 +388,6 @@ def _settled_count(spec: GameSpec) -> int | None:
     return words if spec.n == 1 else None
 
 
-def check_search_cap(spec: GameSpec, cap: int = DEFAULT_MATRIX_CAP) -> None:
-    """Refuse a census or exhaustive value whose work may exceed ``cap``,
-    before anything is allocated.
-
-    Nothing whose 3**(n*q) plans fit the cap is refused, so whatever a plan
-    enumeration decided within the cap is still decided, and nothing that
-    :func:`_settled_count` answers without a search.  Past that, n >= 2, and
-    over W admissible words the clique search visits at most
-    sum_{j <= n} C(W, j) nodes and builds at most W**2 graph cells; its scan
-    of the 3**q words for admissible ones costs no more, since W >= 2**q
-    whenever W > 0.  That work is held to the cap."""
-    check_rounds(spec.q)
-    if (3**spec.q) ** spec.n <= cap or _settled_count(spec) is not None:
-        return
-    words = admissible_count(spec)
-    work, term = words * words, 1
-    for j in range(min(spec.n, words) + 1):
-        work += term  # term = C(words, j)
-        if work > cap:
-            break
-        term = term * (words - j) // (j + 1)
-    if work > cap:
-        raise ResourceLimitError(
-            f"searching {spec.n}-row plans over {words} admissible rows of {spec.q} rounds "
-            f"exceeds the matrix cap ({cap}); raise the cap explicitly to proceed"
-        )
-
-
 class _CliqueSearch:
     """Must-win plans of one spec as cliques of compatible rows.
 
@@ -428,10 +402,22 @@ class _CliqueSearch:
     i, a Python-int bitset of the later words compatible with it; a row is
     built when the search first branches on its word.  The search tries
     small words first, so the first clique it meets is the lexicographically
-    first, and it counts the last level by popcount."""
+    first, and it counts the last level by popcount.
 
-    def __init__(self, spec: GameSpec):
-        self.spec = spec
+    The matrix cap ``cap`` meters the work.  A graph of more than ``cap``
+    cells, W**2 over the W admissible words, is refused before anything is
+    allocated; the scan of the 3**q words for admissible ones costs no more,
+    since W >= 2**q whenever W > 0.  :meth:`search` counts the nodes it
+    visits, and is refused once they pass ``cap``."""
+
+    def __init__(self, spec: GameSpec, cap: int):
+        words = admissible_count(spec)
+        if words * words > cap:
+            raise ResourceLimitError(
+                f"a compatibility graph of {words}**2 cells over the admissible rows of "
+                f"{spec.q} rounds exceeds the matrix cap ({cap}); raise --matrix-cap to proceed"
+            )
+        self.spec, self.cap, self.nodes = spec, cap, 0
         self.words, self.digits = self._admissible()  # (W,) codes, (q, W) digits
         self.rows: list[int | None] = [None] * len(self.words)
 
@@ -475,6 +461,12 @@ class _CliqueSearch:
         """Count the size-cliques among the words in bitset ``cands``.  With
         a ``path``, stop at the first and append its word indices, last
         first."""
+        self.nodes += 1
+        if self.nodes > self.cap:
+            raise ResourceLimitError(
+                f"the clique search for {self.spec.compact()} passed {self.cap} nodes, "
+                f"the matrix cap; raise --matrix-cap to proceed"
+            )
         if size == 1:
             if path is not None and cands:
                 path.append((cands & -cands).bit_length() - 1)
@@ -500,7 +492,7 @@ def _exact(total: int, parts: int) -> int:
     return share
 
 
-def _orbit_count(spec: GameSpec) -> int:
+def _orbit_count(spec: GameSpec, cap: int) -> int:
     """n-clique count at k >= 1 and n >= 2 from one root per orbit of the
     game's symmetries (orbit-stabiliser double counting; McKay, J. Algorithms
     26, 1998).
@@ -518,7 +510,7 @@ def _orbit_count(spec: GameSpec) -> int:
     so the count is (1/n) sum_j C(q, j) 2**(q-j) c(v_j), with c(v_j) the
     (n-1)-cliques in N(v_j).  Each division is checked to be exact."""
     n, q, k = spec.n, spec.q, spec.k
-    search = _CliqueSearch(spec)
+    search = _CliqueSearch(spec, cap)
     if spec.prior == HEAVY:
         root, through = search.neighbours(0), 0  # word 0 comes first: its later words are all of N(0)
         for w in range(2 * k + 1, q + 1):
@@ -533,14 +525,14 @@ def _orbit_count(spec: GameSpec) -> int:
     return _exact(total, n)
 
 
-def clique_count(spec: GameSpec) -> int:
+def clique_count(spec: GameSpec, cap: int) -> int:
     """Number of n-row sets that form a must-win plan; each is n! plans.
 
     One ladder: :func:`_settled_count`; at k = 0 the closed form, any n
     distinct words under the heavy prior, C(3**q, n), and one word from each
     of n mirror pairs of the 3**q - 1 admissible ones under the unknown
     prior, 2**n C((3**q - 1) / 2, n); at k >= 1 the orbit sums of
-    :func:`_orbit_count`."""
+    :func:`_orbit_count`, whose search ``cap`` meters (:class:`_CliqueSearch`)."""
     count = _settled_count(spec)
     if count is not None:
         return count
@@ -548,23 +540,28 @@ def clique_count(spec: GameSpec) -> int:
         if spec.prior == HEAVY:
             return math.comb(3**spec.q, spec.n)
         return 2**spec.n * math.comb((3**spec.q - 1) // 2, spec.n)
-    return _orbit_count(spec)
+    return _orbit_count(spec, cap)
 
 
-def first_clique(spec: GameSpec) -> list[int] | None:
+def first_clique(spec: GameSpec, cap: int) -> list[int] | None:
     """Row codes of the lexicographically first must-win plan, which is the
     first in the (3**q)**n enumeration of :func:`matrix_chunk_codes`.
 
-    Under the heavy prior the search branches on word 0 alone: translations
-    move any clique onto one that holds word 0, so the first clique holds it,
-    and none without it means none at all."""
+    The search branches on the smallest word of each orbit of the game's
+    symmetries, in ascending order: word 0 under the heavy prior, whose group
+    is transitive, and u_j = L^(q-j) O^j, code 3**j - 1, for each count
+    j < q - 2k of off-balance rounds under the unknown prior; u_j comes
+    before every word of a later orbit.  Once no clique holds an earlier
+    root, the group moves any clique through u_j's orbit onto one through
+    u_j whose other words come after it, so the first root that completes
+    gives the first clique, and none means none at all.  ``cap`` meters the
+    search (:class:`_CliqueSearch`)."""
     count = _settled_count(spec)
     if count is not None:
         return [0] if count else None  # n = 1: all-L (code 0) is admissible first
-    search, path = _CliqueSearch(spec), []
-    if spec.prior == HEAVY:
-        if search.search(search.neighbours(0), spec.n - 1, path):
-            path.append(0)
-    else:
-        search.search((1 << len(search.words)) - 1, spec.n, path)
-    return [int(search.words[i]) for i in reversed(path)] or None
+    search = _CliqueSearch(spec, cap)
+    for j in range(1 if spec.prior == HEAVY else spec.q - 2 * spec.k):
+        i, path = int(np.searchsorted(search.words, 3**j - 1)), []
+        if search.search(search.neighbours(i), spec.n - 1, path):
+            return [int(search.words[v]) for v in reversed(path + [i])]
+    return None

@@ -152,6 +152,6 @@ def random_perfect_rate(
         codes = draw_below(seeds, 3**q, n)
         perfect += int((~engine.batch_balance_wins(spec, engine.code_digits(codes, q))).sum())
     if total <= CENSUS_CAP:
-        extras["census_count"] = census_perfect(spec, CENSUS_CAP)
+        extras["census_count"] = census_perfect(spec)
         extras["census_rate"] = extras["census_count"] / total
     return _report(spec, {}, trials, perfect, seed, extras)

@@ -90,14 +90,14 @@ def game_value(
     """Best-play winner, by one ladder of rules tried in order:
 
     1. ``auto`` is exhaustive while the 3**(n*q) plans fit ``matrix_cap``.
-    2. Exhaustive mode checks :func:`engine.check_search_cap` first.
-    3. A capacity theorem's builder plan (one heavy coin, or k = 0 up to
+    2. A capacity theorem's builder plan (one heavy coin, or k = 0 up to
        capacity) wins for the player, with ``instances_checked`` 1.
-    4. Exhaustive mode takes the first clique of compatible rows, the
-       lexicographically first must-win plan (:func:`engine.first_clique`),
-       with ``instances_checked`` its rank + 1 in a row-major enumeration;
-       with none the balance wins and all 3**(n*q) plans count.
-    5. Constructive mode gives the balance every instance from the
+    3. Exhaustive mode takes the first clique of compatible rows, the
+       lexicographically first must-win plan (:func:`engine.first_clique`,
+       its search metered by ``matrix_cap``), with ``instances_checked`` its
+       rank + 1 in a row-major enumeration; with none the balance wins and
+       all 3**(n*q) plans count.
+    4. Constructive mode gives the balance every instance from the
        survivor-mass pigeonhole on (at k = 0, just past capacity) and
        refuses the rest with :class:`UndecidedError`.
 
@@ -107,10 +107,10 @@ def game_value(
     elif mode not in ("exhaustive", "constructive"):
         raise ValueError(f"mode must be auto, exhaustive or constructive, got {mode!r}")
     if mode == "exhaustive":
-        engine.check_search_cap(spec, matrix_cap)
+        engine.check_rounds(spec.q)
     witness, source, rank = _builder_witness(spec), "builder", 0
     if witness is None and mode == "exhaustive":
-        first = engine.first_clique(spec)
+        first = engine.first_clique(spec, matrix_cap)
         if first is None:
             return GameValue(BALANCE, mode, None, (3**spec.q) ** spec.n)
         witness, source = tuple(engine.decode_rows(first, spec.q)), "clique"
@@ -134,11 +134,11 @@ def census_perfect(spec: GameSpec, matrix_cap: int = engine.DEFAULT_MATRIX_CAP) 
     2**n C((3**q - 1) / 2, n) unknown, and at k >= 1 from one root per orbit
     of the game's symmetries (orbit-stabiliser counting; McKay, J. Algorithms
     26, 1998): 3**q c0 / n heavy, with c0 the cliques through word 0, and
-    (1/n) sum_j C(q, j) 2**(q-j) c(v_j) unknown.  Refusals are as before: the
-    count is refused when the plain search's a-priori work may exceed
-    ``matrix_cap`` (:func:`engine.check_search_cap`)."""
-    engine.check_search_cap(spec, matrix_cap)
-    return math.factorial(spec.n) * engine.clique_count(spec)
+    (1/n) sum_j C(q, j) 2**(q-j) c(v_j) unknown.  Only the k >= 1 search can
+    be refused: past ``matrix_cap`` graph cells before it starts, or past
+    ``matrix_cap`` nodes as it runs (:class:`engine._CliqueSearch`)."""
+    engine.check_rounds(spec.q)
+    return math.factorial(spec.n) * engine.clique_count(spec, matrix_cap)
 
 
 @dataclass(frozen=True)

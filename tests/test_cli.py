@@ -154,7 +154,7 @@ class TestValue:
         assert code == 6
 
     def test_resource_exit_code(self, capsys):
-        code, _, _ = run(capsys, "value", "--spec", "8,4,0,heavy", "--exhaustive")
+        code, _, _ = run(capsys, "value", "--spec", "4,9,1,heavy", "--exhaustive")
         assert code == 4
 
 
@@ -479,7 +479,7 @@ class TestInProcessReuse:
             (["attack", "--spec", "3,1,0,heavy", "--strategy", loser], ""),
             (["certify", "--spec", "4,2,0,heavy", "--strategy", four, "--pretty"], ""),
             (["certify", "--spec", "4,2,0,heavy", "--strategy", four], ""),
-            (["value", "--spec", "8,4,0,heavy", "--exhaustive"], ""),
+            (["value", "--spec", "4,9,1,heavy", "--exhaustive"], ""),
             (["value", "--spec", "14,3,0,unknown"], ""),
             (["value", "--spec", "3,1,0,heavy", "--constructive"], ""),
             (["value", "--spec", "3,1,0,heavy"], ""),
@@ -518,7 +518,7 @@ class TestInProcessReuse:
         assert first[-1][0] == 2 and first[7][0] == 4
 
     def test_value_mode_flags_do_not_carry_over(self, capsys):
-        assert run(capsys, "value", "--spec", "8,4,0,heavy", "--exhaustive")[0] == 4
+        assert run(capsys, "value", "--spec", "4,9,1,heavy", "--exhaustive")[0] == 4
         assert run_json(capsys, "value", "--spec", "8,4,0,heavy")["mode"] == "constructive"
         run_json(capsys, "value", "--spec", "3,1,0,heavy", "--constructive")
         assert run_json(capsys, "value", "--spec", "3,1,0,heavy")["mode"] == "exhaustive"

@@ -105,7 +105,7 @@ class TestMatrixEnumeration:
         np.testing.assert_array_equal(whole, pieces)
 
     def test_cap_raises(self):
-        from balancegame.engine import check_search_cap
+        from balancegame.engine import DEFAULT_MATRIX_CAP, first_clique
 
-        with pytest.raises(ResourceLimitError):  # ~1.3e8 search nodes over 27 rows
-            check_search_cap(GameSpec(20, 3, 0, "heavy"))
+        with pytest.raises(ResourceLimitError):  # 3**18 ~ 3.9e8 graph cells over 3**9 rows
+            first_clique(GameSpec(4, 9, 1, "heavy"), DEFAULT_MATRIX_CAP)

@@ -219,7 +219,7 @@ class TestGameValue:
     def test_clique_witness_is_certified_before_it_is_handed_out(self, monkeypatch):
         spec = GameSpec(2, 3, 1, "heavy")  # no builder plan: k = 1 and two coins
         assert verifier._builder_witness(spec) is None
-        monkeypatch.setattr(engine, "first_clique", lambda spec: [0, 0])  # LLL twice loses
+        monkeypatch.setattr(engine, "first_clique", lambda spec, cap: [0, 0])  # LLL twice loses
         with pytest.raises(AssertionError, match="clique witness failed certification"):
             game_value(spec, mode="exhaustive")
 
@@ -233,9 +233,9 @@ class TestGameValue:
             game_value(GameSpec(2, 5, 1, "heavy"), mode="constructive")
 
     def test_matrix_cap(self):
-        # 81 admissible rows: up to sum_{j<=8} C(81, j) ~ 3.3e10 search nodes
+        # 3**9 admissible rows: a graph of 3**18 ~ 3.9e8 cells
         with pytest.raises(ResourceLimitError):
-            game_value(GameSpec(8, 4, 0, "heavy"), mode="exhaustive")
+            game_value(GameSpec(4, 9, 1, "heavy"), mode="exhaustive")
 
     def test_auto_prefers_exhaustive_when_cheap(self):
         value = game_value(GameSpec(3, 1, 0, "heavy"))
@@ -297,8 +297,8 @@ class TestCensusPerfect:
         assert count % math.factorial(3) == 0
 
     def test_census_cap(self):
-        with pytest.raises(ResourceLimitError):
-            census_perfect(GameSpec(8, 4, 0, "heavy"))
+        with pytest.raises(ResourceLimitError):  # a graph of 3**18 cells
+            census_perfect(GameSpec(4, 9, 1, "heavy"))
 
 
 def enumerated(spec):
@@ -318,17 +318,33 @@ def enumerated(spec):
 SMALL_SPECS = [  # every spec with at most 3**12 = 531441 plans
     (n, q, k) for q in range(1, 13) for n in range(1, 12 // q + 1) for k in range(q + 1)
 ]
+GRID = [(n, q, k) for q in range(1, 6) for k in range(min(2, q) + 1) for n in range(1, 8)]
+CAP = engine.DEFAULT_MATRIX_CAP
+
+
+def recording(monkeypatch):
+    """Patch engine._CliqueSearch to keep every search it makes; returns that list."""
+    searches = []
+
+    class Recorded(engine._CliqueSearch):
+        def __init__(self, spec, cap):
+            super().__init__(spec, cap)
+            searches.append(self)
+
+    monkeypatch.setattr(engine, "_CliqueSearch", Recorded)
+    return searches
 
 
 class TestCliqueSearch:
     @pytest.mark.parametrize("prior", ["heavy", "unknown"])
     def test_matches_the_plan_enumeration(self, prior):
+        # At a cap of the plan count: nothing whose plans fit the cap is refused.
         for n, q, k in SMALL_SPECS:
-            spec = GameSpec(n, q, k, prior)
+            spec, cap = GameSpec(n, q, k, prior), (3**q) ** n
             count, first = enumerated(spec)
-            assert census_perfect(spec) == count, spec
-            assert engine.first_clique(spec) == (first and first[1]), spec
-            value = game_value(spec, "exhaustive")
+            assert census_perfect(spec, cap) == count, spec
+            assert engine.first_clique(spec, cap) == (first and first[1]), spec
+            value = game_value(spec, "exhaustive", cap)
             witness = verifier._builder_witness(spec)
             if witness is not None:
                 assert first is not None, spec
@@ -345,19 +361,32 @@ class TestCliqueSearch:
     def test_counts_match_the_all_roots_search(self, prior):
         # The k = 0 closed form and the k >= 1 orbit sums against the plain
         # search from every root, on every small spec and on q <= 5, k <= 2,
-        # n <= 7 wherever the default cap lets a census run.
-        grid = [(n, q, k) for q in range(1, 6) for k in range(min(2, q) + 1) for n in range(1, 8)]
-        checked = 0
-        for n, q, k in dict.fromkeys(SMALL_SPECS + grid):
+        # n <= 7 wherever that search surely ends within 10**7 nodes: it
+        # visits at most one per set of fewer than n of the W admissible words.
+        checked, limit = 0, 10**7
+        for n, q, k in dict.fromkeys(SMALL_SPECS + GRID):
             spec = GameSpec(n, q, k, prior)
-            try:
-                engine.check_search_cap(spec)
-            except ResourceLimitError:
+            words = engine.admissible_count(spec)
+            if sum(math.comb(words, j) for j in range(n)) > limit:
                 continue
-            search = engine._CliqueSearch(spec)
-            assert engine.clique_count(spec) == search.search((1 << len(search.words)) - 1, n, None), spec
+            search = engine._CliqueSearch(spec, max(words**2, limit))
+            plain = search.search((1 << len(search.words)) - 1, n, None)
+            assert engine.clique_count(spec, CAP) == plain, spec
             checked += 1
         assert checked >= 170
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_first_clique_matches_the_all_roots_search(self, prior):
+        # The rooted search against the plain search from every root, which
+        # stops at the first clique it meets.
+        for n, q, k in dict.fromkeys(SMALL_SPECS + GRID):
+            spec = GameSpec(n, q, k, prior)
+            if engine._settled_count(spec) is not None:
+                continue
+            search, path = engine._CliqueSearch(spec, CAP), []
+            search.search((1 << len(search.words)) - 1, n, path)
+            want = [int(search.words[i]) for i in reversed(path)] or None
+            assert engine.first_clique(spec, CAP) == want, spec
 
     @pytest.mark.parametrize("prior", ["heavy", "unknown"])
     def test_small_blocks(self, prior, monkeypatch):
@@ -366,20 +395,20 @@ class TestCliqueSearch:
         specs = [GameSpec(n, q, k, prior) for n, q, k in ((3, 3, 1), (4, 2, 0), (2, 4, 1), (3, 4, 1))]
 
         def rows(spec):
-            search = engine._CliqueSearch(spec)
+            search = engine._CliqueSearch(spec, CAP)
             return [search.neighbourhood(int(code)) for code in search.words]
 
-        want = [engine.clique_count(s) for s in specs]
+        want = [engine.clique_count(s, CAP) for s in specs]
         full = [rows(s) for s in specs]
         monkeypatch.setattr(engine, "_PAIR_BYTES", 64)
-        assert [engine.clique_count(s) for s in specs] == want
+        assert [engine.clique_count(s, CAP) for s in specs] == want
         assert [rows(s) for s in specs] == full
 
     @pytest.mark.parametrize("prior", ["heavy", "unknown"])
     def test_full_neighbourhoods_keep_the_graph_rule(self, prior):
         # A full row is symmetric and, past its own word, the neighbours row.
         for spec in (GameSpec(3, 3, 1, prior), GameSpec(3, 4, 1, prior), GameSpec(2, 4, 2, prior)):
-            search = engine._CliqueSearch(spec)
+            search = engine._CliqueSearch(spec, CAP)
             full = [search.neighbourhood(int(code)) for code in search.words]
             for i, row in enumerate(full):
                 assert row >> (i + 1) << (i + 1) == search.neighbours(i), spec
@@ -393,28 +422,22 @@ class TestCliqueSearch:
         monkeypatch.setattr(engine._CliqueSearch, "search", lambda self, cands, size, path: 1)
         q = 4 if prior == "heavy" else 5
         with pytest.raises(AssertionError, match="internal error"):
-            engine.clique_count(GameSpec(5, q, 1, prior))
+            engine.clique_count(GameSpec(5, q, 1, prior), CAP)
 
     def test_heavy_balance_win_branches_only_inside_the_root_neighbourhood(self, monkeypatch):
         # 4 rows of 5 rounds pairwise 5 apart do not exist, which the pigeonhole
         # does not see (it starts at 5).  Translations move any clique onto word
         # 0, so after its one branch nothing is left to search.
-        spec, searches = GameSpec(4, 5, 2, "heavy"), []
-
-        class Recorded(engine._CliqueSearch):
-            def __init__(self, spec):
-                super().__init__(spec)
-                searches.append(self)
-
-        monkeypatch.setattr(engine, "_CliqueSearch", Recorded)
-        assert engine.first_clique(spec) is None
+        spec, unpatched = GameSpec(4, 5, 2, "heavy"), engine._CliqueSearch
+        searches = recording(monkeypatch)
+        assert engine.first_clique(spec, CAP) is None
         (search,) = searches
         root = search.neighbours(0)
         built = [i for i, row in enumerate(search.rows) if row is not None]
         assert built[0] == 0 and len(built) > 1
         assert all(root >> i & 1 for i in built[1:])
         # The all-roots search goes on to words outside N(0).
-        plain = engine._CliqueSearch(spec)
+        plain = unpatched(spec, CAP)
         assert plain.search((1 << len(plain.words)) - 1, spec.n, []) == 0
         assert any(row is not None and not root >> i & 1 for i, row in enumerate(plain.rows[1:], 1))
 
@@ -422,36 +445,59 @@ class TestCliqueSearch:
         # Every 8 distinct rows of 3 rounds are must-win at k = 0.
         assert census_perfect(GameSpec(8, 3, 0, "heavy")) == math.perm(27, 8)
         # Nine rows of 4 rounds pairwise 3 apart fill the space (a perfect code): 72 such sets.
-        assert census_perfect(GameSpec(9, 4, 1, "heavy"), matrix_cap=10**12) == (
-            math.factorial(9) * 72)
-        with pytest.raises(ResourceLimitError):
-            census_perfect(GameSpec(9, 4, 1, "heavy"))
+        assert census_perfect(GameSpec(9, 4, 1, "heavy")) == math.factorial(9) * 72
+        with pytest.raises(ResourceLimitError):  # 81**2 graph cells
+            census_perfect(GameSpec(9, 4, 1, "heavy"), matrix_cap=80**2)
         # Past the unknown-prior capacity of 13: the pigeonhole decides.
         value = game_value(GameSpec(14, 3, 0, "unknown"), "exhaustive")
         assert (value.winner, value.instances_checked) == ("balance", 3**42)
 
     def test_first_plan_builds_only_the_rows_it_branches_on(self):
-        search = engine._CliqueSearch(GameSpec(2, 5, 2, "heavy"))
+        search = engine._CliqueSearch(GameSpec(2, 5, 2, "heavy"), CAP)
         path = []
         search.search((1 << len(search.words)) - 1, 2, path)
         assert path == [121, 0]  # RRRRR, then LLLLL: the first plan
         assert [r is not None for r in search.rows].count(True) == 1
 
     def test_cap_is_checked_before_the_graph_is_built(self, monkeypatch):
-        def refuse(spec):
+        def refuse(self):
             raise AssertionError("graph built before the cap check")
-        monkeypatch.setattr(engine, "_CliqueSearch", refuse)
-        with pytest.raises(ResourceLimitError):
-            census_perfect(GameSpec(8, 4, 0, "heavy"))
-        with pytest.raises(ResourceLimitError):
-            game_value(GameSpec(8, 4, 0, "heavy"), "exhaustive")
+        monkeypatch.setattr(engine._CliqueSearch, "_admissible", refuse)
+        spec = GameSpec(4, 9, 1, "heavy")  # 3**18 graph cells
+        with pytest.raises(ResourceLimitError, match="--matrix-cap"):
+            census_perfect(spec)
+        with pytest.raises(ResourceLimitError, match="--matrix-cap"):
+            game_value(spec, "exhaustive")
 
-    @given(st.integers(1, 30), st.integers(1, 8), st.integers(0, 8),
-           st.sampled_from(["heavy", "unknown"]))
-    @settings(max_examples=200, deadline=None)
-    def test_plan_count_within_the_cap_is_never_refused(self, n, q, k, prior):
-        spec = GameSpec(n, q, min(k, q), prior)
-        engine.check_search_cap(spec, (3**q) ** n)
+    @pytest.mark.parametrize("spec", [GameSpec(6, 5, 1, "heavy"), GameSpec(5, 5, 1, "unknown")],
+                             ids=GameSpec.compact)
+    def test_nodes_past_the_cap_are_refused(self, spec, monkeypatch):
+        # A census at a cap of exactly the nodes it visits answers; one node
+        # fewer and the search is refused once it passes the cap.
+        searches = recording(monkeypatch)
+        count = census_perfect(spec)
+        (search,) = searches
+        assert search.nodes > len(search.words) ** 2  # the graph fits both caps
+        assert census_perfect(spec, search.nodes) == count
+        with pytest.raises(ResourceLimitError, match="--matrix-cap"):
+            census_perfect(spec, search.nodes - 1)
+        assert searches[-1].nodes == search.nodes  # refused at the node that passed
+
+    def test_unknown_balance_win_branches_only_inside_the_root_neighbourhoods(self, monkeypatch):
+        # No 7 rows of 5 rounds are pairwise compatible at k = 1 under the
+        # unknown prior, which the pigeonhole does not see (it starts at 12).
+        # Each root L^(5-j) O^j, j < 3, is tried in turn, and every other row
+        # built lies among a root's later neighbours.
+        spec = GameSpec(7, 5, 1, "unknown")
+        assert engine.pigeonhole_min_n(5, 1, "unknown") == 12
+        searches = recording(monkeypatch)
+        assert engine.first_clique(spec, CAP) is None
+        (search,) = searches
+        roots = [int(np.searchsorted(search.words, 3**j - 1)) for j in range(3)]
+        hoods = [search.neighbours(r) for r in roots]
+        built = [i for i, row in enumerate(search.rows) if row is not None]
+        assert set(roots) < set(built)
+        assert all(i in roots or any(h >> i & 1 for h in hoods) for i in built)
 
 
 class TestTheoremSweep:
