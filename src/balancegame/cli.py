@@ -178,7 +178,7 @@ def _cmd_census(args) -> dict[str, Any]:
 def _cmd_sweep(args) -> str:
     rows = verifier.theorem_sweep(args.qmax, args.prior, args.k, matrix_cap=args.matrix_cap)
     header = [f.name for f in dataclasses.fields(verifier.SweepRow)]
-    return render_csv(header, [dataclasses.astuple(r) for r in rows])
+    return render_csv(header, [[getattr(r, name) for name in header] for r in rows])
 
 
 def _number_list(text: str, kind: type = float) -> list:

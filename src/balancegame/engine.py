@@ -39,6 +39,7 @@ suite holds the two implementations against each other.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Iterator
 
@@ -389,7 +390,7 @@ def _settled_count(spec: GameSpec) -> int | None:
 
 
 class _CliqueSearch:
-    """Must-win plans of one spec as cliques of compatible rows.
+    """Must-win plans of one q, k and prior as cliques of compatible rows.
 
     A plan is must-win exactly when its rows, as a set, are pairwise
     compatible: every two hypotheses' honest announcements lie more than 2k
@@ -456,6 +457,28 @@ class _CliqueSearch:
     def neighbourhood(self, code: int) -> int:
         """Bitset of every word compatible with the admissible word ``code``, its full row."""
         return self._compatible(int(np.searchsorted(self.words, code)), 0)
+
+    def first(self, n: int) -> list[int] | None:
+        """Row codes of the first n-clique, n >= 2, in the (3**q)**n
+        enumeration, or ``None``.  The graph does not depend on n, so one
+        search serves every n of its q, k and prior; the node meter starts
+        again at each call, and a refusal names the n-coin spec.
+
+        The search branches on the smallest word of each orbit of the game's
+        symmetries, in ascending order: word 0 under the heavy prior, whose
+        group is transitive, and u_j = L^(q-j) O^j, code 3**j - 1, for each
+        count j < q - 2k of off-balance rounds under the unknown prior; u_j
+        comes before every word of a later orbit.  Once no clique holds an
+        earlier root, the group moves any clique through u_j's orbit onto
+        one through u_j whose other words come after it, so the first root
+        that completes gives the first clique, and none means none at all."""
+        spec = self.spec = dataclasses.replace(self.spec, n=n)
+        self.nodes = 0
+        for j in range(1 if spec.prior == HEAVY else spec.q - 2 * spec.k):
+            i, path = int(np.searchsorted(self.words, 3**j - 1)), []
+            if self.search(self.neighbours(i), n - 1, path):
+                return [int(self.words[v]) for v in reversed(path + [i])]
+        return None
 
     def search(self, cands: int, size: int, path: list[int] | None) -> int:
         """Count the size-cliques among the words in bitset ``cands``.  With
@@ -545,23 +568,10 @@ def clique_count(spec: GameSpec, cap: int) -> int:
 
 def first_clique(spec: GameSpec, cap: int) -> list[int] | None:
     """Row codes of the lexicographically first must-win plan, which is the
-    first in the (3**q)**n enumeration of :func:`matrix_chunk_codes`.
-
-    The search branches on the smallest word of each orbit of the game's
-    symmetries, in ascending order: word 0 under the heavy prior, whose group
-    is transitive, and u_j = L^(q-j) O^j, code 3**j - 1, for each count
-    j < q - 2k of off-balance rounds under the unknown prior; u_j comes
-    before every word of a later orbit.  Once no clique holds an earlier
-    root, the group moves any clique through u_j's orbit onto one through
-    u_j whose other words come after it, so the first root that completes
-    gives the first clique, and none means none at all.  ``cap`` meters the
-    search (:class:`_CliqueSearch`)."""
+    first in the (3**q)**n enumeration of :func:`matrix_chunk_codes`:
+    :func:`_settled_count` where it decides, else :meth:`_CliqueSearch.first`
+    on a new search, which ``cap`` meters."""
     count = _settled_count(spec)
     if count is not None:
         return [0] if count else None  # n = 1: all-L (code 0) is admissible first
-    search = _CliqueSearch(spec, cap)
-    for j in range(1 if spec.prior == HEAVY else spec.q - 2 * spec.k):
-        i, path = int(np.searchsorted(search.words, 3**j - 1)), []
-        if search.search(search.neighbours(i), spec.n - 1, path):
-            return [int(search.words[v]) for v in reversed(path + [i])]
-    return None
+    return _CliqueSearch(spec, cap).first(spec.n)

@@ -70,13 +70,17 @@ class GameValue:
     instances_checked: int
 
 
+def _has_builder_plan(spec: GameSpec) -> bool:
+    """Does a capacity theorem give the player a plan: one heavy coin as the
+    only hypothesis, or k = 0 up to :func:`perfect_capacity`?"""
+    return (spec.prior == HEAVY and spec.n == 1
+            or spec.k == 0 and spec.n <= perfect_capacity(spec.q, spec.prior))
+
+
 def _builder_witness(spec: GameSpec) -> tuple[str, ...] | None:
-    """The builder plan that wins for the player where a theorem says one
-    does: the ternary plan when one heavy coin is the only hypothesis, and at
-    k = 0 the ternary or mirror-free plan up to :func:`perfect_capacity`;
-    ``None`` elsewhere."""
-    if not (spec.prior == HEAVY and spec.n == 1
-            or spec.k == 0 and spec.n <= perfect_capacity(spec.q, spec.prior)):
+    """The builder plan where :func:`_has_builder_plan` holds, the ternary
+    plan heavy and the mirror-free plan unknown; ``None`` elsewhere."""
+    if not _has_builder_plan(spec):
         return None
     build = ternary_strategy if spec.prior == HEAVY else complement_free_strategy
     return build(spec.n, spec.q)
@@ -151,26 +155,62 @@ class SweepRow:
     mass_bound_min_n: int | None  # pigeonhole balance threshold, k >= 1
 
 
+def _largest_win(
+    q: int, k: int, prior: str, matrix_cap: int
+) -> tuple[GameSpec | None, list[int] | None, int | None]:
+    """Walk n upward while the 3**(n*q) plans fit ``matrix_cap``, each n
+    decided by :func:`game_value`'s exhaustive rungs without building or
+    certifying a plan: a builder plan, :func:`engine._settled_count`, then
+    the first clique of one search shared by every n.  Returns the largest
+    player win's spec (``None`` if none), its clique's row codes (``None``
+    where a builder plan wins), and the first n the balance wins, ``None``
+    if the walk reaches the cap first."""
+    search, won, codes = None, None, None
+    n = 1
+    while (3**q) ** n <= matrix_cap:
+        spec = GameSpec(n, q, k, prior)
+        engine.check_rounds(q)
+        clique = None
+        if not _has_builder_plan(spec):
+            count = engine._settled_count(spec)
+            if count is None:
+                if search is None:
+                    search = engine._CliqueSearch(spec, matrix_cap)
+                clique = search.first(n)
+            elif count:
+                clique = [0]  # n = 1: all-L (code 0) is admissible first
+            if clique is None:
+                return won, codes, n
+        won, codes = spec, clique
+        n += 1
+    return won, codes, None
+
+
 def theorem_sweep(
     q_max: int, prior: str = HEAVY, k: int = 0, matrix_cap: int = 200_000
 ) -> list[SweepRow]:
     """Per-q win/lose boundary in n, exhaustive while the plan count fits the
     cap, else settled by the capacity theorems (k=0) or reported as the
     pigeonhole bound only (k>=1).  Rows start at q = max(1, k), the fewest
-    rounds a lie budget of k allows."""
+    rounds a lie budget of k allows.
+
+    Each q is one walk up n (:func:`_largest_win`), with the verdicts of
+    :func:`game_value` in exhaustive mode: its k >= 1 clique searches share
+    one compatibility graph, and each n's node meter starts from zero, so a
+    refusal comes at the same n.  Only the largest player win's plan is
+    built and certified; a failure is an internal error.  That covers every
+    smaller n, since every sub-plan of a must-win plan is must-win: dropping
+    rows drops hypotheses, and no announcement gains survivors."""
     rows = []
     for q in range(max(1, k), q_max + 1):
-        last_player = 0
-        balance_min = None
-        n = 1
-        while (3**q) ** n <= matrix_cap:
-            value = game_value(GameSpec(n, q, k, prior), "exhaustive", matrix_cap)
-            if value.winner == PLAYER:
-                last_player = n
-                n += 1
-            else:
-                balance_min = n
-                break
+        won, clique, balance_min = _largest_win(q, k, prior, matrix_cap)
+        if won is not None:
+            plan = _builder_witness(won) if clique is None else tuple(engine.decode_rows(clique, q))
+            if not certify(won, plan).must_win:
+                raise AssertionError(
+                    f"internal error: the sweep's plan for {won.compact()} failed certification"
+                )
+        last_player = won.n if won is not None else 0
         least = engine.pigeonhole_min_n(q, k, prior)
         capacity, mass_min = (least - 1, None) if k == 0 else (None, least)
         if balance_min is not None:

@@ -189,6 +189,19 @@ class TestSweep:
         assert lines[1].startswith("1,3,4,exhaustive,3,")
         assert lines[2].startswith("2,9,10,")
 
+    @pytest.mark.parametrize("argv,rows", [
+        (["--prior", "heavy", "--k", "1"],
+         ["1,1,2,exhaustive,,2", "2,1,2,exhaustive,,2", "3,3,4,mass-bound,,4", "4,2,10,mass-bound,,10"]),
+        (["--prior", "unknown"],
+         ["1,1,2,exhaustive,1,", "2,4,5,exhaustive,4,", "3,13,14,constructive,13,",
+          "4,40,41,constructive,40,"]),
+    ])
+    def test_csv_cells(self, capsys, argv, rows):
+        # Empty cells are the fields a row leaves None.
+        code, out, _ = run(capsys, "sweep", "--qmax", "4", *argv)
+        assert code == 0
+        assert out == "\n".join(["q,player_max_n,balance_min_n,mode,capacity,mass_bound_min_n", *rows]) + "\n"
+
     @pytest.mark.parametrize("prior", ["heavy", "unknown"])
     def test_lie_budget_above_one_round(self, capsys, prior):
         # Rows start at q = k, the first round count a budget of k fits.

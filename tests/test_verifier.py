@@ -24,6 +24,7 @@ from balancegame import (
     theorem_sweep,
 )
 from balancegame import engine, verifier
+from balancegame.verifier import Certificate
 
 THIRTEEN = ("LLL", "LLR", "LRL", "LRR", "ORR", "OLR", "ROL",
             "LOL", "RLO", "LLO", "OOR", "LOO", "ORO")
@@ -500,7 +501,99 @@ class TestCliqueSearch:
         assert all(i in roots or any(h >> i & 1 for h in hoods) for i in built)
 
 
+def sweep_by_game_value(q_max, prior, k, cap):
+    """The per-n sweep theorem_sweep replaced: one game_value, witness built
+    and certified, for every n whose 3**(n*q) plans fit the cap."""
+    rows = []
+    for q in range(max(1, k), q_max + 1):
+        last_player, balance_min, n = 0, None, 1
+        while (3**q) ** n <= cap:
+            if game_value(GameSpec(n, q, k, prior), "exhaustive", cap).winner == "player":
+                last_player, n = n, n + 1
+            else:
+                balance_min = n
+                break
+        least = engine.pigeonhole_min_n(q, k, prior)
+        capacity, mass_min = (least - 1, None) if k == 0 else (None, least)
+        if balance_min is not None:
+            rows.append(verifier.SweepRow(q, last_player, balance_min, "exhaustive", capacity, mass_min))
+        else:
+            mode = "constructive" if k == 0 else "mass-bound"
+            rows.append(verifier.SweepRow(q, capacity or last_player or None, least, mode,
+                                          capacity, mass_min))
+    return rows
+
+
 class TestTheoremSweep:
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_matches_the_per_n_game_values(self, prior):
+        for k, cap in itertools.product(range(3), (9, 3000, 200_000)):
+            assert theorem_sweep(6, prior, k, cap) == sweep_by_game_value(6, prior, k, cap), (k, cap)
+
+    @pytest.mark.parametrize("k,prior,certified", [(0, "heavy", 4), (1, "heavy", 4), (1, "unknown", 2)])
+    def test_one_graph_and_one_certified_plan_per_q(self, k, prior, certified, monkeypatch):
+        # Unknown prior at k = 1: q = 1 and 2 have no admissible row, so no player win.
+        calls, unpatched = [], verifier.certify
+        monkeypatch.setattr(verifier, "certify", lambda spec, plan: calls.append(spec) or unpatched(spec, plan))
+        searches = recording(monkeypatch)
+        rows = {row.q: row for row in theorem_sweep(4, prior, k)}
+        assert len(calls) == len({spec.q for spec in calls}) == certified
+        for spec in calls:  # the largest win: the balance's first, or the cap, comes next
+            row = rows[spec.q]
+            if row.mode == "exhaustive":
+                assert spec.n == row.player_max_n == row.balance_min_n - 1
+            else:
+                assert (3**spec.q) ** (spec.n + 1) > 200_000
+        assert len(searches) == len({search.spec.q for search in searches})
+
+    def test_a_failed_certification_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(verifier, "certify", lambda spec, plan: Certificate("balance-wins", 1, object()))
+        with pytest.raises(AssertionError, match="internal error"):
+            theorem_sweep(4, "heavy")
+
+    def test_the_node_meter_refuses_at_the_same_n_as_the_per_n_sweep(self, monkeypatch):
+        # No search in a sweep visits more nodes than its 3**(n*q) plans, so no
+        # cap the sweep runs under trips the meter; this one meters two nodes.
+        # Heavy k = 1 visits 1 and 2 nodes at q = 3 (n = 2, 3), then 3 at 4,4,1.
+        class Metered(engine._CliqueSearch):
+            def __init__(self, spec, cap):
+                super().__init__(spec, cap)
+                self.cap = 2
+
+        monkeypatch.setattr(engine, "_CliqueSearch", Metered)
+        refusals = []
+        for sweep in (theorem_sweep, sweep_by_game_value):
+            with pytest.raises(ResourceLimitError, match="--matrix-cap") as info:
+                sweep(4, "heavy", 1, 10**8)
+            refusals.append(str(info.value))
+        assert refusals[0] == refusals[1]
+        assert "4,4,1,heavy passed 2 nodes" in refusals[0]
+
+    @given(
+        st.tuples(
+            st.integers(2, 8), st.integers(1, 4), st.integers(0, 2),
+            st.sampled_from(["heavy", "unknown"]), st.integers(0, 10_000),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_sub_plan_of_a_must_win_plan_is_must_win(self, case):
+        # The lemma behind certifying only the sweep's largest plan: dropping a
+        # row drops hypotheses, and no announcement gains survivors.
+        drawn, q, k, prior, seed = case
+        k = min(k, q)
+        plan = ()
+        for row in random_plan(random.Random(seed), drawn, q):  # kept while certify says must-win
+            if certify(GameSpec(len(plan) + 1, q, k, prior), plan + (row,)).must_win:
+                plan += (row,)
+        n = len(plan)
+        if n < 2:
+            return
+        masks = ["".join(m) for m in itertools.product("LRD", repeat=q)]
+        for i in range(n):
+            rest = plan[:i] + plan[i + 1 :]
+            for mask in masks:
+                assert adjudicate(GameSpec(n - 1, q, k, prior), rest, mask).winner == "player"
+
     def test_single_round_row(self):
         rows = theorem_sweep(1, "heavy")
         assert rows[0].q == 1
