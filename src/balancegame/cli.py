@@ -6,6 +6,10 @@ prints as it reads stdin.  :func:`main` alone times, renders and writes; a
 report's ``elapsed_ms`` spans the whole handler, parsing ``--spec`` and
 reading the strategy file included.
 
+Each call parses argv once: a named command goes straight to its own
+parser, read off the top-level parser's subparsers, and anything else (no
+argv, ``-h``, an unknown command) goes to the top-level parser.
+
 Machine-readable reports (JSON, fixed field order) or CSV go to stdout;
 ``--pretty`` switches a JSON report to an aligned key/value rendering.  Exit
 codes: 0 success, 1 other package error, 2 malformed input, 3 capacity
@@ -280,7 +284,8 @@ def _cmd_play(args) -> None:
 
 MATRIX_CAP_HELP = ("bound on the clique search: W^2 graph cells over the W admissible rows, "
                    "checked before the graph is built, and search nodes, counted as they are "
-                   "visited; exit 4 beyond it")
+                   "visited; also on the n*q cells of a builder plan that value hands out, "
+                   "checked before it is built; exit 4 beyond it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,8 +391,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser, read off the top-level parser's subparsers."""
+    (sub,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command and return its exit code.
+
+    argv is parsed once.  A named command goes to its own parser; anything
+    else (no argv, ``-h``, an unknown command) goes to the top-level parser.
+    Arguments the command's parser leaves over are refused by the top-level
+    parser in the words of its own ``parse_args``, so usage texts, errors and
+    exit codes are the same either way."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _command_parsers().get(argv[0]) if argv else None
+    if command is None:
+        args = _parser().parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            _parser().error("unrecognized arguments: " + " ".join(extra))
+        args.command = argv[0]
     # Looked up by name on every call, so the handler in force now runs.
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     t0 = time.perf_counter()

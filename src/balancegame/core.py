@@ -58,9 +58,11 @@ TRANSCRIPTION = {
 
 # If coin i is the heavy counterfeit, round j truthfully announces the side
 # coin i sits on (or a draw when it is off).  If it is the light counterfeit,
-# the announced side flips.
-_HEAVY_IMAGE = str.maketrans("LRO", "LRD")
-_LIGHT_IMAGE = str.maketrans("LRO", "RLD")
+# the announced side flips.  Both images are bijections, so each has an
+# inverse, the pre-image: it maps a mask to the one row whose honest
+# announcement it is.
+_IMAGE = {HEAVY: str.maketrans("LRO", "LRD"), LIGHT: str.maketrans("LRO", "RLD")}
+_PRE_IMAGE = {sign: {out: cell for cell, out in image.items()} for sign, image in _IMAGE.items()}
 _SWAP_PANS = str.maketrans("LR", "RL")
 
 
@@ -173,23 +175,28 @@ def partial_complement(row: str) -> str:
     return row.translate(_SWAP_PANS)
 
 
+def _by_sign(tables: dict, sign: str) -> dict:
+    if sign not in SIGNS:
+        raise DomainError(f"sign must be one of {SIGNS}, got {sign!r}")
+    return tables[sign]
+
+
 def predicted_mask(row: str, sign: str = HEAVY) -> str:
     """The announcement an honest balance would make were this row's coin
     the counterfeit of the given sign."""
-    if sign == HEAVY:
-        return row.translate(_HEAVY_IMAGE)
-    if sign == LIGHT:
-        return row.translate(_LIGHT_IMAGE)
-    raise DomainError(f"sign must be one of {SIGNS}, got {sign!r}")
+    return row.translate(_by_sign(_IMAGE, sign))
 
 
 def lie_count(row: str, mask: str, sign: str = HEAVY) -> int:
-    """Rounds where the announcement contradicts this hypothesis's truth:
-    the announced outcomes that differ from its honest ones, compared
-    character by character (``map(operator.ne, ...)`` runs the loop in C)."""
+    """Rounds where the announcement contradicts this hypothesis's truth.
+    The sign's image is a bijection, so a round's honest outcome differs
+    from the announced one exactly where the row differs from the mask's
+    pre-image, the row an honest balance would answer with this mask: the
+    count compares the row with that pre-image, character by character
+    (``map(operator.ne, ...)`` runs the loop in C)."""
     if len(row) != len(mask):
         raise DimensionError(f"row length {len(row)} != mask length {len(mask)}")
-    return sum(map(operator.ne, mask, predicted_mask(row, sign)))
+    return sum(map(operator.ne, row, mask.translate(_by_sign(_PRE_IMAGE, sign))))
 
 
 def transcribe(strategy, mask: str, prior: str = HEAVY) -> tuple[str, ...]:
@@ -213,13 +220,18 @@ def transcribe(strategy, mask: str, prior: str = HEAVY) -> tuple[str, ...]:
 
 
 def surviving_hypotheses(spec: GameSpec, strategy, mask: str) -> set[Hypothesis]:
-    """Hypotheses the announcement is admissible for (at most k lied rounds)."""
+    """Hypotheses the announcement is admissible for (at most k lied rounds).
+
+    As in :func:`lie_count`, the mask is translated once per sign into its
+    pre-image, the row an honest balance would answer with it; a hypothesis
+    survives when its row differs from that pre-image in at most k rounds."""
     rows = validate_strategy(spec, strategy)
     validate_mask(mask, spec.q)
     out = set()
     for sign in spec.signs:
+        source = mask.translate(_PRE_IMAGE[sign])
         for i, row in enumerate(rows):
-            if lie_count(row, mask, sign) <= spec.k:
+            if sum(map(operator.ne, row, source)) <= spec.k:
                 out.add(Hypothesis(i, sign))
     return out
 

@@ -11,7 +11,7 @@ from . import engine
 from .adversary import AttackResult, find_winning_mask
 from .analysis import hamming_ball_volume
 from .builders import complement_free_strategy, ternary_strategy
-from .core import HEAVY, BalanceGameError, GameSpec
+from .core import HEAVY, BalanceGameError, GameSpec, ResourceLimitError
 
 PLAYER = "player"
 BALANCE = "balance"
@@ -95,7 +95,8 @@ def game_value(
 
     1. ``auto`` is exhaustive while the 3**(n*q) plans fit ``matrix_cap``.
     2. A capacity theorem's builder plan (one heavy coin, or k = 0 up to
-       capacity) wins for the player, with ``instances_checked`` 1.
+       capacity) wins for the player, with ``instances_checked`` 1; its
+       n*q cells are checked against ``matrix_cap`` before it is built.
     3. Exhaustive mode takes the first clique of compatible rows, the
        lexicographically first must-win plan (:func:`engine.first_clique`,
        its search metered by ``matrix_cap``), with ``instances_checked`` its
@@ -112,6 +113,11 @@ def game_value(
         raise ValueError(f"mode must be auto, exhaustive or constructive, got {mode!r}")
     if mode == "exhaustive":
         engine.check_rounds(spec.q)
+    if spec.n * spec.q > matrix_cap and _has_builder_plan(spec):
+        raise ResourceLimitError(
+            f"the builder plan for {spec.compact()} has {spec.n * spec.q} cells, over the "
+            f"matrix cap ({matrix_cap}); raise --matrix-cap to proceed"
+        )
     witness, source, rank = _builder_witness(spec), "builder", 0
     if witness is None and mode == "exhaustive":
         first = engine.first_clique(spec, matrix_cap)

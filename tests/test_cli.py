@@ -157,6 +157,13 @@ class TestValue:
         code, _, _ = run(capsys, "value", "--spec", "4,9,1,heavy", "--exhaustive")
         assert code == 4
 
+    def test_builder_plan_over_the_matrix_cap(self, capsys):
+        code, out, err = run(capsys, "value", "--spec", "200000,13,0,heavy", "--constructive",
+                             "--matrix-cap", "1000")
+        assert (code, out) == (4, "") and "2600000 cells" in err and "--matrix-cap" in err
+        doc = run_json(capsys, "value", "--spec", "20,13,0,heavy", "--matrix-cap", "260")
+        assert doc["winner"] == "player" and len(doc["witness"]) == 20
+
 
 class TestCensus:
     def test_four_two_unknown(self, capsys):
@@ -553,3 +560,54 @@ class TestInProcessReuse:
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "built 1"
+
+
+class TestOneParse:
+    """main() parses a named command with that command's own parser only;
+    the oracle sends every argv through the top-level parse_args first.
+    Both must give the same exit code, stdout and stderr."""
+
+    calls = TestInProcessReuse.calls
+    outcome = TestInProcessReuse.outcome
+
+    def argvs(self, plan_file):
+        four = plan_file(["LL", "LR", "RL", "RR"], "four.txt")
+        certify = ["certify", "--spec", "4,2,0,heavy", "--strategy", four]
+        census = ["census", "--n", "2", "--q", "2"]
+        return [
+            *self.calls(plan_file),
+            (["-h"], ""),
+            *(([name, "-h"], "") for name in cli._command_parsers()),
+            ([], ""), (["bogus"], ""), (["cert"], ""), (["Certify"], ""),
+            (["-x", "certify"], ""), (["--", "certify"], ""), (["-h", "certify"], ""),
+            ([*certify, "--bogus"], ""), ([*certify, "--bogus=1", "-z"], ""),
+            ([*certify, "extra", "positionals"], ""), ([*census, "x"], ""),
+            (["certify", "--bogus"], ""),
+            (["construct", "--kind", "binary", "--n", "4", "--q", "2", "--", "x"], ""),
+            (["certify", "--spe", "4,2,0,heavy", "--strat", four], ""),
+            (["value", "--spec", "3,1,0,heavy", "--ex"], ""),
+            (["value", "--spec", "3,1,0,heavy", "--co"], ""),
+            ([*census, "--prior", "light"], ""), (["census", "--n", "two", "--q", "2"], ""),
+            (["value", "--spec", "3,1,0,heavy", "--exhaustive", "--constructive"], ""),
+            (["sweep", "--qmax", "2", "--pretty"], ""), ([*certify, "-h", "--bogus"], ""),
+        ]
+
+    def test_same_outcome_as_the_top_level_parse(self, capsys, monkeypatch, plan_file):
+        cases = self.argvs(plan_file)
+        new = [self.outcome(capsys, monkeypatch, argv, stdin) for argv, stdin in cases]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_command_parsers", lambda: {})
+            old = [self.outcome(capsys, monkeypatch, argv, stdin) for argv, stdin in cases]
+        for (argv, _), got, want in zip(cases, new, old):
+            assert got == want, argv
+        assert {code for code, _, _ in new} == {0, 2, 4}
+
+    def test_a_named_command_is_parsed_once(self, capsys, monkeypatch):
+        top = cli._parser()
+        monkeypatch.setattr(top, "parse_args", lambda *a, **k: pytest.fail("parsed at the top"))
+        assert run(capsys, "census", "--n", "2", "--q", "2")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--n", "2", "--q", "2", "--bogus"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "balancegame: error: unrecognized arguments: --bogus")

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,7 @@ from balancegame import (
     surviving_hypotheses,
     transcribe,
 )
-from balancegame.core import HEAVY, LIGHT, UNKNOWN
+from balancegame.core import HEAVY, LIGHT, PRIORS, UNKNOWN
 
 # The classic 4-coin, 2-round worked example: rows count 0..3 in binary.
 S_BIN42 = ("LL", "LR", "RL", "RR")
@@ -160,6 +161,30 @@ class TestSurvivingHypotheses:
     def test_row_count_mismatch(self):
         with pytest.raises(DimensionError):
             surviving_hypotheses(GameSpec(3, 2, 0, "heavy"), S_BIN42, "LR")
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda q: st.tuples(
+                st.lists(st.text("LRO", min_size=q, max_size=q), min_size=1, max_size=8),
+                st.text("LRD", min_size=q, max_size=q),
+                st.integers(0, q),
+                st.sampled_from(PRIORS),
+            )
+        )
+    )
+    def test_matches_one_hypothesis_at_a_time(self, case):
+        # Oracle: each hypothesis's honest announcement, compared with the mask.
+        rows, mask, k, prior = case
+        spec = GameSpec(len(rows), len(mask), k, prior)
+        expected = {
+            Hypothesis(i, sign)
+            for sign in spec.signs
+            for i, row in enumerate(rows)
+            if sum(map(operator.ne, mask, predicted_mask(row, sign))) <= k
+        }
+        assert surviving_hypotheses(spec, rows, mask) == expected
+        assert expected == {Hypothesis(i, sign) for sign in spec.signs
+                            for i, row in enumerate(rows) if lie_count(row, mask, sign) <= k}
 
 
 class TestAdjudicate:

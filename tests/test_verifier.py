@@ -247,6 +247,17 @@ class TestGameValue:
         assert value.mode == "constructive"
         assert value.winner == "player"
 
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "constructive"])
+    @pytest.mark.parametrize("spec", [GameSpec(10, 3, 0, "heavy"), GameSpec(13, 3, 0, "unknown"),
+                                      GameSpec(1, 7, 2, "heavy")])
+    def test_builder_plan_cells_are_capped_before_it_is_built(self, spec, mode, monkeypatch):
+        cells = spec.n * spec.q
+        value = game_value(spec, mode, matrix_cap=cells)
+        assert value.winner == "player" and len(value.witness) == spec.n
+        monkeypatch.setattr(verifier, "_builder_witness", lambda spec: pytest.fail("built"))
+        with pytest.raises(ResourceLimitError, match=rf"{cells} cells.*--matrix-cap"):
+            game_value(spec, mode, matrix_cap=cells - 1)
+
 
 class TestPigeonhole:
     """engine.pigeonhole_min_n is the one spelling of the survivor-mass rule."""
