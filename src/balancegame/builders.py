@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CapacityError, DomainError, PLACEMENTS
-from .engine import decode_rows, digit_rows
+from .engine import decode_rows, digit_rows, mirror_free_codes
 
 _BIN_DIGITS = str.maketrans("01", "LR")
 
@@ -58,21 +58,7 @@ def complement_free_strategy(n: int, q: int) -> tuple[str, ...]:
         raise CapacityError(
             f"mirror-free plans support at most (3**q - 1)//2 = {cap} coins, got n={n}"
         )
-    return tuple(decode_rows(_mirror_free_codes(n, q), q))
-
-
-def _mirror_free_codes(n: int, q: int) -> np.ndarray:
-    """Codes of the first n rows whose first on-balance cell is L.  With j
-    leading O cells such rows form one run of 3**(q-1-j) codes, starting at
-    the code of O * j + L * (q - j), which is 3**q - 3**(q-j)."""
-    runs = []
-    for j in range(q):
-        size = min(n, 3 ** (q - 1 - j))
-        runs.append(3**q - 3 ** (q - j) + np.arange(size))
-        n -= size
-        if not n:
-            break
-    return np.concatenate(runs)
+    return tuple(decode_rows(mirror_free_codes(n, q), q))
 
 
 @dataclass(frozen=True)

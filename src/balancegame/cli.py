@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmax", type=int, required=True)
     p.add_argument("--prior", choices=["heavy", "unknown"], default="heavy")
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--matrix-cap", type=int, default=200_000,
+    p.add_argument("--matrix-cap", type=int, default=verifier.SWEEP_MATRIX_CAP,
                    help="rows are searched for each n while the 3^(nq) plans fit this cap")
 
     p = sub.add_parser("analyze", help="closed-form curves (CSV)")

@@ -17,18 +17,14 @@ every verdict is decided from them.  One blocked scan still counts the
 survivors of every mask (:func:`iter_survivor_blocks`,
 :func:`batch_survivor_counts`); no verdict uses it, and it is the tests'
 oracle for the conservation law and the verdicts.  Censuses and exhaustive
-game values count or search cliques of pairwise compatible rows
-(:func:`clique_count`, :func:`first_clique`) instead of the 3**(n*q) plans.
-At k = 0 the count is a closed form, C(3**q, n) under the heavy prior and
-2**n C((3**q - 1) / 2, n) under the unknown one; at k >= 1 it is an orbit
-sum over the game's symmetries, S_3 wr S_q heavy and S_2 wr S_q unknown
-(orbit-stabiliser counting; McKay, J. Algorithms 26, 1998): 3**q c0 / n
-with c0 = (1/(n-1)) sum_{w>2k} C(q, w) 2**w c(0, v_w) heavy, and
-(1/n) sum_{j<q-2k} C(q, j) 2**(q-j) c(v_j) unknown, where c counts the
-cliques left to complete inside full neighbourhoods.  The first clique is
-searched from the same orbits' smallest words, in ascending order.  The
-matrix cap meters every clique search: its W**2 graph cells are checked
-before anything is allocated, and its nodes are counted as they are
+game values count or find cliques of pairwise compatible rows
+(:func:`clique_count`, :func:`first_clique`) instead of the 3**(n*q) plans,
+by one ladder (:class:`_CliqueSearch`): no clique from the pigeonhole
+threshold or past the W admissible rows on, each admissible row one at
+n = 1, closed forms at k = 0, and at k >= 1 a search rooted at one word
+per orbit of the game's symmetries.  Only that last rung builds the
+compatibility graph, and the matrix cap meters it: its W**2 cells are
+checked before anything is allocated, and its nodes are counted as they are
 visited.  Every Hamming distance here is one digit-wise count,
 :func:`_distances`, and every block but the survivor scan's, Monte Carlo's
 too, is cut by one rule, :func:`_blocks`.
@@ -380,13 +376,19 @@ def admissible_count(spec: GameSpec) -> int:
     return 3**spec.q - hamming_ball_volume(spec.q, 2 * spec.k)
 
 
-def _settled_count(spec: GameSpec) -> int | None:
-    """``spec``'s n-clique count where it takes no search, else ``None``: 0
-    past the W admissible words or from the pigeonhole threshold, W at n = 1."""
-    words = admissible_count(spec)
-    if spec.n > words or spec.n >= pigeonhole_min_n(spec.q, spec.k, spec.prior):
-        return 0
-    return words if spec.n == 1 else None
+def mirror_free_codes(n: int, q: int) -> np.ndarray:
+    """Codes of the first n rows whose first on-balance cell is L, the
+    earlier row of each mirror pair.  With j leading O cells such rows form
+    one run of 3**(q-1-j) codes, starting at the code of O * j + L * (q - j),
+    which is 3**q - 3**(q-j)."""
+    runs = []
+    for j in range(q):
+        size = min(n, 3 ** (q - 1 - j))
+        runs.append(3**q - 3 ** (q - j) + np.arange(size))
+        n -= size
+        if not n:
+            break
+    return np.concatenate(runs)
 
 
 class _CliqueSearch:
@@ -399,28 +401,48 @@ class _CliqueSearch:
     from its own mirror (admissible), and each pair from the other's mirror,
     so all four heavy/light images of a pair stay apart.
 
+    :meth:`first` and :meth:`count` settle any n by the module's ladder;
+    ``least`` is where no clique is left, the pigeonhole threshold or W + 1.
+
     The graph holds the admissible codes in ascending order and, for word
     i, a Python-int bitset of the later words compatible with it; a row is
     built when the search first branches on its word.  The search tries
     small words first, so the first clique it meets is the lexicographically
     first, and it counts the last level by popcount.
 
-    The matrix cap ``cap`` meters the work.  A graph of more than ``cap``
-    cells, W**2 over the W admissible words, is refused before anything is
-    allocated; the scan of the 3**q words for admissible ones costs no more,
-    since W >= 2**q whenever W > 0.  :meth:`search` counts the nodes it
-    visits, and is refused once they pass ``cap``."""
+    The matrix cap ``cap`` meters the work.  :meth:`build` refuses a graph
+    of more than ``cap`` cells, W**2, before anything is allocated; the scan
+    of the 3**q words for admissible ones costs no more, since W >= 2**q
+    whenever W > 0.  :meth:`search` counts the nodes it visits, and is
+    refused once they pass ``cap``.  Only the ladder's last rung builds the
+    graph, so nothing before it is ever refused."""
 
     def __init__(self, spec: GameSpec, cap: int):
-        words = admissible_count(spec)
-        if words * words > cap:
-            raise ResourceLimitError(
-                f"a compatibility graph of {words}**2 cells over the admissible rows of "
-                f"{spec.q} rounds exceeds the matrix cap ({cap}); raise --matrix-cap to proceed"
-            )
         self.spec, self.cap, self.nodes = spec, cap, 0
-        self.words, self.digits = self._admissible()  # (W,) codes, (q, W) digits
-        self.rows: list[int | None] = [None] * len(self.words)
+        self.size = admissible_count(spec)  # W
+        self.least = min(pigeonhole_min_n(spec.q, spec.k, spec.prior), self.size + 1)
+        self.words: np.ndarray | None = None  # (W,) codes, set by build()
+
+    def build(self) -> None:
+        """Scan the admissible words once, under the cap; their rows are
+        built on first use (:meth:`neighbours`)."""
+        if self.words is not None:
+            return
+        if self.size * self.size > self.cap:
+            raise ResourceLimitError(
+                f"a compatibility graph of {self.size}**2 cells over the admissible rows of "
+                f"{self.spec.q} rounds exceeds the matrix cap ({self.cap}); "
+                f"raise --matrix-cap to proceed"
+            )
+        self.words, self.digits = self._admissible()  # (q, W) digits
+        self.rows: list[int | None] = [None] * self.size
+
+    def _start(self, n: int) -> None:
+        """Enter the graph rung for n coins: build the graph, point refusals
+        at the n-coin spec and start the node meter from zero."""
+        self.build()
+        self.spec = dataclasses.replace(self.spec, n=n)
+        self.nodes = 0
 
     def _admissible(self) -> tuple[np.ndarray, np.ndarray]:
         """Codes and digits of the admissible words (:func:`admissible_count`),
@@ -459,26 +481,79 @@ class _CliqueSearch:
         return self._compatible(int(np.searchsorted(self.words, code)), 0)
 
     def first(self, n: int) -> list[int] | None:
-        """Row codes of the first n-clique, n >= 2, in the (3**q)**n
-        enumeration, or ``None``.  The graph does not depend on n, so one
-        search serves every n of its q, k and prior; the node meter starts
-        again at each call, and a refusal names the n-coin spec.
+        """Row codes of the first n-clique in the (3**q)**n enumeration, or
+        ``None``.  At n = 1 that is all-L, code 0, admissible whenever any
+        word is.  At k = 0 it is the first n words under the heavy prior and
+        :func:`mirror_free_codes` under the unknown one.
 
-        The search branches on the smallest word of each orbit of the game's
-        symmetries, in ascending order: word 0 under the heavy prior, whose
-        group is transitive, and u_j = L^(q-j) O^j, code 3**j - 1, for each
-        count j < q - 2k of off-balance rounds under the unknown prior; u_j
-        comes before every word of a later orbit.  Once no clique holds an
-        earlier root, the group moves any clique through u_j's orbit onto
+        Else the search branches on the smallest word of each orbit of the
+        game's symmetries, in ascending order: word 0 under the heavy prior,
+        whose group is transitive, and u_j = L^(q-j) O^j, code 3**j - 1, for
+        each count j < q - 2k of off-balance rounds under the unknown prior;
+        u_j comes before every word of a later orbit.  Once no clique holds
+        an earlier root, the group moves any clique through u_j's orbit onto
         one through u_j whose other words come after it, so the first root
-        that completes gives the first clique, and none means none at all."""
-        spec = self.spec = dataclasses.replace(self.spec, n=n)
-        self.nodes = 0
+        that completes gives the first clique, and none means none at all.
+        The graph does not depend on n, so one search serves every n."""
+        spec = self.spec
+        if n >= self.least:
+            return None
+        if n == 1:
+            return [0]
+        if spec.k == 0:
+            return list(range(n)) if spec.prior == HEAVY else mirror_free_codes(n, spec.q).tolist()
+        self._start(n)
         for j in range(1 if spec.prior == HEAVY else spec.q - 2 * spec.k):
             i, path = int(np.searchsorted(self.words, 3**j - 1)), []
             if self.search(self.neighbours(i), n - 1, path):
                 return [int(self.words[v]) for v in reversed(path + [i])]
         return None
+
+    def count(self, n: int) -> int:
+        """Number of n-cliques: 0 from ``least`` on and W at n = 1.  At
+        k = 0 any n distinct words under the heavy prior, C(3**q, n), and one
+        word from each of n mirror pairs of the 3**q - 1 admissible ones
+        under the unknown prior, 2**n C((3**q - 1) / 2, n).
+
+        Else one root per orbit of the game's symmetries (orbit-stabiliser
+        double counting; McKay, J. Algorithms 26, 1998).  Heavy prior:
+        per-column translations mod 3 move any word to any other, so every
+        word lies in the same number c0 of cliques and the count is
+        3**q * c0 / n.  Word 0's stabiliser, column permutations and
+        per-column swaps of digits 1 and 2, has one orbit per weight w,
+        C(q, w) 2**w words, and a clique through 0 holds n - 1 other words,
+        so c0 = (1/(n-1)) sum_{w>2k} C(q, w) 2**w c(0, v_w), with c(0, v_w)
+        the (n-2)-cliques in N(0) & N(v_w).
+        Unknown prior: column permutations and per-column L<->R swaps
+        (S_2 wr S_q) commute with the mirror and have one orbit per count j
+        of off-balance rounds, C(q, j) 2**(q-j) words, admissible for
+        j < q - 2k, so the count is (1/n) sum_j C(q, j) 2**(q-j) c(v_j), with
+        c(v_j) the (n-1)-cliques in N(v_j).  Each division is checked to be
+        exact."""
+        q, k = self.spec.q, self.spec.k
+        if n >= self.least:
+            return 0
+        if n == 1:
+            return self.size
+        if k == 0:
+            if self.spec.prior == HEAVY:
+                return math.comb(3**q, n)
+            return 2**n * math.comb((3**q - 1) // 2, n)
+        self._start(n)
+        if self.spec.prior == HEAVY:
+            # Word 0 comes first: its later words are all of N(0).
+            root, through = self.neighbours(0), 0
+            for w in range(2 * k + 1, q + 1):
+                v = (3**w - 1) // 2  # R in the last w rounds
+                pairs = 1 if n == 2 else self.search(root & self.neighbourhood(v), n - 2, None)
+                through += math.comb(q, w) * 2**w * pairs
+            return _exact(3**q * _exact(through, n - 1), n)
+        total = 0
+        for j in range(q - 2 * k):
+            v = 3**q - 3 ** (q - j)  # O in the first j rounds, L after
+            cliques = self.search(self.neighbourhood(v), n - 1, None)
+            total += math.comb(q, j) * 2 ** (q - j) * cliques
+        return _exact(total, n)
 
     def search(self, cands: int, size: int, path: list[int] | None) -> int:
         """Count the size-cliques among the words in bitset ``cands``.  With
@@ -515,63 +590,14 @@ def _exact(total: int, parts: int) -> int:
     return share
 
 
-def _orbit_count(spec: GameSpec, cap: int) -> int:
-    """n-clique count at k >= 1 and n >= 2 from one root per orbit of the
-    game's symmetries (orbit-stabiliser double counting; McKay, J. Algorithms
-    26, 1998).
-
-    Heavy prior: per-column translations mod 3 move any word to any other,
-    so every word lies in the same number c0 of cliques and the count is
-    3**q * c0 / n.  Word 0's stabiliser, column permutations and per-column
-    swaps of digits 1 and 2, has one orbit per weight w, C(q, w) 2**w words,
-    and a clique through 0 holds n - 1 other words, so c0 = (1/(n-1))
-    sum_{w>2k} C(q, w) 2**w c(0, v_w), with c(0, v_w) the (n-2)-cliques in
-    N(0) & N(v_w).
-    Unknown prior: column permutations and per-column L<->R swaps
-    (S_2 wr S_q) commute with the mirror and have one orbit per count j of
-    off-balance rounds, C(q, j) 2**(q-j) words, admissible for j < q - 2k,
-    so the count is (1/n) sum_j C(q, j) 2**(q-j) c(v_j), with c(v_j) the
-    (n-1)-cliques in N(v_j).  Each division is checked to be exact."""
-    n, q, k = spec.n, spec.q, spec.k
-    search = _CliqueSearch(spec, cap)
-    if spec.prior == HEAVY:
-        root, through = search.neighbours(0), 0  # word 0 comes first: its later words are all of N(0)
-        for w in range(2 * k + 1, q + 1):
-            v = (3**w - 1) // 2  # R in the last w rounds
-            pairs = 1 if n == 2 else search.search(root & search.neighbourhood(v), n - 2, None)
-            through += math.comb(q, w) * 2**w * pairs
-        return _exact(3**q * _exact(through, n - 1), n)
-    total = 0
-    for j in range(q - 2 * k):
-        v = 3**q - 3 ** (q - j)  # O in the first j rounds, L after
-        total += math.comb(q, j) * 2 ** (q - j) * search.search(search.neighbourhood(v), n - 1, None)
-    return _exact(total, n)
-
-
 def clique_count(spec: GameSpec, cap: int) -> int:
-    """Number of n-row sets that form a must-win plan; each is n! plans.
-
-    One ladder: :func:`_settled_count`; at k = 0 the closed form, any n
-    distinct words under the heavy prior, C(3**q, n), and one word from each
-    of n mirror pairs of the 3**q - 1 admissible ones under the unknown
-    prior, 2**n C((3**q - 1) / 2, n); at k >= 1 the orbit sums of
-    :func:`_orbit_count`, whose search ``cap`` meters (:class:`_CliqueSearch`)."""
-    count = _settled_count(spec)
-    if count is not None:
-        return count
-    if spec.k == 0:
-        if spec.prior == HEAVY:
-            return math.comb(3**spec.q, spec.n)
-        return 2**spec.n * math.comb((3**spec.q - 1) // 2, spec.n)
-    return _orbit_count(spec, cap)
+    """Number of n-row sets that form a must-win plan, each n! plans, by
+    :meth:`_CliqueSearch.count`, whose search ``cap`` meters."""
+    return _CliqueSearch(spec, cap).count(spec.n)
 
 
 def first_clique(spec: GameSpec, cap: int) -> list[int] | None:
     """Row codes of the lexicographically first must-win plan, which is the
-    first in the (3**q)**n enumeration of :func:`matrix_chunk_codes`:
-    :func:`_settled_count` where it decides, else :meth:`_CliqueSearch.first`
-    on a new search, which ``cap`` meters."""
-    count = _settled_count(spec)
-    if count is not None:
-        return [0] if count else None  # n = 1: all-L (code 0) is admissible first
+    first in the (3**q)**n enumeration of :func:`matrix_chunk_codes`, by
+    :meth:`_CliqueSearch.first`, whose search ``cap`` meters."""
     return _CliqueSearch(spec, cap).first(spec.n)

@@ -10,11 +10,11 @@ from dataclasses import dataclass
 from . import engine
 from .adversary import AttackResult, find_winning_mask
 from .analysis import hamming_ball_volume
-from .builders import complement_free_strategy, ternary_strategy
 from .core import HEAVY, BalanceGameError, GameSpec, ResourceLimitError
 
 PLAYER = "player"
 BALANCE = "balance"
+SWEEP_MATRIX_CAP = 200_000  # theorem_sweep searches each n only while its 3**(n*q) plans fit this
 
 
 class UndecidedError(BalanceGameError):
@@ -72,18 +72,10 @@ class GameValue:
 
 def _has_builder_plan(spec: GameSpec) -> bool:
     """Does a capacity theorem give the player a plan: one heavy coin as the
-    only hypothesis, or k = 0 up to :func:`perfect_capacity`?"""
+    only hypothesis, or k = 0 up to :func:`perfect_capacity`?  There
+    :func:`engine.first_clique` is the builders' plan, in closed form."""
     return (spec.prior == HEAVY and spec.n == 1
             or spec.k == 0 and spec.n <= perfect_capacity(spec.q, spec.prior))
-
-
-def _builder_witness(spec: GameSpec) -> tuple[str, ...] | None:
-    """The builder plan where :func:`_has_builder_plan` holds, the ternary
-    plan heavy and the mirror-free plan unknown; ``None`` elsewhere."""
-    if not _has_builder_plan(spec):
-        return None
-    build = ternary_strategy if spec.prior == HEAVY else complement_free_strategy
-    return build(spec.n, spec.q)
 
 
 def game_value(
@@ -113,26 +105,28 @@ def game_value(
         raise ValueError(f"mode must be auto, exhaustive or constructive, got {mode!r}")
     if mode == "exhaustive":
         engine.check_rounds(spec.q)
-    if spec.n * spec.q > matrix_cap and _has_builder_plan(spec):
+    builder = _has_builder_plan(spec)
+    if spec.n * spec.q > matrix_cap and builder:
         raise ResourceLimitError(
             f"the builder plan for {spec.compact()} has {spec.n * spec.q} cells, over the "
             f"matrix cap ({matrix_cap}); raise --matrix-cap to proceed"
         )
-    witness, source, rank = _builder_witness(spec), "builder", 0
-    if witness is None and mode == "exhaustive":
-        first = engine.first_clique(spec, matrix_cap)
-        if first is None:
-            return GameValue(BALANCE, mode, None, (3**spec.q) ** spec.n)
-        witness, source = tuple(engine.decode_rows(first, spec.q)), "clique"
-        for code in first:  # the witness's index in the (3**q)**n enumeration, row 0 first
-            rank = rank * 3**spec.q + code
-    elif witness is None:
+    if not builder and mode == "constructive":
         if spec.n < engine.pigeonhole_min_n(spec.q, spec.k, spec.prior):
             raise UndecidedError(
                 f"no constructive rule decides {spec.compact()}; use exhaustive mode"
             )
         return GameValue(BALANCE, mode, None, 0)
+    first = engine.first_clique(spec, matrix_cap)
+    if first is None:
+        return GameValue(BALANCE, mode, None, (3**spec.q) ** spec.n)
+    rank = 0
+    if not builder:
+        for code in first:  # the witness's index in the (3**q)**n enumeration, row 0 first
+            rank = rank * 3**spec.q + code
+    witness = tuple(engine.decode_rows(first, spec.q))
     if spec.q <= engine.MAX_ROUNDS and not certify(spec, witness).must_win:
+        source = "builder" if builder else "clique"
         raise AssertionError(f"internal error: {source} witness failed certification")
     return GameValue(PLAYER, mode, witness, rank + 1)
 
@@ -140,13 +134,11 @@ def game_value(
 def census_perfect(spec: GameSpec, matrix_cap: int = engine.DEFAULT_MATRIX_CAP) -> int:
     """Count every plan that certifies must-win, over all 3**(n*q) plans:
     n! row orders of each clique of compatible rows (:func:`engine.clique_count`).
-    The cliques are counted in closed form at k = 0, C(3**q, n) heavy and
-    2**n C((3**q - 1) / 2, n) unknown, and at k >= 1 from one root per orbit
-    of the game's symmetries (orbit-stabiliser counting; McKay, J. Algorithms
-    26, 1998): 3**q c0 / n heavy, with c0 the cliques through word 0, and
-    (1/n) sum_j C(q, j) 2**(q-j) c(v_j) unknown.  Only the k >= 1 search can
-    be refused: past ``matrix_cap`` graph cells before it starts, or past
-    ``matrix_cap`` nodes as it runs (:class:`engine._CliqueSearch`)."""
+    One ladder counts them: none from the pigeonhole threshold or past the
+    admissible rows on, each admissible row at n = 1, a closed form at
+    k = 0, and at k >= 1 orbit sums over the game's symmetries.  Only the
+    last can be refused: past ``matrix_cap`` graph cells before it starts,
+    or past ``matrix_cap`` nodes as it runs (:class:`engine._CliqueSearch`)."""
     engine.check_rounds(spec.q)
     return math.factorial(spec.n) * engine.clique_count(spec, matrix_cap)
 
@@ -163,37 +155,27 @@ class SweepRow:
 
 def _largest_win(
     q: int, k: int, prior: str, matrix_cap: int
-) -> tuple[GameSpec | None, list[int] | None, int | None]:
+) -> tuple[int, list[int] | None, int | None]:
     """Walk n upward while the 3**(n*q) plans fit ``matrix_cap``, each n
-    decided by :func:`game_value`'s exhaustive rungs without building or
-    certifying a plan: a builder plan, :func:`engine._settled_count`, then
-    the first clique of one search shared by every n.  Returns the largest
-    player win's spec (``None`` if none), its clique's row codes (``None``
-    where a builder plan wins), and the first n the balance wins, ``None``
-    if the walk reaches the cap first."""
-    search, won, codes = None, None, None
+    decided by :func:`game_value`'s exhaustive rule without building or
+    certifying a plan: the first clique of one search shared by every n.
+    Returns the largest n the player wins (0 if none), its clique's row
+    codes, and the first n the balance wins, ``None`` if the walk reaches
+    the cap first."""
+    search, won, codes = engine._CliqueSearch(GameSpec(1, q, k, prior), matrix_cap), 0, None
     n = 1
     while (3**q) ** n <= matrix_cap:
-        spec = GameSpec(n, q, k, prior)
         engine.check_rounds(q)
-        clique = None
-        if not _has_builder_plan(spec):
-            count = engine._settled_count(spec)
-            if count is None:
-                if search is None:
-                    search = engine._CliqueSearch(spec, matrix_cap)
-                clique = search.first(n)
-            elif count:
-                clique = [0]  # n = 1: all-L (code 0) is admissible first
-            if clique is None:
-                return won, codes, n
-        won, codes = spec, clique
+        clique = search.first(n)
+        if clique is None:
+            return won, codes, n
+        won, codes = n, clique
         n += 1
     return won, codes, None
 
 
 def theorem_sweep(
-    q_max: int, prior: str = HEAVY, k: int = 0, matrix_cap: int = 200_000
+    q_max: int, prior: str = HEAVY, k: int = 0, matrix_cap: int = SWEEP_MATRIX_CAP
 ) -> list[SweepRow]:
     """Per-q win/lose boundary in n, exhaustive while the plan count fits the
     cap, else settled by the capacity theorems (k=0) or reported as the
@@ -209,14 +191,13 @@ def theorem_sweep(
     rows drops hypotheses, and no announcement gains survivors."""
     rows = []
     for q in range(max(1, k), q_max + 1):
-        won, clique, balance_min = _largest_win(q, k, prior, matrix_cap)
-        if won is not None:
-            plan = _builder_witness(won) if clique is None else tuple(engine.decode_rows(clique, q))
-            if not certify(won, plan).must_win:
+        last_player, clique, balance_min = _largest_win(q, k, prior, matrix_cap)
+        if last_player:
+            won = GameSpec(last_player, q, k, prior)
+            if not certify(won, tuple(engine.decode_rows(clique, q))).must_win:
                 raise AssertionError(
                     f"internal error: the sweep's plan for {won.compact()} failed certification"
                 )
-        last_player = won.n if won is not None else 0
         least = engine.pigeonhole_min_n(q, k, prior)
         capacity, mass_min = (least - 1, None) if k == 0 else (None, least)
         if balance_min is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -186,6 +187,17 @@ class TestSearchFreeAnswers:
     def test_decided_at_the_default_cap(self, capsys, argv, field, want):
         assert run_json(capsys, *argv)[field] == want
 
+    @pytest.mark.parametrize("argv,field,want", [
+        (["value", "--spec", "1,12,1,unknown", "--exhaustive"], "witness", ["L" * 12]),
+        (["census", "--n", "1", "--q", "12", "--k", "1", "--prior", "unknown"], "perfect_count",
+         531152),  # 3**12 less the 289 rows within 2 rounds on a pan
+    ])
+    def test_decided_without_a_graph_under_a_small_cap(self, capsys, monkeypatch, argv, field, want):
+        def refuse(self):
+            raise AssertionError("graph built")
+        monkeypatch.setattr(engine._CliqueSearch, "_admissible", refuse)
+        assert run_json(capsys, *argv, "--matrix-cap", "10")[field] == want
+
 
 class TestSweep:
     def test_csv_shape(self, capsys):
@@ -208,6 +220,11 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--qmax", "4", *argv)
         assert code == 0
         assert out == "\n".join(["q,player_max_n,balance_min_n,mode,capacity,mass_bound_min_n", *rows]) + "\n"
+
+    def test_default_cap_is_the_sweeps_own(self):
+        args = cli.build_parser().parse_args(["sweep", "--qmax", "1"])
+        default = inspect.signature(verifier.theorem_sweep).parameters["matrix_cap"].default
+        assert args.matrix_cap == default == verifier.SWEEP_MATRIX_CAP
 
     @pytest.mark.parametrize("prior", ["heavy", "unknown"])
     def test_lie_budget_above_one_round(self, capsys, prior):

@@ -211,15 +211,33 @@ class TestGameValue:
             assert (value.winner, value.witness, value.instances_checked) == (
                 "player", ("L" * q,), 1)
 
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_k0_builder_plans_are_the_first_cliques(self, prior):
+        # Up to capacity the first clique is the builders' plan, and every
+        # mode hands it out as one instance checked, past MAX_ROUNDS too.
+        build = ternary_strategy if prior == "heavy" else complement_free_strategy
+        for q in range(1, 5):
+            for n in range(1, perfect_capacity(q, prior) + 1):
+                spec, plan = GameSpec(n, q, 0, prior), build(n, q)
+                assert engine.first_clique(spec, CAP) == [engine.encode_row(r) for r in plan], spec
+                for mode in ("auto", "exhaustive", "constructive"):
+                    value = game_value(spec, mode)
+                    assert (value.winner, value.witness, value.instances_checked) == (
+                        "player", plan, 1), (spec, mode)
+        for n in (1, 2, 5, 100):
+            value = game_value(GameSpec(n, 45, 0, prior), "constructive")
+            assert (value.winner, value.witness, value.instances_checked) == (
+                "player", build(n, 45), 1), n
+
     @pytest.mark.parametrize("mode", ["auto", "exhaustive", "constructive"])
     def test_builder_witness_is_certified_before_it_is_handed_out(self, mode, monkeypatch):
-        monkeypatch.setattr(verifier, "complement_free_strategy", lambda n, q: ("LR", "RL"))
+        monkeypatch.setattr(engine, "first_clique", lambda spec, cap: [1, 3])  # LR, RL
         with pytest.raises(AssertionError, match="builder witness failed certification"):
             game_value(GameSpec(2, 2, 0, "unknown"), mode=mode)
 
     def test_clique_witness_is_certified_before_it_is_handed_out(self, monkeypatch):
         spec = GameSpec(2, 3, 1, "heavy")  # no builder plan: k = 1 and two coins
-        assert verifier._builder_witness(spec) is None
+        assert not verifier._has_builder_plan(spec)
         monkeypatch.setattr(engine, "first_clique", lambda spec, cap: [0, 0])  # LLL twice loses
         with pytest.raises(AssertionError, match="clique witness failed certification"):
             game_value(spec, mode="exhaustive")
@@ -254,7 +272,7 @@ class TestGameValue:
         cells = spec.n * spec.q
         value = game_value(spec, mode, matrix_cap=cells)
         assert value.winner == "player" and len(value.witness) == spec.n
-        monkeypatch.setattr(verifier, "_builder_witness", lambda spec: pytest.fail("built"))
+        monkeypatch.setattr(engine, "first_clique", lambda spec, cap: pytest.fail("built"))
         with pytest.raises(ResourceLimitError, match=rf"{cells} cells.*--matrix-cap"):
             game_value(spec, mode, matrix_cap=cells - 1)
 
@@ -334,6 +352,13 @@ GRID = [(n, q, k) for q in range(1, 6) for k in range(min(2, q) + 1) for n in ra
 CAP = engine.DEFAULT_MATRIX_CAP
 
 
+def builder_plan(spec):
+    """The capacity theorems' plan, where they give the player one, else None."""
+    if not verifier._has_builder_plan(spec):
+        return None
+    return (ternary_strategy if spec.prior == "heavy" else complement_free_strategy)(spec.n, spec.q)
+
+
 def recording(monkeypatch):
     """Patch engine._CliqueSearch to keep every search it makes; returns that list."""
     searches = []
@@ -357,7 +382,7 @@ class TestCliqueSearch:
             assert census_perfect(spec, cap) == count, spec
             assert engine.first_clique(spec, cap) == (first and first[1]), spec
             value = game_value(spec, "exhaustive", cap)
-            witness = verifier._builder_witness(spec)
+            witness = builder_plan(spec)
             if witness is not None:
                 assert first is not None, spec
                 assert (value.witness, value.instances_checked) == (witness, 1), spec
@@ -382,6 +407,7 @@ class TestCliqueSearch:
             if sum(math.comb(words, j) for j in range(n)) > limit:
                 continue
             search = engine._CliqueSearch(spec, max(words**2, limit))
+            search.build()
             plain = search.search((1 << len(search.words)) - 1, n, None)
             assert engine.clique_count(spec, CAP) == plain, spec
             checked += 1
@@ -393,9 +419,10 @@ class TestCliqueSearch:
         # stops at the first clique it meets.
         for n, q, k in dict.fromkeys(SMALL_SPECS + GRID):
             spec = GameSpec(n, q, k, prior)
-            if engine._settled_count(spec) is not None:
-                continue
             search, path = engine._CliqueSearch(spec, CAP), []
+            if n == 1 or n >= search.least:
+                continue
+            search.build()
             search.search((1 << len(search.words)) - 1, n, path)
             want = [int(search.words[i]) for i in reversed(path)] or None
             assert engine.first_clique(spec, CAP) == want, spec
@@ -408,6 +435,7 @@ class TestCliqueSearch:
 
         def rows(spec):
             search = engine._CliqueSearch(spec, CAP)
+            search.build()
             return [search.neighbourhood(int(code)) for code in search.words]
 
         want = [engine.clique_count(s, CAP) for s in specs]
@@ -421,6 +449,7 @@ class TestCliqueSearch:
         # A full row is symmetric and, past its own word, the neighbours row.
         for spec in (GameSpec(3, 3, 1, prior), GameSpec(3, 4, 1, prior), GameSpec(2, 4, 2, prior)):
             search = engine._CliqueSearch(spec, CAP)
+            search.build()
             full = [search.neighbourhood(int(code)) for code in search.words]
             for i, row in enumerate(full):
                 assert row >> (i + 1) << (i + 1) == search.neighbours(i), spec
@@ -450,6 +479,7 @@ class TestCliqueSearch:
         assert all(root >> i & 1 for i in built[1:])
         # The all-roots search goes on to words outside N(0).
         plain = unpatched(spec, CAP)
+        plain.build()
         assert plain.search((1 << len(plain.words)) - 1, spec.n, []) == 0
         assert any(row is not None and not root >> i & 1 for i, row in enumerate(plain.rows[1:], 1))
 
@@ -466,10 +496,32 @@ class TestCliqueSearch:
 
     def test_first_plan_builds_only_the_rows_it_branches_on(self):
         search = engine._CliqueSearch(GameSpec(2, 5, 2, "heavy"), CAP)
+        search.build()
         path = []
         search.search((1 << len(search.words)) - 1, 2, path)
         assert path == [121, 0]  # RRRRR, then LLLLL: the first plan
         assert [r is not None for r in search.rows].count(True) == 1
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_rungs_without_a_graph_build_none_and_are_never_refused(self, prior, monkeypatch):
+        # Settled and k = 0 specs answer with the graph scan patched to raise,
+        # under a cap of one cell (n*q for value, whose builder plan has as many).
+        specs = [GameSpec(n, q, k, prior) for n, q, k in SMALL_SPECS]
+        specs = [s for s in specs if s.n == 1 or s.k == 0 or s.n >= engine._CliqueSearch(s, CAP).least]
+        want = [(engine.first_clique(s, CAP), engine.clique_count(s, CAP), game_value(s, "exhaustive"))
+                for s in specs]
+        sweeps = [theorem_sweep(6, prior, 0, cap) for cap in (9, 3000, 200_000)]
+
+        def refuse(self):
+            raise AssertionError("graph built")
+        monkeypatch.setattr(engine._CliqueSearch, "_admissible", refuse)
+        assert len(specs) >= 150
+        for spec, (first, count, value) in zip(specs, want):
+            assert engine.first_clique(spec, 1) == first, spec
+            assert engine.clique_count(spec, 1) == count, spec
+            assert census_perfect(spec, 1) == math.factorial(spec.n) * count, spec
+            assert game_value(spec, "exhaustive", spec.n * spec.q) == value, spec
+        assert [theorem_sweep(6, prior, 0, cap) for cap in (9, 3000, 200_000)] == sweeps
 
     def test_cap_is_checked_before_the_graph_is_built(self, monkeypatch):
         def refuse(self):
@@ -567,8 +619,8 @@ class TestTheoremSweep:
         # cap the sweep runs under trips the meter; this one meters two nodes.
         # Heavy k = 1 visits 1 and 2 nodes at q = 3 (n = 2, 3), then 3 at 4,4,1.
         class Metered(engine._CliqueSearch):
-            def __init__(self, spec, cap):
-                super().__init__(spec, cap)
+            def build(self):
+                super().build()
                 self.cap = 2
 
         monkeypatch.setattr(engine, "_CliqueSearch", Metered)
@@ -605,6 +657,23 @@ class TestTheoremSweep:
             for mask in masks:
                 assert adjudicate(GameSpec(n - 1, q, k, prior), rest, mask).winner == "player"
 
+    @pytest.mark.parametrize("prior,k,last", [
+        ("heavy", 0, (36472996377170786403, 36472996377170786404, "constructive",
+                      36472996377170786403, None)),
+        ("unknown", 0, (18236498188585393201, 18236498188585393202, "constructive",
+                        18236498188585393201, None)),
+        ("heavy", 2, (None, 10845375074983880, "mass-bound", None, 10845375074983880)),
+        ("unknown", 2, (None, 5422687537491940, "mass-bound", None, 5422687537491940)),
+    ])
+    def test_every_row_past_the_round_bound_is_answered(self, prior, k, last):
+        # Past MAX_ROUNDS no plan fits the cap, so the walk takes no step and
+        # the capacity theorem and the pigeonhole give the row.
+        rows = theorem_sweep(41, prior, k)
+        assert [row.q for row in rows] == list(range(max(1, k), 42))
+        for row in rows[engine.MAX_ROUNDS - max(1, k) + 1 :]:
+            assert row.balance_min_n == engine.pigeonhole_min_n(row.q, k, prior), row
+        assert rows[-1] == verifier.SweepRow(41, *last)
+
     def test_single_round_row(self):
         rows = theorem_sweep(1, "heavy")
         assert rows[0].q == 1
@@ -625,15 +694,14 @@ class TestTheoremSweep:
 
     @pytest.mark.parametrize("prior", ["heavy", "unknown"])
     def test_constructive_rows_build_no_witness(self, prior, monkeypatch):
-        def guard(build):
-            def guarded(n, q):
-                if n > 1000:
-                    raise AssertionError(f"built a {n}-row witness")
-                return build(n, q)
-            return guarded
+        decode_rows = engine.decode_rows
 
-        for name in ("ternary_strategy", "complement_free_strategy"):
-            monkeypatch.setattr(verifier, name, guard(getattr(verifier, name)))
+        def guarded(codes, q):
+            if len(codes) > 1000:
+                raise AssertionError(f"built a {len(codes)}-row witness")
+            return decode_rows(codes, q)
+
+        monkeypatch.setattr(engine, "decode_rows", guarded)
         rows = theorem_sweep(8, prior)
         cap = perfect_capacity(8, prior)
         assert (rows[-1].player_max_n, rows[-1].balance_min_n, rows[-1].mode) == (
