@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .core import DomainError
 
@@ -187,34 +187,6 @@ def prob_fewer_than_two_heavier(n: int, phi: float) -> float:
     return (1.0 - phi) ** (n - 1) * (1.0 + (n - 1) * phi)
 
 
-class LieThresholds(NamedTuple):
-    """Coin counts forcing a lying balance's win by counting arguments.
-
-    ``coarse`` counts only which rounds are lied about; ``exact`` also counts
-    which wrong symbol each lied round shows (a factor 2**j), so it kicks in
-    earlier.  Values where the division is exact are inconclusive boundary
-    cases; both are ceilings of space / ball volume.
-    """
-
-    coarse: int
-    exact: int
-
-
-def lie_win_thresholds(q: int, k: int, all_on: bool = False) -> LieThresholds:
-    """Pigeonhole coin-count thresholds for a balance with lie budget k.
-
-    ``all_on`` restricts to plans that weigh every coin every round, where
-    announcements range over 2**q rather than 3**q and a lied round has only
-    one wrong symbol, so both thresholds coincide.
-    """
-    if q < 1 or not 0 <= k <= q:
-        raise DomainError(f"need q >= 1 and 0 <= k <= q, got q={q}, k={k}")
-    space = 2**q if all_on else 3**q
-    coarse_vol = hamming_ball_volume(q, k, 2)
-    exact_vol = coarse_vol if all_on else hamming_ball_volume(q, k, 3)
-    return LieThresholds(-(space // -coarse_vol), -(space // -exact_vol))
-
-
 def entropy_round_bound(n: int, signs_per_coin: int = 1) -> float:
     """Information floor on rounds: log base 3 of the hypothesis count,
     returned exactly integral when the count is a power of three."""
@@ -248,7 +220,7 @@ def chernoff_tail_bound(q: int, delta: float) -> float:
     random row straying more than delta from its mean."""
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN included
         raise DomainError(f"deviation must be positive, got {delta}")
     return 2.0 * math.exp(-2.0 * delta * delta * q)
 

@@ -14,7 +14,8 @@ Machine-readable reports (JSON, fixed field order) or CSV go to stdout;
 ``--pretty`` switches a JSON report to an aligned key/value rendering.  Exit
 codes: 0 success, 1 other package error, 2 malformed input, 3 capacity
 exceeded, 4 matrix cap or round bound exceeded, 5 numeric domain
-violation, 6 undecided by the requested mode.
+violation or a number the report cannot print, 6 undecided by the
+requested mode.
 """
 
 from __future__ import annotations
@@ -420,13 +421,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         out = handler(args)
+        if isinstance(out, dict):
+            if "elapsed_ms" in out:
+                out["elapsed_ms"] = round(1000 * (time.perf_counter() - t0), 3)
+            out = render_report(report(args.command, **out), pretty=args.pretty) + "\n"
     except BalanceGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
-    if isinstance(out, dict):
-        if "elapsed_ms" in out:
-            out["elapsed_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-        out = render_report(report(args.command, **out), pretty=args.pretty) + "\n"
     if out:
         sys.stdout.write(out)
     return EXIT_OK

@@ -4,15 +4,19 @@ A strategy file holds one row per line over ``L``/``R``/``O``; blank lines
 and lines starting with ``#`` are ignored.  Formatting then parsing gives
 back the same rows (comments aside).  Masks are plain strings over
 ``L``/``R``/``D``.  Reports are versioned key/value documents rendered as
-JSON with a fixed field order.
+JSON with a fixed field order.  A report or table that holds a number it
+cannot print (an integer past the interpreter's int-to-str digit limit, or
+a float JSON has no word for) is refused with one :class:`DomainError`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Sequence
+import math
+import sys
+from typing import Any, Iterable, NoReturn, Sequence
 
-from .core import BalanceGameError, OUTCOMES, PLACEMENTS, GameSpec
+from .core import BalanceGameError, DomainError, OUTCOMES, PLACEMENTS, GameSpec
 
 REPORT_SCHEMA = "1"
 
@@ -82,9 +86,54 @@ def report(command: str, **fields: Any) -> dict[str, Any]:
     return doc
 
 
+def _cells(name: str, value: Any) -> Iterable[tuple[str, Any]]:
+    """(field name, scalar) for every scalar a report field holds."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from _cells(f"{name}.{key}", inner)
+    elif isinstance(value, (list, tuple)):
+        for inner in value:
+            yield from _cells(name, inner)
+    else:
+        yield name, value
+
+
+def _digits(x: int) -> int:
+    """Decimal digits of a nonzero |x|, counted without converting it to a string."""
+    x = abs(x)
+    d = int(math.log10(x)) + 1  # the float logarithm may be off by one either way
+    if 10 ** (d - 1) > x:
+        return d - 1
+    return d + 1 if 10**d <= x else d
+
+
+def _refuse(cells: Iterable[tuple[str, Any]], failure: ValueError) -> NoReturn:
+    """Rendering failed with ``failure``: refuse the first cell no report can
+    print, an integer past ``sys.get_int_max_str_digits()`` or a float that is
+    not finite, with a :class:`DomainError`; re-raise ``failure`` if none is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = 10**limit if limit else math.inf  # the least magnitude past the limit
+    for name, value in cells:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"cannot print {name}: {value} is not a JSON number") from failure
+        if isinstance(value, int) and abs(value) >= too_long:
+            raise DomainError(
+                f"cannot print {name}: it has {_digits(value)} digits, over the "
+                f"{limit}-digit limit on integer printing"
+            ) from failure
+    raise failure
+
+
 def render_report(doc: dict[str, Any], pretty: bool = False) -> str:
+    try:
+        return _render_report(doc, pretty)
+    except ValueError as failure:
+        _refuse((cell for key, value in doc.items() for cell in _cells(key, value)), failure)
+
+
+def _render_report(doc: dict[str, Any], pretty: bool) -> str:
     if not pretty:
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)
     lines = []
     for key, value in doc.items():
         if isinstance(value, (list, tuple)) and value and all(
@@ -115,5 +164,8 @@ def csv_number(x: Any) -> str:
 
 def render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(csv_number(cell) for cell in row) for row in rows)
+    try:
+        lines.extend(",".join(csv_number(cell) for cell in row) for row in rows)
+    except ValueError as failure:
+        _refuse((cell for row in rows for cell in zip(header, row)), failure)
     return "\n".join(lines) + "\n"

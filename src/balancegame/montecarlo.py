@@ -108,6 +108,7 @@ def concentration_experiment(
     if not 0.0 <= r <= 1.0:
         raise DomainError(f"on-balance rate must lie in [0, 1], got {r}")
     _check_trials(trials)
+    bound = chernoff_tail_bound(q, delta)  # refuses a bad delta before any trial runs
     pieces = list(engine._blocks(q, _CELL_BYTES))  # a longer row is drawn in pieces
     hits = 0
     for seeds in _seed_blocks(seed, trials, _CELL_BYTES * q):
@@ -116,7 +117,7 @@ def concentration_experiment(
             rngs = list(rngs)
         on = sum((draw_uniforms(rngs, cs.stop - cs.start) < r).sum(axis=1) for cs in pieces)
         hits += int((np.abs(on / q - r) > delta).sum())
-    return hits / trials, chernoff_tail_bound(q, delta)
+    return hits / trials, bound
 
 
 def random_perfect_rate(

@@ -1,6 +1,8 @@
 """Certification: exhaustive must-win checks, censuses and boundary sweeps.
 
-:func:`game_value` tries its rules on one ladder and certifies its witness in one place."""
+:func:`game_value` tries its rules on one ladder, and every plan this module
+hands out, its witness or :func:`theorem_sweep`'s largest win, is certified
+in one place (:func:`_certified`)."""
 
 from __future__ import annotations
 
@@ -70,6 +72,16 @@ class GameValue:
     instances_checked: int
 
 
+def _certified(spec: GameSpec, codes: list[int], source: str) -> tuple[str, ...]:
+    """The one exit for a plan this module hands out: its row codes decoded,
+    and certified must-win when q <= MAX_ROUNDS.  A plan that fails is an
+    internal error naming ``source``."""
+    plan = tuple(engine.decode_rows(codes, spec.q))
+    if spec.q <= engine.MAX_ROUNDS and not certify(spec, plan).must_win:
+        raise AssertionError(f"internal error: {source} failed certification")
+    return plan
+
+
 def _has_builder_plan(spec: GameSpec) -> bool:
     """Does a capacity theorem give the player a plan: one heavy coin as the
     only hypothesis, or k = 0 up to :func:`perfect_capacity`?  There
@@ -98,7 +110,7 @@ def game_value(
        survivor-mass pigeonhole on (at k = 0, just past capacity) and
        refuses the rest with :class:`UndecidedError`.
 
-    The one plan handed out is certified again when q <= MAX_ROUNDS."""
+    The one plan handed out is certified again (:func:`_certified`)."""
     if mode == "auto":
         mode = "exhaustive" if (3**spec.q) ** spec.n <= matrix_cap else "constructive"
     elif mode not in ("exhaustive", "constructive"):
@@ -124,10 +136,7 @@ def game_value(
     if not builder:
         for code in first:  # the witness's index in the (3**q)**n enumeration, row 0 first
             rank = rank * 3**spec.q + code
-    witness = tuple(engine.decode_rows(first, spec.q))
-    if spec.q <= engine.MAX_ROUNDS and not certify(spec, witness).must_win:
-        source = "builder" if builder else "clique"
-        raise AssertionError(f"internal error: {source} witness failed certification")
+    witness = _certified(spec, first, ("builder" if builder else "clique") + " witness")
     return GameValue(PLAYER, mode, witness, rank + 1)
 
 
@@ -186,7 +195,7 @@ def theorem_sweep(
     :func:`game_value` in exhaustive mode: its k >= 1 clique searches share
     one compatibility graph, and each n's node meter starts from zero, so a
     refusal comes at the same n.  Only the largest player win's plan is
-    built and certified; a failure is an internal error.  That covers every
+    built and certified (:func:`_certified`).  That covers every
     smaller n, since every sub-plan of a must-win plan is must-win: dropping
     rows drops hypotheses, and no announcement gains survivors."""
     rows = []
@@ -194,10 +203,7 @@ def theorem_sweep(
         last_player, clique, balance_min = _largest_win(q, k, prior, matrix_cap)
         if last_player:
             won = GameSpec(last_player, q, k, prior)
-            if not certify(won, tuple(engine.decode_rows(clique, q))).must_win:
-                raise AssertionError(
-                    f"internal error: the sweep's plan for {won.compact()} failed certification"
-                )
+            _certified(won, clique, f"the sweep's plan for {won.compact()}")
         least = engine.pigeonhole_min_n(q, k, prior)
         capacity, mass_min = (least - 1, None) if k == 0 else (None, least)
         if balance_min is not None:

@@ -14,7 +14,6 @@ from balancegame import (
     golden_section_max,
     hamming_ball_volume,
     honest_threshold_rate,
-    lie_win_thresholds,
     lying_survivor_bound,
     lying_threshold_rate,
     prob_considered_heavier,
@@ -253,26 +252,6 @@ class TestProbFewerThanTwoHeavier:
                     math.comb(n, j) * phi**j * (1 - phi) ** (n - j) for j in (0, 1)
                 )
                 assert prob_fewer_than_two_heavier(n, phi) == pytest.approx(tail)
-
-
-class TestLieWinThresholds:
-    def test_two_rounds_one_lie(self):
-        thresholds = lie_win_thresholds(2, 1)
-        assert thresholds.coarse == 3
-        assert thresholds.exact == 2
-
-    def test_all_on_three_rounds(self):
-        thresholds = lie_win_thresholds(3, 1, all_on=True)
-        assert thresholds == (2, 2)
-
-    def test_zero_lies(self):
-        assert lie_win_thresholds(3, 0) == (27, 27)
-
-    def test_exact_never_above_coarse(self):
-        for q in range(1, 8):
-            for k in range(0, q + 1):
-                thresholds = lie_win_thresholds(q, k)
-                assert thresholds.exact <= thresholds.coarse
 
 
 class TestEntropyRoundBound:

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -345,6 +346,64 @@ class TestConcentrate:
         assert doc["chernoff_bound"] == pytest.approx(
             2 * math.exp(-2.0), rel=1e-12
         )
+
+
+    @pytest.mark.parametrize("delta", ["nan", "NaN", "0", "-0.1"])
+    def test_a_deviation_that_is_not_positive_is_refused(self, capsys, delta):
+        code, out, err = run(capsys, "concentrate", "--q", "5", "--r", "0.5",
+                             "--delta", delta, "--trials", "10")
+        assert (code, out) == (5, "")
+        assert re.fullmatch(r"error: deviation must be positive, got -?(nan|0\.0|0\.1)\n", err)
+
+    def test_an_infinite_deviation_is_refused_where_json_has_no_word_for_it(self, capsys):
+        argv = ["concentrate", "--q", "5", "--r", "0.5", "--delta", "inf", "--trials", "10"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (5, "", "error: cannot print delta: inf is not a JSON number\n")
+        assert "delta: inf" in run(capsys, *argv, "--pretty")[1]
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit on int-to-str
+
+
+@pytest.mark.skipif(LIMIT == 0, reason="this interpreter prints integers of any length")
+class TestUnprintableNumbers:
+    """A count past the int-to-str digit limit is refused with exit 5 and one line."""
+
+    N = LIMIT  # 3**(5n) plans of n coins over 5 rounds: about 2.4n digits, past the limit
+
+    @staticmethod
+    def digits_of_power_of_three(exponent):
+        return math.floor(exponent * math.log10(3)) + 1
+
+    @pytest.mark.parametrize("argv,field", [
+        (["census", "--n", str(N), "--q", "5"], "total_plans"),
+        (["census", "--n", str(N), "--q", "5", "--pretty"], "total_plans"),
+        (["value", "--spec", f"{N},5,0,heavy", "--exhaustive"], "instances_checked"),
+        (["value", "--spec", f"{N},5,0,heavy", "--exhaustive", "--pretty"], "instances_checked"),
+    ])
+    def test_a_report_count_past_the_limit(self, capsys, argv, field):
+        code, out, err = run(capsys, *argv)
+        digits = self.digits_of_power_of_three(5 * self.N)
+        assert (code, out) == (5, "")
+        assert err == (f"error: cannot print {field}: it has {digits} digits, over the "
+                       f"{LIMIT}-digit limit on integer printing\n")
+
+    def test_a_csv_cell_past_the_limit(self, capsys):
+        # Heavy k = 0 capacity 3**q: the first q whose capacity has too many digits.
+        q = next(q for q in itertools.count(LIMIT * 2) if self.digits_of_power_of_three(q) > LIMIT)
+        code, out, err = run(capsys, "sweep", "--qmax", str(q))
+        assert (code, out) == (5, "")
+        assert err.startswith(f"error: cannot print player_max_n: it has {LIMIT + 1} digits")
+
+    def test_no_traceback_from_the_console(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "balancegame.cli", "census", "--n",
+                               str(self.N), "--q", "5"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (5, "")
+        assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
 
 
 class TestPerfectRate:

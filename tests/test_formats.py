@@ -1,8 +1,11 @@
 import json
+import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from balancegame import DomainError
 from balancegame.formats import (
     FormatError,
     csv_number,
@@ -155,3 +158,42 @@ class TestCsv:
         assert lines[0] == "r,g"
         assert lines[1] == "0.5,2.82842712"
         assert lines[2] == "0.666666667,3"
+
+
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit on int-to-str
+
+
+class Unprintable:
+    def __str__(self):
+        raise ValueError("not a number problem")
+
+
+class TestUnprintable:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_json_holds_no_nan_or_infinity(self, value):
+        with pytest.raises(DomainError, match=rf"^cannot print spec\.r: {value} is not a JSON number$"):
+            render_report(report("simulate", spec={"n": 2, "r": value}))
+
+    def test_pretty_and_csv_print_what_they_can(self):
+        assert render_report({"x": math.nan}, pretty=True) == "x: nan"
+        assert render_csv(["x"], [[math.inf]]) == "x\ninf\n"
+
+    @pytest.mark.skipif(LIMIT == 0, reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("render", [
+        lambda big: render_report(report("census", counts=[1, big])),
+        lambda big: render_report(report("census", counts=[1, big]), pretty=True),
+        lambda big: render_csv(["n", "counts"], [[1, 1], [2, big]]),
+    ])
+    def test_integers_past_the_digit_limit(self, render):
+        for big, digits in ((10**LIMIT, LIMIT + 1), (-(10**LIMIT), LIMIT + 1), (10 ** (3 * LIMIT) - 1, 3 * LIMIT)):
+            with pytest.raises(DomainError, match=rf"^cannot print counts: it has {digits} digits, "):
+                render(big)
+        render(10**LIMIT - 1)  # LIMIT digits: printable
+
+    @pytest.mark.parametrize("render", [
+        lambda: render_report({"x": Unprintable()}, pretty=True),
+        lambda: render_csv(["x"], [[Unprintable()]]),
+    ])
+    def test_other_value_errors_propagate(self, render):
+        with pytest.raises(ValueError, match="^not a number problem$"):
+            render()

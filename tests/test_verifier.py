@@ -289,6 +289,13 @@ class TestPigeonhole:
                 for n in range(max(1, least - 2), least + 2):
                     assert (n >= least) == (n * per_coin > 3**q), (q, k, n)
 
+    @pytest.mark.parametrize("n,q,k", [(9, 4, 1), (27, 3, 0)])
+    def test_an_exact_division_leaves_the_player_a_win(self, n, q, k):
+        # n * per_coin == 3**q: no announcement is forced to keep two hypotheses.
+        assert n * survivor_mass_expected(GameSpec(1, q, k, "heavy")) == 3**q
+        assert engine.pigeonhole_min_n(q, k, "heavy") == n + 1
+        assert game_value(GameSpec(n, q, k, "heavy"), "exhaustive").winner == "player"
+
     @pytest.mark.parametrize("prior", ["heavy", "unknown"])
     def test_constructive_verdicts_switch_at_the_threshold(self, prior):
         for q in range(1, 13):
@@ -613,6 +620,20 @@ class TestTheoremSweep:
         monkeypatch.setattr(verifier, "certify", lambda spec, plan: Certificate("balance-wins", 1, object()))
         with pytest.raises(AssertionError, match="internal error"):
             theorem_sweep(4, "heavy")
+
+    def test_a_losing_clique_leaves_through_the_shared_certified_exit(self, monkeypatch):
+        # Heavy k = 0: q = 1 wins up to n = 3, and q = 2 walks to n = 5, the cap's
+        # last n.  Plant LL on every row as q = 2's first clique; it loses.
+        exits, unpatched = [], verifier._certified
+        monkeypatch.setattr(verifier, "_certified",
+                            lambda spec, codes, source: exits.append(source) or unpatched(spec, codes, source))
+        first = engine._CliqueSearch.first
+        monkeypatch.setattr(engine._CliqueSearch, "first",
+                            lambda self, n: [0] * n if self.spec.q == 2 else first(self, n))
+        with pytest.raises(AssertionError,
+                           match=r"^internal error: the sweep's plan for 5,2,0,heavy failed certification$"):
+            theorem_sweep(3, "heavy")
+        assert exits == ["the sweep's plan for 3,1,0,heavy", "the sweep's plan for 5,2,0,heavy"]
 
     def test_the_node_meter_refuses_at_the_same_n_as_the_per_n_sweep(self, monkeypatch):
         # No search in a sweep visits more nodes than its 3**(n*q) plans, so no
