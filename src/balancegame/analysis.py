@@ -113,6 +113,12 @@ def golden_section_max(
     return x, fn(x)
 
 
+def check_lie_fraction(lie_fraction: float) -> None:
+    """Refuse a lie fraction outside [0, 1), NaN included."""
+    if not 0.0 <= lie_fraction < 1.0:
+        raise DomainError(f"lie fraction must lie in [0, 1), got {lie_fraction}")
+
+
 def best_on_fraction(lie_fraction: float = 0.0, tol: float = 1e-8) -> tuple[float, float]:
     """(argmax, max) of the threshold rate in r over (lie_fraction, 1).
 
@@ -122,8 +128,7 @@ def best_on_fraction(lie_fraction: float = 0.0, tol: float = 1e-8) -> tuple[floa
     where the entropy toll degenerates (every on-round lied about), and
     that edge run is taken only when no interior peak exists at all.
     """
-    if not 0.0 <= lie_fraction < 1.0:
-        raise DomainError(f"lie fraction must lie in [0, 1), got {lie_fraction}")
+    check_lie_fraction(lie_fraction)
     if lie_fraction == 0.0:
         fn = honest_threshold_rate
     else:

@@ -197,6 +197,8 @@ def _cmd_analyze(args) -> str:
     num = args.grid
     if args.curve == "optimal-r":
         r2s = _number_list(args.r2) if args.r2 is not None else [0.0]
+        if not r2s:
+            raise FormatError(f"curve 'optimal-r' needs at least one --r2 value, got {args.r2!r}")
         return render_csv(["r2", "argmax", "max"],
                           [[r2, *analysis.best_on_fraction(r2)] for r2 in r2s])
     if args.curve == "g":
@@ -207,6 +209,7 @@ def _cmd_analyze(args) -> str:
         r2 = _number_list(args.r2)
         if len(r2) != 1:
             raise FormatError("curve 'v' takes exactly one --r2 value")
+        analysis.check_lie_fraction(r2[0])
         fn = lambda r: analysis.lying_threshold_rate(r, r2[0])
         curve = analysis.sample_curve(fn, r2[0], 1.0, num)
     elif args.curve == "f":
@@ -285,8 +288,8 @@ def _cmd_play(args) -> None:
 
 MATRIX_CAP_HELP = ("bound on the clique search: W^2 graph cells over the W admissible rows, "
                    "checked before the graph is built, and search nodes, counted as they are "
-                   "visited; also on the n*q cells of a builder plan that value hands out, "
-                   "checked before it is built; exit 4 beyond it")
+                   "visited; also on the n*q cells of a plan that value hands out without "
+                   "the search, checked before it is built; exit 4 beyond it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,8 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("value", help="who wins under best play")
     p.add_argument("--spec", required=True)
     modes = p.add_mutually_exclusive_group()
-    modes.add_argument("--exhaustive", dest="mode", action="store_const", const="exhaustive")
-    modes.add_argument("--constructive", dest="mode", action="store_const", const="constructive")
+    modes.add_argument("--exhaustive", dest="mode", action="store_const", const="exhaustive",
+                       help="every rule, the clique search included")
+    modes.add_argument("--constructive", dest="mode", action="store_const", const="constructive",
+                       help="every rule but the clique search: exit 6 where only it decides")
     p.set_defaults(mode="auto")
     p.add_argument("--matrix-cap", type=int, default=engine.DEFAULT_MATRIX_CAP,
                    help=MATRIX_CAP_HELP + "; auto mode searches only while the 3^(nq) plans fit")

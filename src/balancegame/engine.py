@@ -16,18 +16,18 @@ words lie within Hamming distance 2k, where two radius-k lie balls meet.
 every verdict is decided from them.  One blocked scan still counts the
 survivors of every mask (:func:`iter_survivor_blocks`,
 :func:`batch_survivor_counts`); no verdict uses it, and it is the tests'
-oracle for the conservation law and the verdicts.  Censuses and exhaustive
-game values count or find cliques of pairwise compatible rows
-(:func:`clique_count`, :func:`first_clique`) instead of the 3**(n*q) plans,
-by one ladder (:class:`_CliqueSearch`): no clique from the pigeonhole
-threshold or past the W admissible rows on, each admissible row one at
-n = 1, closed forms at k = 0, and at k >= 1 a search rooted at one word
-per orbit of the game's symmetries.  Only that last rung builds the
-compatibility graph, and the matrix cap meters it: its W**2 cells are
-checked before anything is allocated, and its nodes are counted as they are
-visited.  Every Hamming distance here is one digit-wise count,
-:func:`_distances`, and every block but the survivor scan's, Monte Carlo's
-too, is cut by one rule, :func:`_blocks`.
+oracle for the conservation law and the verdicts.  Censuses, game values
+and sweeps count or find cliques of pairwise compatible rows instead of the
+3**(n*q) plans, by one ladder (:class:`_CliqueSearch`): no clique from the
+pigeonhole threshold or past the W admissible rows on, each admissible row
+one at n = 1, closed forms at k = 0, and at k >= 1 a search rooted at one
+word per orbit of the game's symmetries.  Only that last rung
+(:meth:`_CliqueSearch.needs_graph`) builds the compatibility graph, makes
+int64 codes of its words, and is metered by the matrix cap: its rounds and
+its W**2 cells are checked before anything is allocated, and its nodes are
+counted as they are visited.  Every Hamming distance here is one digit-wise
+count, :func:`_distances`, and every block but the survivor scan's, Monte
+Carlo's too, is cut by one rule, :func:`_blocks`.
 
 Everything here is re-derivable from :mod:`balancegame.core`; the test
 suite holds the two implementations against each other.
@@ -402,7 +402,8 @@ class _CliqueSearch:
     so all four heavy/light images of a pair stay apart.
 
     :meth:`first` and :meth:`count` settle any n by the module's ladder;
-    ``least`` is where no clique is left, the pigeonhole threshold or W + 1.
+    ``least`` is where no clique is left, the pigeonhole threshold or W + 1,
+    and :meth:`needs_graph` says whether n reaches the graph rung.
 
     The graph holds the admissible codes in ascending order and, for word
     i, a Python-int bitset of the later words compatible with it; a row is
@@ -415,7 +416,8 @@ class _CliqueSearch:
     of the 3**q words for admissible ones costs no more, since W >= 2**q
     whenever W > 0.  :meth:`search` counts the nodes it visits, and is
     refused once they pass ``cap``.  Only the ladder's last rung builds the
-    graph, so nothing before it is ever refused."""
+    graph, so nothing before it is ever refused: not by the cap, nor by the
+    MAX_ROUNDS of the graph's int64 codes (:func:`check_rounds`)."""
 
     def __init__(self, spec: GameSpec, cap: int):
         self.spec, self.cap, self.nodes = spec, cap, 0
@@ -423,11 +425,17 @@ class _CliqueSearch:
         self.least = min(pigeonhole_min_n(spec.q, spec.k, spec.prior), self.size + 1)
         self.words: np.ndarray | None = None  # (W,) codes, set by build()
 
+    def needs_graph(self, n: int) -> bool:
+        """Does n coins reach the ladder's last rung, the graph search?  Only
+        for 1 < n < ``least`` at k >= 1; every other n is settled in closed form."""
+        return 1 < n < self.least and self.spec.k >= 1
+
     def build(self) -> None:
-        """Scan the admissible words once, under the cap; their rows are
-        built on first use (:meth:`neighbours`)."""
+        """Scan the admissible words once, under the round bound and the cap;
+        their rows are built on first use (:meth:`neighbours`)."""
         if self.words is not None:
             return
+        check_rounds(self.spec.q)
         if self.size * self.size > self.cap:
             raise ResourceLimitError(
                 f"a compatibility graph of {self.size}**2 cells over the admissible rows of "
@@ -595,9 +603,3 @@ def clique_count(spec: GameSpec, cap: int) -> int:
     :meth:`_CliqueSearch.count`, whose search ``cap`` meters."""
     return _CliqueSearch(spec, cap).count(spec.n)
 
-
-def first_clique(spec: GameSpec, cap: int) -> list[int] | None:
-    """Row codes of the lexicographically first must-win plan, which is the
-    first in the (3**q)**n enumeration of :func:`matrix_chunk_codes`, by
-    :meth:`_CliqueSearch.first`, whose search ``cap`` meters."""
-    return _CliqueSearch(spec, cap).first(spec.n)

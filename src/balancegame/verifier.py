@@ -1,8 +1,9 @@
 """Certification: exhaustive must-win checks, censuses and boundary sweeps.
 
-:func:`game_value` tries its rules on one ladder, and every plan this module
-hands out, its witness or :func:`theorem_sweep`'s largest win, is certified
-in one place (:func:`_certified`)."""
+:func:`game_value`, :func:`census_perfect` and :func:`theorem_sweep` climb
+the clique search's one ladder (:class:`engine._CliqueSearch`) and keep no
+game rule of their own.  Every plan this module hands out, a witness or the
+sweep's largest win, is certified in one place (:func:`_certified`)."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ SWEEP_MATRIX_CAP = 200_000  # theorem_sweep searches each n only while its 3**(n
 
 
 class UndecidedError(BalanceGameError):
-    """The constructive theorems do not settle this instance."""
+    """Only the clique search's graph rung settles this instance."""
 
 
 @dataclass(frozen=True)
@@ -82,61 +83,45 @@ def _certified(spec: GameSpec, codes: list[int], source: str) -> tuple[str, ...]
     return plan
 
 
-def _has_builder_plan(spec: GameSpec) -> bool:
-    """Does a capacity theorem give the player a plan: one heavy coin as the
-    only hypothesis, or k = 0 up to :func:`perfect_capacity`?  There
-    :func:`engine.first_clique` is the builders' plan, in closed form."""
-    return (spec.prior == HEAVY and spec.n == 1
-            or spec.k == 0 and spec.n <= perfect_capacity(spec.q, spec.prior))
-
-
 def game_value(
     spec: GameSpec,
     mode: str = "auto",
     matrix_cap: int = engine.DEFAULT_MATRIX_CAP,
 ) -> GameValue:
-    """Best-play winner, by one ladder of rules tried in order:
+    """Best-play winner, by the clique search's one ladder
+    (:class:`engine._CliqueSearch`): no plan from ``least`` on, all-L at
+    n = 1, the builders' plan at k = 0, and else the graph.
 
-    1. ``auto`` is exhaustive while the 3**(n*q) plans fit ``matrix_cap``.
-    2. A capacity theorem's builder plan (one heavy coin, or k = 0 up to
-       capacity) wins for the player, with ``instances_checked`` 1; its
-       n*q cells are checked against ``matrix_cap`` before it is built.
-    3. Exhaustive mode takes the first clique of compatible rows, the
-       lexicographically first must-win plan (:func:`engine.first_clique`,
-       its search metered by ``matrix_cap``), with ``instances_checked`` its
-       rank + 1 in a row-major enumeration; with none the balance wins and
-       all 3**(n*q) plans count.
-    4. Constructive mode gives the balance every instance from the
-       survivor-mass pigeonhole on (at k = 0, just past capacity) and
-       refuses the rest with :class:`UndecidedError`.
-
-    The one plan handed out is certified again (:func:`_certified`)."""
+    ``auto`` is exhaustive while the 3**(n*q) plans fit ``matrix_cap``.
+    Constructive mode refuses the graph rung with :class:`UndecidedError`
+    and answers the rest as exhaustive mode does.  A plan from a rung before
+    the graph has its n*q cells checked against ``matrix_cap`` before it is
+    built; a graph plan fits, as n*q <= W**2.  ``instances_checked`` is a
+    graph plan's rank + 1 in the row-major (3**q)**n enumeration, 1 for any
+    other plan, and for a balance win all 3**(n*q) plans in exhaustive mode
+    and none in constructive mode.  The one plan handed out is certified
+    again (:func:`_certified`)."""
     if mode == "auto":
         mode = "exhaustive" if (3**spec.q) ** spec.n <= matrix_cap else "constructive"
     elif mode not in ("exhaustive", "constructive"):
         raise ValueError(f"mode must be auto, exhaustive or constructive, got {mode!r}")
-    if mode == "exhaustive":
-        engine.check_rounds(spec.q)
-    builder = _has_builder_plan(spec)
-    if spec.n * spec.q > matrix_cap and builder:
+    search = engine._CliqueSearch(spec, matrix_cap)
+    graph = search.needs_graph(spec.n)
+    if graph and mode == "constructive":
+        raise UndecidedError(f"no constructive rule decides {spec.compact()}; use exhaustive mode")
+    if not graph and spec.n < search.least and spec.n * spec.q > matrix_cap:
         raise ResourceLimitError(
             f"the builder plan for {spec.compact()} has {spec.n * spec.q} cells, over the "
             f"matrix cap ({matrix_cap}); raise --matrix-cap to proceed"
         )
-    if not builder and mode == "constructive":
-        if spec.n < engine.pigeonhole_min_n(spec.q, spec.k, spec.prior):
-            raise UndecidedError(
-                f"no constructive rule decides {spec.compact()}; use exhaustive mode"
-            )
-        return GameValue(BALANCE, mode, None, 0)
-    first = engine.first_clique(spec, matrix_cap)
+    first = search.first(spec.n)
     if first is None:
-        return GameValue(BALANCE, mode, None, (3**spec.q) ** spec.n)
+        return GameValue(BALANCE, mode, None, 0 if mode == "constructive" else (3**spec.q) ** spec.n)
     rank = 0
-    if not builder:
+    if graph:
         for code in first:  # the witness's index in the (3**q)**n enumeration, row 0 first
             rank = rank * 3**spec.q + code
-    witness = _certified(spec, first, ("builder" if builder else "clique") + " witness")
+    witness = _certified(spec, first, ("clique" if graph else "builder") + " witness")
     return GameValue(PLAYER, mode, witness, rank + 1)
 
 
@@ -146,9 +131,9 @@ def census_perfect(spec: GameSpec, matrix_cap: int = engine.DEFAULT_MATRIX_CAP) 
     One ladder counts them: none from the pigeonhole threshold or past the
     admissible rows on, each admissible row at n = 1, a closed form at
     k = 0, and at k >= 1 orbit sums over the game's symmetries.  Only the
-    last can be refused: past ``matrix_cap`` graph cells before it starts,
-    or past ``matrix_cap`` nodes as it runs (:class:`engine._CliqueSearch`)."""
-    engine.check_rounds(spec.q)
+    last can be refused: past MAX_ROUNDS or ``matrix_cap`` graph cells
+    before it starts, or past ``matrix_cap`` nodes as it runs
+    (:class:`engine._CliqueSearch`)."""
     return math.factorial(spec.n) * engine.clique_count(spec, matrix_cap)
 
 
@@ -174,7 +159,6 @@ def _largest_win(
     search, won, codes = engine._CliqueSearch(GameSpec(1, q, k, prior), matrix_cap), 0, None
     n = 1
     while (3**q) ** n <= matrix_cap:
-        engine.check_rounds(q)
         clique = search.first(n)
         if clique is None:
             return won, codes, n

@@ -189,15 +189,24 @@ class TestSearchFreeAnswers:
         assert run_json(capsys, *argv)[field] == want
 
     @pytest.mark.parametrize("argv,field,want", [
-        (["value", "--spec", "1,12,1,unknown", "--exhaustive"], "witness", ["L" * 12]),
-        (["census", "--n", "1", "--q", "12", "--k", "1", "--prior", "unknown"], "perfect_count",
-         531152),  # 3**12 less the 289 rows within 2 rounds on a pan
+        # value at its plan's 12 cells: one cell fewer is refused (below)
+        (["value", "--spec", "1,12,1,unknown", "--exhaustive", "--matrix-cap", "12"], "witness",
+         ["L" * 12]),
+        (["census", "--n", "1", "--q", "12", "--k", "1", "--prior", "unknown", "--matrix-cap", "10"],
+         "perfect_count", 531152),  # 3**12 less the 289 rows within 2 rounds on a pan
     ])
     def test_decided_without_a_graph_under_a_small_cap(self, capsys, monkeypatch, argv, field, want):
         def refuse(self):
             raise AssertionError("graph built")
         monkeypatch.setattr(engine._CliqueSearch, "_admissible", refuse)
-        assert run_json(capsys, *argv, "--matrix-cap", "10")[field] == want
+        assert run_json(capsys, *argv)[field] == want
+
+    def test_a_plan_past_the_cap_in_cells_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine._CliqueSearch, "first", lambda self, n: pytest.fail("built"))
+        code, out, err = run(capsys, "value", "--spec", "1,12,1,unknown", "--exhaustive",
+                             "--matrix-cap", "11")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: the builder plan for 1,12,1,unknown has 12 cells")
 
 
 class TestSweep:
@@ -273,6 +282,17 @@ class TestAnalyze:
     def test_v_needs_r2(self, capsys):
         code, _, _ = run(capsys, "analyze", "--curve", "v")
         assert code == 2
+
+    @pytest.mark.parametrize("r2", ["-0.5", "1.0", "1.5", "nan"])
+    def test_v_refuses_a_lie_fraction_outside_the_unit_interval(self, capsys, r2):
+        # Checked before sampling: the error names the --r2 given, not a grid point.
+        code, out, err = run(capsys, "analyze", "--curve", "v", f"--r2={r2}", "--grid", "3")
+        assert (code, out, err) == (5, "", f"error: lie fraction must lie in [0, 1), got {float(r2)}\n")
+
+    @pytest.mark.parametrize("curve", ["v", "optimal-r"])
+    def test_an_r2_list_without_numbers_is_malformed(self, capsys, curve):
+        code, out, _ = run(capsys, "analyze", "--curve", curve, "--r2", ",")
+        assert (code, out) == (2, "")
 
     def test_optimal_r_table(self, capsys):
         code, out, _ = run(capsys, "analyze", "--curve", "optimal-r",
@@ -478,8 +498,7 @@ class TestExitCodes:
         ["play", "--spec", "2,40,0,heavy", "--as-player"],
         ["simulate", "--spec", "2,40,1,unknown", "--r", "0.5", "--trials", "3"],
         ["perfect-rate", "--n", "2", "--q", "40", "--trials", "3"],
-        ["census", "--n", "1", "--q", "40", "--matrix-cap", str(10**30)],
-        ["value", "--spec", "1,40,0,heavy", "--exhaustive", "--matrix-cap", str(10**30)],
+        ["census", "--n", "2", "--q", "40", "--k", "1", "--matrix-cap", str(10**40)],  # the graph
     ])
     def test_forty_rounds_are_refused(self, capsys, plan_file, argv):
         if argv[0] in ("certify", "attack", "play"):
@@ -487,6 +506,17 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (4, "")
         assert err.startswith("error: 40 rounds exceed the 39")
+
+    @pytest.mark.parametrize("argv,field,want", [
+        (["census", "--n", "1", "--q", "40", "--matrix-cap", str(10**30)], "perfect_count", 3**40),
+        (["census", "--n", "2", "--q", "40"], "perfect_count", math.comb(3**40, 2) * 2),
+        (["value", "--spec", "1,40,0,heavy", "--exhaustive", "--matrix-cap", str(10**30)], "witness",
+         ["L" * 40]),
+        (["value", "--spec", "2,40,0,heavy", "--exhaustive"], "witness", ["L" * 40, "L" * 39 + "R"]),
+    ])
+    def test_forty_rounds_are_answered_by_the_rungs_before_the_graph(self, capsys, argv, field, want):
+        # Only the graph rung makes int64 codes, so only it is held to 39 rounds.
+        assert run_json(capsys, *argv)[field] == want
 
 
 class TestSingleReportPath:

@@ -105,7 +105,7 @@ class TestMatrixEnumeration:
         np.testing.assert_array_equal(whole, pieces)
 
     def test_cap_raises(self):
-        from balancegame.engine import DEFAULT_MATRIX_CAP, first_clique
+        from balancegame.engine import DEFAULT_MATRIX_CAP, _CliqueSearch
 
         with pytest.raises(ResourceLimitError):  # 3**18 ~ 3.9e8 graph cells over 3**9 rows
-            first_clique(GameSpec(4, 9, 1, "heavy"), DEFAULT_MATRIX_CAP)
+            _CliqueSearch(GameSpec(4, 9, 1, "heavy"), DEFAULT_MATRIX_CAP).first(4)

@@ -219,7 +219,8 @@ class TestGameValue:
         for q in range(1, 5):
             for n in range(1, perfect_capacity(q, prior) + 1):
                 spec, plan = GameSpec(n, q, 0, prior), build(n, q)
-                assert engine.first_clique(spec, CAP) == [engine.encode_row(r) for r in plan], spec
+                first = engine._CliqueSearch(spec, CAP).first(n)
+                assert first == [engine.encode_row(r) for r in plan], spec
                 for mode in ("auto", "exhaustive", "constructive"):
                     value = game_value(spec, mode)
                     assert (value.winner, value.witness, value.instances_checked) == (
@@ -231,14 +232,14 @@ class TestGameValue:
 
     @pytest.mark.parametrize("mode", ["auto", "exhaustive", "constructive"])
     def test_builder_witness_is_certified_before_it_is_handed_out(self, mode, monkeypatch):
-        monkeypatch.setattr(engine, "first_clique", lambda spec, cap: [1, 3])  # LR, RL
+        monkeypatch.setattr(engine._CliqueSearch, "first", lambda self, n: [1, 3])  # LR, RL
         with pytest.raises(AssertionError, match="builder witness failed certification"):
             game_value(GameSpec(2, 2, 0, "unknown"), mode=mode)
 
     def test_clique_witness_is_certified_before_it_is_handed_out(self, monkeypatch):
         spec = GameSpec(2, 3, 1, "heavy")  # no builder plan: k = 1 and two coins
-        assert not verifier._has_builder_plan(spec)
-        monkeypatch.setattr(engine, "first_clique", lambda spec, cap: [0, 0])  # LLL twice loses
+        assert engine._CliqueSearch(spec, CAP).needs_graph(spec.n)
+        monkeypatch.setattr(engine._CliqueSearch, "first", lambda self, n: [0, 0])  # LLL twice loses
         with pytest.raises(AssertionError, match="clique witness failed certification"):
             game_value(spec, mode="exhaustive")
 
@@ -267,14 +268,43 @@ class TestGameValue:
 
     @pytest.mark.parametrize("mode", ["auto", "exhaustive", "constructive"])
     @pytest.mark.parametrize("spec", [GameSpec(10, 3, 0, "heavy"), GameSpec(13, 3, 0, "unknown"),
-                                      GameSpec(1, 7, 2, "heavy")])
+                                      GameSpec(1, 7, 2, "heavy"), GameSpec(1, 7, 2, "unknown")])
     def test_builder_plan_cells_are_capped_before_it_is_built(self, spec, mode, monkeypatch):
+        # One cell rule for every plan a rung before the graph hands out.
         cells = spec.n * spec.q
         value = game_value(spec, mode, matrix_cap=cells)
         assert value.winner == "player" and len(value.witness) == spec.n
-        monkeypatch.setattr(engine, "first_clique", lambda spec, cap: pytest.fail("built"))
+        monkeypatch.setattr(engine._CliqueSearch, "first", lambda self, n: pytest.fail("built"))
         with pytest.raises(ResourceLimitError, match=rf"{cells} cells.*--matrix-cap"):
             game_value(spec, mode, matrix_cap=cells - 1)
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_constructive_mode_is_the_ladder_without_its_graph_rung(self, prior):
+        # q <= 6, every k, every n up to one past the ladder's least: constructive
+        # mode refuses exactly the graph rung and elsewhere agrees with exhaustive
+        # mode, each plan handed out as one instance and only within the cap's cells.
+        refused = answered = 0
+        for q in range(1, 7):
+            for k in range(q + 1):
+                for n in range(1, engine._CliqueSearch(GameSpec(1, q, k, prior), CAP).least + 2):
+                    spec = GameSpec(n, q, k, prior)
+                    if engine._CliqueSearch(spec, CAP).needs_graph(n):
+                        with pytest.raises(UndecidedError):
+                            game_value(spec, "constructive")
+                        refused += 1
+                        continue
+                    value = game_value(spec, "constructive", n * q)
+                    ex = game_value(spec, "exhaustive", n * q)
+                    assert (value.winner, value.witness) == (ex.winner, ex.witness), spec
+                    if value.witness is None:
+                        assert (value.instances_checked, ex.instances_checked) == (0, 3 ** (n * q))
+                        continue
+                    assert value.instances_checked == ex.instances_checked == 1, spec
+                    for mode in ("constructive", "exhaustive"):
+                        with pytest.raises(ResourceLimitError, match=rf"{n * q} cells"):
+                            game_value(spec, mode, n * q - 1)
+                    answered += 1
+        assert refused >= 44 and answered >= 549  # the unknown prior's counts; heavy has more
 
 
 class TestPigeonhole:
@@ -302,10 +332,15 @@ class TestPigeonhole:
             for k in range(1, q + 1):
                 least = engine.pigeonhole_min_n(q, k, prior)
                 assert game_value(GameSpec(least, q, k, prior), "constructive").winner == "balance"
-                below = GameSpec(least - 1, q, k, prior) if least > 1 else None
-                if below is not None and below.hypothesis_count >= 2:
+                if least == 1:
+                    continue
+                below = GameSpec(least - 1, q, k, prior)
+                if engine._CliqueSearch(below, CAP).needs_graph(below.n):
                     with pytest.raises(UndecidedError):
                         game_value(below, "constructive")
+                else:  # one coin, or no n-clique left under the unknown prior
+                    value, ex = game_value(below, "constructive"), game_value(below, "exhaustive")
+                    assert (value.winner, value.witness) == (ex.winner, ex.witness), below
 
     def test_batch_verdict_skips_the_pairs_from_the_threshold(self, monkeypatch):
         least = engine.pigeonhole_min_n(3, 1, "heavy")  # 27 // 7 + 1 = 4
@@ -360,8 +395,10 @@ CAP = engine.DEFAULT_MATRIX_CAP
 
 
 def builder_plan(spec):
-    """The capacity theorems' plan, where they give the player one, else None."""
-    if not verifier._has_builder_plan(spec):
+    """The plan a rung before the graph gives the player, else None: the
+    builders' plan, all-L at n = 1."""
+    search = engine._CliqueSearch(spec, CAP)
+    if search.needs_graph(spec.n) or spec.n >= search.least:
         return None
     return (ternary_strategy if spec.prior == "heavy" else complement_free_strategy)(spec.n, spec.q)
 
@@ -387,7 +424,7 @@ class TestCliqueSearch:
             spec, cap = GameSpec(n, q, k, prior), (3**q) ** n
             count, first = enumerated(spec)
             assert census_perfect(spec, cap) == count, spec
-            assert engine.first_clique(spec, cap) == (first and first[1]), spec
+            assert engine._CliqueSearch(spec, cap).first(spec.n) == (first and first[1]), spec
             value = game_value(spec, "exhaustive", cap)
             witness = builder_plan(spec)
             if witness is not None:
@@ -432,7 +469,7 @@ class TestCliqueSearch:
             search.build()
             search.search((1 << len(search.words)) - 1, n, path)
             want = [int(search.words[i]) for i in reversed(path)] or None
-            assert engine.first_clique(spec, CAP) == want, spec
+            assert engine._CliqueSearch(spec, CAP).first(spec.n) == want, spec
 
     @pytest.mark.parametrize("prior", ["heavy", "unknown"])
     def test_small_blocks(self, prior, monkeypatch):
@@ -478,7 +515,7 @@ class TestCliqueSearch:
         # 0, so after its one branch nothing is left to search.
         spec, unpatched = GameSpec(4, 5, 2, "heavy"), engine._CliqueSearch
         searches = recording(monkeypatch)
-        assert engine.first_clique(spec, CAP) is None
+        assert engine._CliqueSearch(spec, CAP).first(spec.n) is None
         (search,) = searches
         root = search.neighbours(0)
         built = [i for i, row in enumerate(search.rows) if row is not None]
@@ -514,9 +551,9 @@ class TestCliqueSearch:
         # Settled and k = 0 specs answer with the graph scan patched to raise,
         # under a cap of one cell (n*q for value, whose builder plan has as many).
         specs = [GameSpec(n, q, k, prior) for n, q, k in SMALL_SPECS]
-        specs = [s for s in specs if s.n == 1 or s.k == 0 or s.n >= engine._CliqueSearch(s, CAP).least]
-        want = [(engine.first_clique(s, CAP), engine.clique_count(s, CAP), game_value(s, "exhaustive"))
-                for s in specs]
+        specs = [s for s in specs if not engine._CliqueSearch(s, CAP).needs_graph(s.n)]
+        want = [(engine._CliqueSearch(s, CAP).first(s.n), engine.clique_count(s, CAP),
+                 game_value(s, "exhaustive")) for s in specs]
         sweeps = [theorem_sweep(6, prior, 0, cap) for cap in (9, 3000, 200_000)]
 
         def refuse(self):
@@ -524,7 +561,7 @@ class TestCliqueSearch:
         monkeypatch.setattr(engine._CliqueSearch, "_admissible", refuse)
         assert len(specs) >= 150
         for spec, (first, count, value) in zip(specs, want):
-            assert engine.first_clique(spec, 1) == first, spec
+            assert engine._CliqueSearch(spec, 1).first(spec.n) == first, spec
             assert engine.clique_count(spec, 1) == count, spec
             assert census_perfect(spec, 1) == math.factorial(spec.n) * count, spec
             assert game_value(spec, "exhaustive", spec.n * spec.q) == value, spec
@@ -562,7 +599,7 @@ class TestCliqueSearch:
         spec = GameSpec(7, 5, 1, "unknown")
         assert engine.pigeonhole_min_n(5, 1, "unknown") == 12
         searches = recording(monkeypatch)
-        assert engine.first_clique(spec, CAP) is None
+        assert engine._CliqueSearch(spec, CAP).first(spec.n) is None
         (search,) = searches
         roots = [int(np.searchsorted(search.words, 3**j - 1)) for j in range(3)]
         hoods = [search.neighbours(r) for r in roots]
