@@ -8,7 +8,11 @@ reading the strategy file included.
 
 Each call parses argv once: a named command goes straight to its own
 parser, read off the top-level parser's subparsers, and anything else (no
-argv, ``-h``, an unknown command) goes to the top-level parser.
+argv, ``-h``, an unknown command) goes to the top-level parser.  Plain argv
+for a command (exact option strings, one valid value each, no repeats) is
+read off that parser's own tables by :func:`_fast_args` without running
+argparse; everything else runs ``parse_known_args``, so argparse remains
+the one definition of every command and the one source of its texts.
 
 Machine-readable reports (JSON, fixed field order) or CSV go to stdout;
 ``--pretty`` switches a JSON report to an aligned key/value rendering.  Exit
@@ -216,6 +220,8 @@ def _cmd_analyze(args) -> str:
         if args.qvec is None or args.q is None:
             raise FormatError("curve 'f' needs --qvec and --q")
         qvec = _number_list(args.qvec, int)
+        if not qvec:
+            raise FormatError(f"curve 'f' needs at least one --qvec value, got {args.qvec!r}")
         fn = lambda p: analysis.expected_survivors(qvec, p, args.q)
         curve = analysis.sample_curve(fn, 0.0, 0.5, num, parameter="p")
     else:  # phi
@@ -404,23 +410,88 @@ def _command_parsers() -> dict[str, argparse.ArgumentParser]:
     return sub.choices
 
 
+def _fast_args(name: str, parser: argparse.ArgumentParser,
+               tokens: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace ``parser.parse_known_args(tokens)`` fills, with
+    ``command`` set to ``name``, read off the parser's own tables; ``None``
+    wherever argparse itself must decide.
+
+    Only the plainest argv is read here: every token an exact option string
+    of a store action, followed by one value that does not start with a
+    prefix character and passes the action's ``type`` and ``choices``, or of a
+    store-const (``store_true``) flag.  No option may repeat, no two options
+    of one mutually exclusive group may appear, a required group or option
+    may not be missing, and the parser may have no positionals.  Anything
+    else (abbreviations, ``--opt=value``, ``-h``, ``--``, negative numbers,
+    bad values, extras) returns ``None``, so argparse stays the one source
+    of usage, help and error texts.  Never prints, never exits."""
+    table = parser._option_string_actions
+    given: dict[argparse.Action, Any] = {}
+    it = iter(tokens)
+    for token in it:
+        action = table.get(token)
+        if action is None or action in given:
+            return None
+        if type(action) is argparse._StoreAction and action.nargs is None:
+            value = next(it, "")
+            if not value or value[0] in parser.prefix_chars:
+                return None
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        elif isinstance(action, argparse._StoreConstAction):
+            value = action.const
+        else:
+            return None
+        given[action] = value
+    for group in parser._mutually_exclusive_groups:
+        present = sum(action in given for action in group._group_actions)
+        if present > 1 or (group.required and not present):
+            return None
+    # Defaults as parse_known_args sets them: each action's, then set_defaults'.
+    args = argparse.Namespace()
+    for action in parser._actions:
+        if not action.option_strings or (action.required and action not in given):
+            return None
+        if isinstance(action.default, str) and action.type is not None and action not in given:
+            return None  # argparse would convert this default; leave that to it
+        if (action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+                and not hasattr(args, action.dest)):
+            setattr(args, action.dest, action.default)
+    for dest, default in parser._defaults.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, default)
+    for action, value in given.items():
+        setattr(args, action.dest, value)
+    args.command = name
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    argv is parsed once.  A named command goes to its own parser; anything
-    else (no argv, ``-h``, an unknown command) goes to the top-level parser.
-    Arguments the command's parser leaves over are refused by the top-level
-    parser in the words of its own ``parse_args``, so usage texts, errors and
-    exit codes are the same either way."""
+    argv is parsed once.  A named command goes to its own parser: read off
+    its tables by :func:`_fast_args` when argv is that plain, else by its
+    ``parse_known_args``.  Anything else (no argv, ``-h``, an unknown
+    command) goes to the top-level parser.  Arguments the command's parser
+    leaves over are refused by the top-level parser in the words of its own
+    ``parse_args``, so usage texts, errors and exit codes are the same
+    either way."""
     argv = sys.argv[1:] if argv is None else list(argv)
     command = _command_parsers().get(argv[0]) if argv else None
     if command is None:
         args = _parser().parse_args(argv)
     else:
-        args, extra = command.parse_known_args(argv[1:])
-        if extra:
-            _parser().error("unrecognized arguments: " + " ".join(extra))
-        args.command = argv[0]
+        args = _fast_args(argv[0], command, argv[1:])
+        if args is None:
+            args, extra = command.parse_known_args(argv[1:])
+            if extra:
+                _parser().error("unrecognized arguments: " + " ".join(extra))
+            args.command = argv[0]
     # Looked up by name on every call, so the handler in force now runs.
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
     t0 = time.perf_counter()

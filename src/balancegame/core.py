@@ -157,7 +157,9 @@ def validate_strategy(spec: GameSpec, strategy) -> tuple[str, ...]:
     rows = tuple(strategy)
     if len(rows) != spec.n:
         raise DimensionError(f"strategy has {len(rows)} rows, spec wants n={spec.n}")
-    for row in rows:
+    if set(map(len, rows)) == {spec.q} and not "".join(rows).strip(PLACEMENTS):
+        return rows  # every row of q cells over the alphabet
+    for row in rows:  # find the first bad row and word the error
         validate_row(row, spec.q)
     return rows
 

@@ -1,19 +1,23 @@
 """Text formats: strategy files, masks and report documents.
 
 A strategy file holds one row per line over ``L``/``R``/``O``; blank lines
-and lines starting with ``#`` are ignored.  Formatting then parsing gives
-back the same rows (comments aside).  Masks are plain strings over
-``L``/``R``/``D``.  Reports are versioned key/value documents rendered as
-JSON with a fixed field order.  A report or table that holds a number it
+and lines starting with ``#`` are ignored.  A valid file is accepted by a
+few C-level string calls over all its rows; only a bad one runs the line
+loop, which words the error with its line and column.  Formatting then
+parsing gives back the same rows (comments aside).  Masks are plain
+strings over ``L``/``R``/``D``.  Reports are versioned key/value documents
+rendered as JSON with a fixed field order, by :func:`_json`, which writes
+the bytes of ``json.dumps(doc, indent=2, allow_nan=False)`` without json's
+pure-Python indenting encoder.  A report or table that holds a number it
 cannot print (an integer past the interpreter's int-to-str digit limit, or
 a float JSON has no word for) is refused with one :class:`DomainError`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Iterable, NoReturn, Sequence
 
 from .core import BalanceGameError, DomainError, OUTCOMES, PLACEMENTS, GameSpec
@@ -35,8 +39,11 @@ class FormatError(BalanceGameError):
 
 
 def parse_strategy(text: str) -> tuple[str, ...]:
-    rows: list[str] = []
-    width = None
+    rows = [line.upper() for line in map(str.strip, text.splitlines())
+            if line and not line.startswith("#")]
+    if len(set(map(len, rows))) == 1 and not "".join(rows).strip(PLACEMENTS):
+        return tuple(rows)  # every row over the alphabet, all of one width
+    # Else the line loop words the error for the first bad line; no bad line means no rows.
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -45,16 +52,11 @@ def parse_strategy(text: str) -> tuple[str, ...]:
         if row.strip(PLACEMENTS):  # some cell lies outside the alphabet: find the first
             col, ch = next((c, ch) for c, ch in enumerate(row, start=1) if ch not in PLACEMENTS)
             raise FormatError(f"placement must be one of {PLACEMENTS!r}, got {ch!r}", lineno, col)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != len(rows[0]):
             raise FormatError(
-                f"row has {len(row)} placements, earlier rows have {width}", lineno
+                f"row has {len(row)} placements, earlier rows have {len(rows[0])}", lineno
             )
-        rows.append(row)
-    if not rows:
-        raise FormatError("no strategy rows found")
-    return tuple(rows)
+    raise FormatError("no strategy rows found")
 
 
 def format_strategy(strategy: Sequence[str], header: str | None = None) -> str:
@@ -131,9 +133,41 @@ def render_report(doc: dict[str, Any], pretty: bool = False) -> str:
         _refuse((cell for key, value in doc.items() for cell in _cells(key, value)), failure)
 
 
+def _json(value: Any, indent: str) -> str:
+    """``json.dumps(value, indent=2, allow_nan=False)`` for JSON scalars,
+    lists, tuples and string-keyed dicts, nested at ``indent``; a float
+    that is not finite raises ``ValueError``, as json does."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _render_report(doc: dict[str, Any], pretty: bool) -> str:
     if not pretty:
-        return json.dumps(doc, indent=2, allow_nan=False)
+        return _json(doc, "")
     lines = []
     for key, value in doc.items():
         if isinstance(value, (list, tuple)) and value and all(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import engine
 from .adversary import AttackResult, find_winning_mask
 from .analysis import hamming_ball_volume
-from .core import HEAVY, BalanceGameError, GameSpec, ResourceLimitError
+from .core import HEAVY, BalanceGameError, DomainError, GameSpec, ResourceLimitError
 
 PLAYER = "player"
 BALANCE = "balance"
@@ -173,7 +173,8 @@ def theorem_sweep(
     """Per-q win/lose boundary in n, exhaustive while the plan count fits the
     cap, else settled by the capacity theorems (k=0) or reported as the
     pigeonhole bound only (k>=1).  Rows start at q = max(1, k), the fewest
-    rounds a lie budget of k allows.
+    rounds a lie budget of k allows; a ``q_max`` below that, which would
+    leave no row, raises :class:`DomainError`.
 
     Each q is one walk up n (:func:`_largest_win`), with the verdicts of
     :func:`game_value` in exhaustive mode: its k >= 1 clique searches share
@@ -182,6 +183,8 @@ def theorem_sweep(
     built and certified (:func:`_certified`).  That covers every
     smaller n, since every sub-plan of a must-win plan is must-win: dropping
     rows drops hypotheses, and no announcement gains survivors."""
+    if q_max < max(1, k):
+        raise DomainError(f"sweep needs qmax >= max(1, k), got qmax={q_max}, k={k}")
     rows = []
     for q in range(max(1, k), q_max + 1):
         last_player, clique, balance_min = _largest_win(q, k, prior, matrix_cap)

@@ -181,9 +181,11 @@ class TestPlanValidation:
     @pytest.mark.parametrize("rows,wins", [(ternary_strategy(4, 2), False), (("LR", "LR", "OL"), True)])
     def test_each_row_is_validated_once_before_the_soundness_gate(self, rows, wins, monkeypatch):
         calls = []
-        validate_row = core.validate_row
-        monkeypatch.setattr(core, "validate_row", lambda row, q: calls.append(row) or validate_row(row, q))
+        validate = core.validate_strategy
+        spy = lambda spec, strategy: calls.append(tuple(strategy)) or validate(spec, strategy)
+        for module in (core, engine):  # engine holds its own reference
+            monkeypatch.setattr(module, "validate_strategy", spy)
         spec = GameSpec(len(rows), 2, 0, "heavy")
         assert (find_winning_mask(spec, rows) is not None) == wins
         # once for the verdict, once more in the re-adjudication of a winning mask
-        assert calls == list(rows) * (2 if wins else 1)
+        assert calls == [tuple(rows)] * (2 if wins else 1)

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import dataclasses
 import inspect
 import io
@@ -10,6 +12,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balancegame import (
     BalanceGameError,
@@ -231,6 +234,15 @@ class TestSweep:
         assert code == 0
         assert out == "\n".join(["q,player_max_n,balance_min_n,mode,capacity,mass_bound_min_n", *rows]) + "\n"
 
+    @pytest.mark.parametrize("argv,qmax,k", [
+        (["--qmax", "0"], 0, 0), (["--qmax", "-3"], -3, 0), (["--qmax", "2", "--k", "5"], 2, 5),
+    ])
+    def test_a_sweep_with_no_row_is_refused(self, capsys, argv, qmax, k):
+        # Rows start at q = max(1, k); below that the CSV would be its header alone.
+        code, out, err = run(capsys, "sweep", *argv)
+        assert (code, out, err) == (
+            5, "", f"error: sweep needs qmax >= max(1, k), got qmax={qmax}, k={k}\n")
+
     def test_default_cap_is_the_sweeps_own(self):
         args = cli.build_parser().parse_args(["sweep", "--qmax", "1"])
         default = inspect.signature(verifier.theorem_sweep).parameters["matrix_cap"].default
@@ -293,6 +305,11 @@ class TestAnalyze:
     def test_an_r2_list_without_numbers_is_malformed(self, capsys, curve):
         code, out, _ = run(capsys, "analyze", "--curve", curve, "--r2", ",")
         assert (code, out) == (2, "")
+
+    def test_an_empty_qvec_is_malformed(self, capsys):
+        # An empty profile would sum over no coins and print a table of zeros.
+        code, out, err = run(capsys, "analyze", "--curve", "f", "--qvec", ",", "--q", "3", "--grid", "3")
+        assert (code, out, err) == (2, "", "error: curve 'f' needs at least one --qvec value, got ','\n")
 
     def test_optimal_r_table(self, capsys):
         code, out, _ = run(capsys, "analyze", "--curve", "optimal-r",
@@ -717,3 +734,90 @@ class TestOneParse:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             "balancegame: error: unrecognized arguments: --bogus")
+
+
+def _command_argv():
+    """(command, tokens): the command's options in any order, each with a
+    good value or a bad one (bad ints and choices, negative numbers, values
+    starting with ``-``) or left out, plus loose tokens: abbreviations,
+    ``=`` forms, repeats, ``--``, ``-h`` and strays."""
+    good = {int: ["2", "3", "0"], float: ["0.5", "0.25"], None: ["4,2,0,heavy", "3,3,1,unknown"]}
+    bad = ["-1", "-0.5", "1e3", "nan", "two", "", "-x", "--x", "light", "f"]
+
+    def tokens(name):
+        actions = [a for a in cli._command_parsers()[name]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        options = [o for a in actions for o in a.option_strings]
+        loose = st.sampled_from([
+            *(o[:n] for o in options for n in (3, 4) if len(o) > n),
+            *(f"{o}={v}" for o in options for v in ("2", "heavy")),
+            *options, *bad, "-h", "--", "--bogus", "-", "stray"]).map(lambda t: [t])
+        parts = []
+        for action in actions:
+            option = st.sampled_from(action.option_strings)
+            if action.nargs == 0:
+                given = option.map(lambda o: [o])
+            else:
+                value = st.sampled_from(list(action.choices or good[action.type]))
+                given = st.tuples(option, st.one_of(value, value, value, st.sampled_from(bad))).map(list)
+            parts.append(st.one_of(given, given, given, st.just([])) if action.required
+                         else st.one_of(given, st.just([])))
+        strays = st.one_of(st.just([]), st.just([]), st.lists(loose, min_size=1, max_size=2))
+        drawn = st.tuples(st.tuples(*parts), strays)
+        return (drawn.flatmap(lambda d: st.permutations([*d[0], *d[1]]))
+                .map(lambda ps: (name, [t for p in ps for t in p])))
+
+    return st.sampled_from(sorted(cli._command_parsers())).flatmap(tokens)
+
+
+class TestFastArgs:
+    """cli._fast_args reads plain argv off a command parser's tables; any
+    namespace it gives must be the one parse_known_args gives, with no
+    extras, and it must never print or exit."""
+
+    @settings(max_examples=300)  # about one in ten draws is plain enough for the fast path
+    @given(_command_argv())
+    def test_same_namespace_as_parse_known_args_or_none(self, case):
+        name, tokens = case
+        parser = cli._command_parsers()[name]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            fast = cli._fast_args(name, parser, tokens)
+        assert out.getvalue() == err.getvalue() == ""
+        if fast is None:
+            return
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            slow, extra = parser.parse_known_args(tokens)
+        assert extra == []
+        # Compared by repr, so that a nan from --r nan equals itself.
+        assert {k: repr(v) for k, v in vars(fast).items()} == {
+            k: repr(v) for k, v in (vars(slow) | {"command": name}).items()}
+
+    def test_plain_argv_takes_the_fast_path(self, plan_file):
+        four = plan_file(["LL", "LR", "RL", "RR"], "four.txt")
+        plain = [argv for argv, _ in TestInProcessReuse().calls(plan_file) if argv[0] != "bogus"]
+        plain += [["census", "--n", "5", "--q", "3", "--k", "1", "--prior", "heavy", "--matrix-cap", "9"],
+                  ["value", "--spec", "3,3,1,heavy", "--constructive", "--pretty"],
+                  ["certify", "--strategy", four, "--spec", "4,2,0,heavy"]]
+        for argv in plain:
+            parser = cli._command_parsers()[argv[0]]
+            fast = cli._fast_args(argv[0], parser, argv[1:])
+            assert fast is not None, argv
+            assert vars(fast) == vars(parser.parse_known_args(argv[1:])[0]) | {"command": argv[0]}
+
+    @pytest.mark.parametrize("tokens", [
+        ["--spe", "3,3,1,heavy"], ["--spec=3,3,1,heavy"], ["--spec", "3,3,1,heavy", "--ex"],
+        ["--spec", "3,3,1,heavy", "--exhaustive", "--constructive"],
+        ["--spec", "3,3,1,heavy", "--exhaustive", "--exhaustive"], ["--spec", "3,3,1,heavy", "-h"],
+        ["--spec", "3,3,1,heavy", "--"], ["--spec", "-3,3,1,heavy"], ["--spec"],
+        ["--spec", "3,3,1,heavy", "--matrix-cap", "ten"], ["--spec", "3,3,1,heavy", "extra"],
+        ["--exhaustive"],
+    ])
+    def test_anything_but_plain_argv_goes_to_argparse(self, tokens):
+        assert cli._fast_args("value", cli._command_parsers()["value"], tokens) is None
+
+    def test_a_repeated_option_is_left_to_argparse_where_the_last_wins(self, capsys):
+        census = cli._command_parsers()["census"]
+        tokens = ["--n", "5", "--n", "3", "--q", "3", "--k", "1"]
+        assert cli._fast_args("census", census, tokens) is None
+        assert run_json(capsys, "census", *tokens)["perfect_count"] == 216

@@ -5,7 +5,8 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from balancegame import DomainError
+from balancegame import DimensionError, DomainError, GameSpec
+from balancegame.core import validate_row, validate_strategy
 from balancegame.formats import (
     FormatError,
     csv_number,
@@ -37,6 +38,21 @@ def readable_parse_strategy(text):
     if not rows:
         raise FormatError("no strategy rows found")
     return tuple(rows)
+
+
+# Loose characters, and lines that are mostly rows of one width: comments,
+# blank lines, lower case, tabs, each kind of line end, non-ASCII (some
+# upper-casing to two letters) and ragged rows.
+_PLAN_TEXTS = st.one_of(
+    st.text(alphabet="LROlrox #\n\t", max_size=40),
+    st.tuples(st.lists(st.one_of(
+        st.text(alphabet="LRO", min_size=3, max_size=3),
+        st.text(alphabet="LROlro", min_size=2, max_size=4),
+        st.text(alphabet="LROlro \t", max_size=6),
+        st.text(alphabet="# x", max_size=4).map(lambda t: "#" + t),
+        st.text(alphabet="LROlroxß\u0131\ufb01\u2028é\x0c\x85", max_size=4),
+    ), max_size=8), st.sampled_from(["\n", "\r\n", "\r"])).map(lambda t: t[1].join(t[0])),
+)
 
 
 class TestParseStrategy:
@@ -77,7 +93,7 @@ class TestParseStrategy:
             parse_strategy(text)
         assert str(exc.value) == message
 
-    @given(st.text(alphabet="LROlrox #\n\t", max_size=40))
+    @given(_PLAN_TEXTS)
     def test_agrees_with_the_per_character_scan(self, text):
         try:
             want = readable_parse_strategy(text)
@@ -197,3 +213,59 @@ class TestUnprintable:
     def test_other_value_errors_propagate(self, render):
         with pytest.raises(ValueError, match="^not a number problem$"):
             render()
+
+
+class TestValidateStrategy:
+    @given(st.lists(st.text(alphabet="LROlrx\u0131 ", max_size=4), max_size=5),
+           st.integers(1, 4), st.integers(0, 1))
+    def test_the_fast_check_gives_the_row_loops_result_or_error(self, rows, q, extra):
+        # The per-row rule spelled out: the row count, then each row in turn.
+        spec = GameSpec(len(rows) + extra if rows else 1, q)
+        try:
+            if len(rows) != spec.n:
+                raise DimensionError(f"strategy has {len(rows)} rows, spec wants n={spec.n}")
+            for row in rows:
+                validate_row(row, q)
+        except DimensionError as exc:
+            with pytest.raises(DimensionError) as got:
+                validate_strategy(spec, iter(rows))
+            assert str(got.value) == str(exc)
+        else:
+            assert validate_strategy(spec, iter(rows)) == tuple(rows)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324, 1e16, 10**30, -(10**40), "\x00\x1f\x7f\u2028\"\\/"]),
+)
+_TREES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=4), inner, max_size=3)), max_leaves=12)
+
+
+class TestJsonRendering:
+    @given(st.dictionaries(st.text(max_size=4), _TREES, max_size=5))
+    def test_same_bytes_as_json_dumps_or_a_domain_error(self, doc):
+        try:
+            want = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError:
+            with pytest.raises(DomainError):
+                render_report(doc)
+        else:
+            assert render_report(doc) == want
+
+    def test_nested_empty_containers_and_signed_zero(self):
+        doc = report("x", a={}, b=[], c=(), d=[{}, [], [[]], {"e": ()}], f=-0.0, g=[True, None, 1e300])
+        assert render_report(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+    @pytest.mark.skipif(LIMIT == 0, reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("sign,shift", [(1, 0), (-1, 0), (1, -1)])
+    def test_integers_at_the_digit_limit_nested(self, sign, shift):
+        doc = report("x", a=[{"b": (1, sign * 10**LIMIT + shift)}])
+        try:
+            want = json.dumps(doc, indent=2, allow_nan=False)
+        except ValueError:
+            with pytest.raises(DomainError):
+                render_report(doc)
+        else:
+            assert render_report(doc) == want
