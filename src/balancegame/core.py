@@ -32,17 +32,11 @@ UNKNOWN = "unknown"
 PRIORS = (HEAVY, UNKNOWN)
 SIGNS = (HEAVY, LIGHT)
 
-# Evidence characters: what one announced outcome says about one coin.
-OBS_PLUS = "+"  # consistent with this coin being the heavy counterfeit
-OBS_MINUS = "-"  # consistent with this coin being the light counterfeit
-OBS_CROSS = "x"  # inconsistent with this coin being counterfeit at all
-OBS_BOTH = "±"  # off the balance during a draw: either sign would do
-
 # TRANSCRIPTION[prior][placement][outcome] -> evidence character.  Under the
 # heavy prior a coin is only ever a candidate heavy, so each placement has
 # exactly one confirming outcome.  Under the unknown prior an on-balance coin
-# seen sinking reads "+", seen rising reads "-", and an off-balance coin
-# during a draw stays ambiguous.
+# seen sinking reads "+", seen rising reads "-", an off-balance coin during a
+# draw stays ambiguous ("±"), and "x" rules a coin out.
 TRANSCRIPTION = {
     HEAVY: {
         "L": {"L": "+", "R": "x", "D": "x"},

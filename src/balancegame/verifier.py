@@ -2,18 +2,21 @@
 
 :func:`game_value`, :func:`census_perfect` and :func:`theorem_sweep` climb
 the clique search's one ladder (:class:`engine._CliqueSearch`) and keep no
-game rule of their own.  Every plan this module hands out, a witness or the
-sweep's largest win, is certified in one place (:func:`_certified`)."""
+game rule of their own.  Every plan this module builds, a witness or the
+sweep's largest win, is certified in one place (:func:`_certified`) on the
+digits a witness is printed from; plan text enters only by :func:`certify`."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import engine
 from .adversary import AttackResult, find_winning_mask
 from .analysis import hamming_ball_volume
-from .core import HEAVY, BalanceGameError, DomainError, GameSpec, ResourceLimitError
+from .core import HEAVY, PLACEMENTS, BalanceGameError, DomainError, GameSpec, ResourceLimitError
 
 PLAYER = "player"
 BALANCE = "balance"
@@ -73,14 +76,15 @@ class GameValue:
     instances_checked: int
 
 
-def _certified(spec: GameSpec, codes: list[int], source: str) -> tuple[str, ...]:
-    """The one exit for a plan this module hands out: its row codes decoded,
-    and certified must-win when q <= MAX_ROUNDS.  A plan that fails is an
-    internal error naming ``source``."""
-    plan = tuple(engine.decode_rows(codes, spec.q))
-    if spec.q <= engine.MAX_ROUNDS and not certify(spec, plan).must_win:
+def _certified(spec: GameSpec, codes: list[int], source: str) -> np.ndarray:
+    """The one exit for a plan this module builds: the (q, n) digits of its
+    row codes, certified must-win when q <= MAX_ROUNDS by :func:`certify`'s
+    kernel call.  A plan that fails is an internal error naming ``source``."""
+    digits = engine.code_digits(codes, spec.q)
+    preds = engine._hypothesis_digits(spec, digits)
+    if spec.q <= engine.MAX_ROUNDS and engine.first_winning_word(spec, preds) is not None:
         raise AssertionError(f"internal error: {source} failed certification")
-    return plan
+    return digits
 
 
 def game_value(
@@ -121,8 +125,8 @@ def game_value(
     if graph:
         for code in first:  # the witness's index in the (3**q)**n enumeration, row 0 first
             rank = rank * 3**spec.q + code
-    witness = _certified(spec, first, ("clique" if graph else "builder") + " witness")
-    return GameValue(PLAYER, mode, witness, rank + 1)
+    digits = _certified(spec, first, ("clique" if graph else "builder") + " witness")
+    return GameValue(PLAYER, mode, tuple(engine.digit_rows(digits.T, PLACEMENTS)), rank + 1)
 
 
 def census_perfect(spec: GameSpec, matrix_cap: int = engine.DEFAULT_MATRIX_CAP) -> int:
@@ -179,9 +183,9 @@ def theorem_sweep(
     Each q is one walk up n (:func:`_largest_win`), with the verdicts of
     :func:`game_value` in exhaustive mode: its k >= 1 clique searches share
     one compatibility graph, and each n's node meter starts from zero, so a
-    refusal comes at the same n.  Only the largest player win's plan is
-    built and certified (:func:`_certified`).  That covers every
-    smaller n, since every sub-plan of a must-win plan is must-win: dropping
+    refusal comes at the same n.  Only the largest player win's digits are
+    certified (:func:`_certified`), and no plan text is built.  That covers
+    every smaller n, since every sub-plan of a must-win plan is must-win: dropping
     rows drops hypotheses, and no announcement gains survivors."""
     if q_max < max(1, k):
         raise DomainError(f"sweep needs qmax >= max(1, k), got qmax={q_max}, k={k}")

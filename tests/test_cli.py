@@ -169,6 +169,28 @@ class TestValue:
         doc = run_json(capsys, "value", "--spec", "20,13,0,heavy", "--matrix-cap", "260")
         assert doc["winner"] == "player" and len(doc["witness"]) == 20
 
+    def test_every_printed_witness_certifies_as_text(self, capsys):
+        # The witness is certified on the digits it is printed from; this holds
+        # the printed text to the public certify on every value of the grid
+        # q <= 5, k <= 2, n <= least + 1 that answers.  A cap of 300 000 keeps
+        # the q = 5, k = 1 heavy exhaustive searches at n 16-22, which take
+        # 4-63 s each at the default cap, to a third of a second each.
+        witnesses = 0
+        for q, k, prior in itertools.product(range(1, 6), range(3), ("heavy", "unknown")):
+            if k > q:
+                continue
+            for n in range(1, engine.pigeonhole_min_n(q, k, prior) + 2):
+                spec = GameSpec(n, q, k, prior)
+                for flags in ((), ("--exhaustive",), ("--constructive",)):
+                    code, out, err = run(capsys, "value", "--spec", spec.compact(), *flags,
+                                         "--matrix-cap", "300000")
+                    assert code in (0, 4, 6), (spec, flags, err)
+                    witness = json.loads(out)["witness"] if code == 0 else None
+                    if witness is not None:
+                        assert verifier.certify(spec, witness).must_win, (spec, flags)
+                        witnesses += 1
+        assert witnesses >= 1700, witnesses
+
 
 class TestCensus:
     def test_four_two_unknown(self, capsys):
@@ -265,6 +287,23 @@ class TestSweep:
                 assert verifier.game_value(spec, "exhaustive").winner == "player"
             spec = GameSpec(balance_min, q, 2, prior)
             assert verifier.game_value(spec, "exhaustive").winner == "balance"
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_each_rows_largest_win_certifies_as_text(self, capsys, prior, k):
+        # The sweep certifies its largest win's digits and prints no plan;
+        # this rebuilds that plan's text and holds it to the public certify.
+        code, out, _ = run(capsys, "sweep", "--qmax", "5", "--k", str(k), "--prior", prior)
+        assert code == 0
+        for line in out.strip().split("\n")[1:]:
+            q, player_max, _, mode = line.split(",")[:4]
+            q = int(q)
+            won, codes, _ = verifier._largest_win(q, k, prior, verifier.SWEEP_MATRIX_CAP)
+            if mode != "constructive":  # past the cap a k = 0 row reports the capacity
+                assert won == int(player_max or 0), line
+            if won:
+                plan = engine.decode_rows(codes, q)
+                assert verifier.certify(GameSpec(won, q, k, prior), plan).must_win, line
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--qmax", "2"],

@@ -24,12 +24,19 @@ from balancegame import (
     theorem_sweep,
 )
 from balancegame import engine, verifier
-from balancegame.verifier import Certificate
 
 THIRTEEN = ("LLL", "LLR", "LRL", "LRR", "ORR", "OLR", "ROL",
             "LOL", "RLO", "LLO", "OOR", "LOO", "ORO")
 
 EIGHT = ("RLL", "RLR", "RLO", "RRL", "LRR", "LRO", "LOL", "LOR")
+
+
+def kernel_calls(monkeypatch):
+    """Specs of every plan that reaches the kernel's certifying call."""
+    calls, unpatched = [], engine.first_winning_word
+    monkeypatch.setattr(engine, "first_winning_word",
+                        lambda spec, preds: calls.append(spec) or unpatched(spec, preds))
+    return calls
 
 
 def random_plan(rng, n, q):
@@ -233,15 +240,19 @@ class TestGameValue:
     @pytest.mark.parametrize("mode", ["auto", "exhaustive", "constructive"])
     def test_builder_witness_is_certified_before_it_is_handed_out(self, mode, monkeypatch):
         monkeypatch.setattr(engine._CliqueSearch, "first", lambda self, n: [1, 3])  # LR, RL
+        calls = kernel_calls(monkeypatch)
         with pytest.raises(AssertionError, match="builder witness failed certification"):
             game_value(GameSpec(2, 2, 0, "unknown"), mode=mode)
+        assert calls == [GameSpec(2, 2, 0, "unknown")]
 
     def test_clique_witness_is_certified_before_it_is_handed_out(self, monkeypatch):
         spec = GameSpec(2, 3, 1, "heavy")  # no builder plan: k = 1 and two coins
         assert engine._CliqueSearch(spec, CAP).needs_graph(spec.n)
         monkeypatch.setattr(engine._CliqueSearch, "first", lambda self, n: [0, 0])  # LLL twice loses
+        calls = kernel_calls(monkeypatch)
         with pytest.raises(AssertionError, match="clique witness failed certification"):
             game_value(spec, mode="exhaustive")
+        assert calls == [spec]
 
     def test_lie_budget_mass_bound(self):
         # 13 coins, 3 rounds, 1 lie: mass 26 * 7 = 182 > 27 masks
@@ -640,8 +651,7 @@ class TestTheoremSweep:
     @pytest.mark.parametrize("k,prior,certified", [(0, "heavy", 4), (1, "heavy", 4), (1, "unknown", 2)])
     def test_one_graph_and_one_certified_plan_per_q(self, k, prior, certified, monkeypatch):
         # Unknown prior at k = 1: q = 1 and 2 have no admissible row, so no player win.
-        calls, unpatched = [], verifier.certify
-        monkeypatch.setattr(verifier, "certify", lambda spec, plan: calls.append(spec) or unpatched(spec, plan))
+        calls = kernel_calls(monkeypatch)
         searches = recording(monkeypatch)
         rows = {row.q: row for row in theorem_sweep(4, prior, k)}
         assert len(calls) == len({spec.q for spec in calls}) == certified
@@ -654,7 +664,7 @@ class TestTheoremSweep:
         assert len(searches) == len({search.spec.q for search in searches})
 
     def test_a_failed_certification_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(verifier, "certify", lambda spec, plan: Certificate("balance-wins", 1, object()))
+        monkeypatch.setattr(engine, "first_winning_word", lambda spec, preds: [0] * spec.q)
         with pytest.raises(AssertionError, match="internal error"):
             theorem_sweep(4, "heavy")
 
@@ -764,6 +774,16 @@ class TestTheoremSweep:
         cap = perfect_capacity(8, prior)
         assert (rows[-1].player_max_n, rows[-1].balance_min_n, rows[-1].mode) == (
             cap, cap + 1, "constructive")
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_the_sweep_builds_no_plan_text(self, prior, monkeypatch):
+        # Its largest wins are certified on their digits, and no row prints a plan.
+        for name in ("decode_rows", "digit_rows"):
+            monkeypatch.setattr(engine, name, lambda *args, name=name: pytest.fail(f"called {name}"))
+        calls = kernel_calls(monkeypatch)
+        for k in range(3):
+            theorem_sweep(5, prior, k)
+        assert len(calls) >= 5
 
     def test_mass_bound_with_lies(self):
         rows = theorem_sweep(3, "unknown", k=1)
