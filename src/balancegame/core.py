@@ -220,12 +220,16 @@ def surviving_hypotheses(spec: GameSpec, strategy, mask: str) -> set[Hypothesis]
 
     As in :func:`lie_count`, the mask is translated once per sign into its
     pre-image, the row an honest balance would answer with it; a hypothesis
-    survives when its row differs from that pre-image in at most k rounds."""
+    survives when its row differs from that pre-image in at most k rounds,
+    at k = 0 when the row is the pre-image (one string equality)."""
     rows = validate_strategy(spec, strategy)
     validate_mask(mask, spec.q)
     out = set()
     for sign in spec.signs:
         source = mask.translate(_PRE_IMAGE[sign])
+        if spec.k == 0:
+            out.update(Hypothesis(i, sign) for i, row in enumerate(rows) if row == source)
+            continue
         for i, row in enumerate(rows):
             if sum(map(operator.ne, row, source)) <= spec.k:
                 out.add(Hypothesis(i, sign))

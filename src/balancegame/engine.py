@@ -25,9 +25,10 @@ word per orbit of the game's symmetries.  Only that last rung
 (:meth:`_CliqueSearch.needs_graph`) builds the compatibility graph, makes
 int64 codes of its words, and is metered by the matrix cap: its rounds and
 its W**2 cells are checked before anything is allocated, and its nodes are
-counted as they are visited.  Every Hamming distance here is one digit-wise
-count, :func:`_distances`, and every block but the survivor scan's, Monte
-Carlo's too, is cut by one rule, :func:`_blocks`.
+counted as they are visited.  Every Hamming distance between digit arrays
+here is one digit-wise count, :func:`_distances`; the one between two
+lists of digits starts :func:`_pair_common_word`.  Every block but the
+survivor scan's, Monte Carlo's too, is cut by one rule, :func:`_blocks`.
 
 Everything here is re-derivable from :mod:`balancegame.core`; the test
 suite holds the two implementations against each other.
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -48,6 +50,8 @@ MAX_ROUNDS = 39  # base-3 codes are int64 and 3**39 < 2**63 <= 3**40
 DEFAULT_MATRIX_CAP = 10**8  # max graph cells, and max nodes, of a clique search (_CliqueSearch)
 
 _PAIR_BYTES = 1 << 22  # bytes one block of a blocked search or draw may build
+_MATMUL_CELLS = 4096  # digits a round up to which digit_codes takes one matmul
+_POWERS = 3 ** np.arange(MAX_ROUNDS - 1, -1, -1, dtype=np.int64)  # 3**38 .. 3**0
 _CODE_BYTES = 40  # per code while code_digits peels it: the int64 code and four temporaries
 
 
@@ -110,9 +114,16 @@ def code_digits(codes, q: int) -> np.ndarray:
 
 
 def digit_codes(digits: np.ndarray) -> np.ndarray:
-    """int64 codes of (q, ...) base-3 digits, round first; q <= MAX_ROUNDS."""
-    codes = np.zeros(digits.shape[1:], dtype=np.int64)
-    for d in digits:  # Horner: a matmul costs more per short row
+    """int64 codes of (q, ...) base-3 digits, round first; q <= MAX_ROUNDS.
+    Up to _MATMUL_CELLS digits a round, one matmul against the powers of 3
+    (3**q - 1 < 2**63, so no sum overflows); past it Horner, which wins from
+    4096-8192 digits a round at q 3-39 (the matmul takes 0.23-0.47x its time
+    at 512, 0.75-1.03x at 4096, 1.06-1.6x at 8192)."""
+    q, shape = len(digits), digits.shape[1:]
+    if math.prod(shape) <= _MATMUL_CELLS:
+        return (_POWERS[MAX_ROUNDS - q :] @ digits.reshape(q, -1)).reshape(shape)
+    codes = np.zeros(shape, dtype=np.int64)
+    for d in digits:
         codes *= 3
         codes += d
     return codes
@@ -221,6 +232,9 @@ def _plan_bytes(spec: GameSpec, H: int) -> int:
     return (spec.q + 1 + 7 * 8) * H * H
 
 
+_SCALAR_PAIRS = 48  # close pairs up to which first_winning_word runs one pair at a time
+
+
 def close_pairs(
     spec: GameSpec, preds: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -287,13 +301,37 @@ def _first_common_word(da: np.ndarray, db: np.ndarray, k: int) -> list[int]:
     return word
 
 
+def _pair_common_word(x: list[int], y: list[int], k: int, best: list[int] | None) -> list[int]:
+    """The smaller of ``best`` and the first word within distance k of both
+    digit lists x and y, which lie within 2k: :func:`_first_common_word`'s
+    greedy on one pair in plain ints, dropped at the first round where its
+    prefix passes ``best``'s."""
+    apart, la, lb, word = sum(map(operator.ne, x, y)), k, k, []
+    tied = best is not None  # the word so far equals best's prefix
+    for i, (u, v) in enumerate(zip(x, y)):
+        apart -= u != v
+        for d in range(3):
+            na, nb = la - (d != u), lb - (d != v)
+            if na >= 0 and nb >= 0 and apart <= na + nb:
+                break
+        if tied and d > best[i]:
+            return best
+        tied = tied and d == best[i]
+        word.append(d)
+        la, lb = na, nb
+    return word  # best's equal when still tied
+
+
 def first_winning_word(spec: GameSpec, preds: np.ndarray) -> list[int] | None:
     """Digits of the first announcement, in L < R < D order, that keeps two of
     one plan's (q, H) hypothesis digits ``preds`` alive; ``None`` if none does.
 
     At k = 0 that is the first close pair's shared word: one plan's pairs
-    come in one block, in ascending order of it.  At k >= 1 a block's close
-    pairs go to :func:`_first_common_word` in pieces; digit lists compare in
+    come in one block, in ascending order of it.  At k >= 1 a block of at
+    most _SCALAR_PAIRS close pairs goes to :func:`_pair_common_word` a pair
+    at a time, in Python ints (0.2x the numpy rounds' time at 8 pairs of
+    random plans, q 7-11, k 1-2; 0.76-0.99x at 48, 1.3-1.7x at 96), a larger
+    one to :func:`_first_common_word` in pieces.  Digit lists compare in
     L < R < D order, and an all-L word ends the search, as none comes before
     it.  A piece's search takes 8q + 24 bytes a pair under
     tracemalloc: two gathered digit columns, their six digit costs, and one
@@ -307,6 +345,12 @@ def first_winning_word(spec: GameSpec, preds: np.ndarray) -> list[int] | None:
     pair_bytes = (8 * spec.q + 24) * cell // (cell - 24)
     best = None
     for _, a, b in close_pairs(spec, preds[:, None]):
+        if 0 < a.size <= _SCALAR_PAIRS:  # an empty block needs no gather
+            for x, y in zip(preds.T[a].tolist(), preds.T[b].tolist()):
+                best = _pair_common_word(x, y, spec.k, best)
+                if not any(best):
+                    return best
+            continue
         for ab in _blocks(a.size, pair_bytes):
             word = _first_common_word(preds[:, a[ab]], preds[:, b[ab]], spec.k)
             best = word if best is None else min(best, word)

@@ -73,6 +73,20 @@ class TestCodec:
         assert digits.T.tolist() == [[int(d) for d in decode(c, q, "012")] for c in codes]
         assert digit_codes(digits).tolist() == codes
 
+    @pytest.mark.parametrize("shape", [(1, 4096), (64, 64), (1, 4097), (17, 241)])
+    @pytest.mark.parametrize("q", [1, 7, engine.MAX_ROUNDS])
+    def test_digit_codes_equal_the_digit_loop_on_both_sides_of_the_matmul_rule(self, q, shape):
+        # (q, 1, H) and (q, T, H) blocks of 4096 words, one matmul, and of 4097,
+        # Horner; at q = MAX_ROUNDS the all-D word's code is 3**39 - 1, the
+        # largest int64 code.
+        assert engine._MATMUL_CELLS == 4096
+        digits = np.random.default_rng([q, *shape]).integers(0, 3, (q,) + shape, dtype=np.uint8)
+        digits[:, 0, 0] = 2
+        want = [[encode("".join(map(str, word)), "012") for word in row]
+                for row in digits.transpose(1, 2, 0).tolist()]
+        assert digit_codes(digits).tolist() == want
+        assert want[0][0] == 3**q - 1
+
     @given(coded_rows(), st.sampled_from(["heavy", "unknown"]))
     @settings(max_examples=200, deadline=None)
     def test_hypothesis_digits_are_the_rows_then_their_mirrors(self, case, prior):

@@ -186,6 +186,24 @@ class TestSurvivingHypotheses:
         assert expected == {Hypothesis(i, sign) for sign in spec.signs
                             for i, row in enumerate(rows) if lie_count(row, mask, sign) <= k}
 
+    @pytest.mark.parametrize("lies", ["zero", "some"])
+    @given(st.data())
+    def test_survivors_are_the_hypotheses_within_k_lies(self, lies, data):
+        # Rows come from a pool of at most three words and their mirrors, and the
+        # mask is often one of their honest words, so k = 0 games keep survivors
+        # too: the k = 0 string equality is held to lie_count.
+        q = data.draw(st.integers(1, 5))
+        pool = data.draw(st.lists(st.text("LRO", min_size=q, max_size=q), min_size=1, max_size=3))
+        rows = data.draw(st.lists(st.sampled_from(pool + [partial_complement(r) for r in pool]),
+                                  min_size=1, max_size=8))
+        honest = [predicted_mask(row, sign) for row in rows for sign in (HEAVY, LIGHT)]
+        mask = data.draw(st.one_of(st.sampled_from(honest), st.text("LRD", min_size=q, max_size=q)))
+        k = 0 if lies == "zero" else data.draw(st.integers(1, q))
+        spec = GameSpec(len(rows), q, k, data.draw(st.sampled_from(PRIORS)))
+        want = {Hypothesis(i, sign) for sign in spec.signs
+                for i, row in enumerate(rows) if lie_count(row, mask, sign) <= k}
+        assert surviving_hypotheses(spec, rows, mask) == want
+
 
 class TestAdjudicate:
     def test_identifies_coin_two(self):

@@ -27,6 +27,7 @@ from balancegame import (
 )
 from balancegame import engine
 from balancegame.cli import main
+from balancegame.verifier import certify
 from balancegame.adversary import METHOD_ALL_OFF, METHOD_DUPLICATE, METHOD_MIRROR
 from balancegame.core import OUTCOMES, PLACEMENTS
 from balancegame.engine import (
@@ -35,6 +36,9 @@ from balancegame.engine import (
     code_digits,
     decode,
 )
+
+
+_RANK = str.maketrans("LRD", "012")  # L < R < D, not the characters' own order
 
 
 def readable_first_winning_mask(spec, rows):
@@ -55,7 +59,7 @@ def readable_first_winning_mask(spec, rows):
                     if na >= 0 and nb >= 0 and apart <= na + nb:
                         word, la, lb = word + d, na, nb
                         break
-            best = word if best is None else min(best, word)
+            best = word if best is None else min(best, word, key=lambda w: w.translate(_RANK))
     return best
 
 
@@ -126,10 +130,11 @@ def test_planted_pair_on_both_sides_of_2k(prior, k, q, seed=5):
 def test_zero_lie_first_winner_is_read_off_the_sort(plant, prior, monkeypatch, seed=3):
     # At k = 0 the first winning mask is the smallest honest word that two
     # hypotheses share, so no first-common-word search runs.
-    def refuse(da, db, k):
+    def refuse(*args):
         raise AssertionError("a k = 0 verdict searched for a first common word")
 
     monkeypatch.setattr(engine, "_first_common_word", refuse)
+    monkeypatch.setattr(engine, "_pair_common_word", refuse)
     rng, rank = random.Random(seed), str.maketrans("LRD", "012")
     for _ in range(60):
         q = rng.randint(1, 4)
@@ -158,9 +163,18 @@ def test_zero_lie_winner_leaves_the_kernel_as_digits(prior, monkeypatch):
     assert calls == [(3, 1, spec.hypothesis_count)]
 
 
+def scalar_first_common_word(da, db, k):
+    """engine._pair_common_word folded over the pairs, as first_winning_word folds a small block."""
+    best = None
+    for x, y in zip(da.T.tolist(), db.T.tolist()):
+        best = engine._pair_common_word(x, y, k, best)
+    return best
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_first_common_code_matches_brute_force(k, seed=7):
-    # Each call gets many pairs within 2k; the oracle tries all 3**q words.
+    # Each call gets many pairs within 2k, on the numpy rounds and on the
+    # scalar pair loop; the oracle tries all 3**q words.
     rng = np.random.default_rng([seed, k])
     rounds = set()
     for _ in range(40):
@@ -176,7 +190,8 @@ def test_first_common_code_matches_brute_force(k, seed=7):
         firsts = common.argmax(axis=0)  # each pair's first common word
         assert common.any(axis=0).all()
         best = code_digits(firsts.min(), q)
-        assert engine._first_common_word(da, db, k) == best.tolist()
+        for search in (engine._first_common_word, scalar_first_common_word):
+            assert search(da, db, k) == best.tolist()
         # The round where each other pair's first word leaves the winner's.
         for other in code_digits(firsts, q).T:
             if (other != best).any():
@@ -202,31 +217,66 @@ def test_close_pair_blocks_stay_bounded_when_every_pair_is_close():
     assert peak <= 1.1 * engine._PAIR_BYTES
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("prior", ["heavy", "unknown"])
+def test_both_first_word_paths_agree_at_the_scalar_threshold(prior, k, monkeypatch, seed=4):
+    # Plans whose one block holds exactly _SCALAR_PAIRS close pairs, and one
+    # more (two under the unknown prior), half at distance 2k and half at
+    # 2k - 1: the default path and each forced one give the readable mask and
+    # masks_checked.
+    rng, q, signs = random.Random(seed + k), 24, 1 if prior == "heavy" else 2
+    calls = []
+    search, pair_word = engine._first_common_word, engine._pair_common_word
+    monkeypatch.setattr(engine, "_first_common_word", lambda da, db, k: calls.append("numpy") or search(da, db, k))
+    monkeypatch.setattr(engine, "_pair_common_word", lambda *args: calls.append("scalar") or pair_word(*args))
+    for pairs in (engine._SCALAR_PAIRS, engine._SCALAR_PAIRS + signs):
+        rows = []
+        for p in range(pairs // signs):  # under the unknown prior each twin's mirrors close a pair too
+            row = "".join(rng.choice("LRO") for _ in range(q))
+            twin = list(row)
+            for i in rng.sample(range(q), 2 * k - p % 2):
+                twin[i] = rng.choice([c for c in "LRO" if c != twin[i]])
+            rows += [row, "".join(twin)]
+        spec = GameSpec(len(rows), q, k, prior)
+        (_, a, _), = engine.close_pairs(spec, engine.predicted_digits(spec, rows)[:, None])
+        assert a.size == pairs
+        want = readable_first_winning_mask(spec, rows)
+        paths = {}
+        for forced in (None, 0, pairs):  # default; numpy pieces only; one pair at a time
+            with pytest.MonkeyPatch.context() as mp:
+                if forced is not None:
+                    mp.setattr(engine, "_SCALAR_PAIRS", forced)
+                calls.clear()
+                cert = certify(spec, rows)
+            assert (cert.attack.mask, cert.masks_checked) == (want, engine.encode_mask(want) + 1)
+            paths[forced] = set(calls)
+        assert paths[0] == {"numpy"} and paths[pairs] == {"scalar"}
+        assert paths[None] == ({"scalar"} if pairs <= engine._SCALAR_PAIRS else {"numpy"})
+
+
 def test_first_winner_search_stops_at_an_all_left_word(monkeypatch):
     # At q = 6, k = 3 every pair is close, and rows 0 and 1 lie within 3 of
-    # LLLLLL, so the first piece of pairs, (0, 1) first, gives the all-L word:
-    # no later piece can give a smaller one.
+    # LLLLLL, so the first pair, (0, 1), gives the all-L word: no later piece
+    # of pairs on the numpy path, and no later pair on the scalar one, is visited.
     rng = random.Random(2)
     rows = ("LLLRRO", "OLLLRL") + tuple("".join(rng.choice("LRO") for _ in range(6)) for _ in range(58))
     spec, calls = GameSpec(len(rows), 6, 3, "heavy"), []
-    search = engine._first_common_word
-
-    def counted(da, db, k):
-        calls.append(da.shape[1])
-        return search(da, db, k)
-
-    monkeypatch.setattr(engine, "_first_common_word", counted)
+    search, pair_word = engine._first_common_word, engine._pair_common_word
+    monkeypatch.setattr(engine, "_first_common_word", lambda da, db, k: calls.append(da.shape[1]) or search(da, db, k))
+    monkeypatch.setattr(engine, "_pair_common_word", lambda *args: calls.append(1) or pair_word(*args))
     monkeypatch.setattr(engine, "_PAIR_BYTES", 1000)  # one row of pairs a block, 8 pairs a piece
-    attack = find_winning_mask(spec, rows)
-    assert attack.mask == "L" * 6 and calls == [8]
-    # Rows with at most two L are more than 3 from LLLLLL: every piece runs.
-    rows = [row for row in rows[2:] if row.count("L") <= 2]
+    # Rows with at most two L are more than 3 from LLLLLL: every pair is visited.
+    far = [row for row in rows[2:] if row.count("L") <= 2]
     want = min((find_winning_mask(GameSpec(2, 6, 3, "heavy"), pair).mask
-                for pair in itertools.combinations(rows, 2)),
-               key=lambda mask: mask.translate(str.maketrans("LRD", "012")))
-    calls.clear()
-    assert find_winning_mask(GameSpec(len(rows), 6, 3, "heavy"), rows).mask == want
-    assert sum(calls) == len(rows) * (len(rows) - 1) // 2 and len(calls) > len(rows)
+                for pair in itertools.combinations(far, 2)),
+               key=lambda mask: mask.translate(_RANK))
+    for scalar_pairs, first in ((0, [8]), (10**6, [1])):  # numpy pieces only; one pair at a time only
+        monkeypatch.setattr(engine, "_SCALAR_PAIRS", scalar_pairs)
+        calls.clear()
+        assert find_winning_mask(spec, rows).mask == "L" * 6 and calls == first
+        calls.clear()
+        assert find_winning_mask(GameSpec(len(far), 6, 3, "heavy"), far).mask == want
+        assert sum(calls) == len(far) * (len(far) - 1) // 2 and len(calls) > len(far)
 
 
 def test_close_pair_blocks_of_many_small_plans_fit_the_budget():
