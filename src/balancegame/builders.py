@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -87,26 +88,152 @@ def reseeded(rng: random.Random, seeds):
         yield rng
 
 
+_N, _M = 624, 397  # MT19937's words of state, and the offset its twist reads
+_CELL_BYTES = 16  # peak bytes per cell of a draw of uniforms; sizes blocks of draws
+_TRIAL_BYTES = 192  # peak bytes per trial beyond its cells; see uniform_bytes
+_REPLAY_TRIALS = 1000  # fewest seeds of one key length whose seeding seeded_words replays
+
+
+def _generator_words(rngs, words: int) -> np.ndarray:
+    """(k, words) uint32: the next ``words`` outputs of each generator
+    ``rngs`` yields, in ``getrandbits`` order, from one ``getrandbits`` call
+    each.  A word takes 8 bytes at the peak: its bytes, then their join."""
+    raw = b"".join(rng.getrandbits(32 * words).to_bytes(4 * words, "little") for rng in rngs)
+    return np.frombuffer(raw, dtype="<u4").reshape(-1, words)
+
+
+def _key_words(m: int) -> int:
+    """Length in 32-bit words of CPython's seeding key for |seed| = m."""
+    return max(1, -(-m.bit_length() // 32))
+
+
+@functools.cache
+def _seeding_tables() -> tuple[list, list]:
+    """``init_genrand(19650218)``, where every ``init_by_array`` starts, and
+    -i mod 2**32 for each index i, as uint32 scalars; built on first use."""
+    mt = [19650218]
+    for i in range(1, _N):
+        mt.append((1812433253 * (mt[-1] ^ mt[-1] >> 30) + i) & 0xFFFFFFFF)
+    return list(np.array(mt, dtype=np.uint32)), list((-np.arange(_N)).astype(np.uint32))
+
+
+def _mix(prev, mult, x, add, out: np.ndarray) -> np.ndarray:
+    """One ``init_by_array`` step: out = ((prev ^ prev >> 30) * mult ^ x) + add."""
+    np.right_shift(prev, 30, out=out)
+    out ^= prev
+    out *= mult
+    out ^= x
+    out += add
+    return out
+
+
+def _replay(mags: list, out: np.ndarray) -> None:
+    """Write into ``out`` (W, T), W <= N - M, the first W outputs of
+    ``random.Random(m)`` for the T seeds m >= 0 in ``mags``, keys of one length L.
+
+    ``init_by_array(key)`` starts from the ``init_genrand`` table.  Pass 1
+    takes N steps mt[i] = (mt[i] ^ f(mt[i-1]) * 1664525) + key[j] + j, pass 2
+    N - 1 steps mt[i] = (mt[i] ^ f(mt[i-1]) * 1566083941) - i, f(x) = x ^ x >> 30,
+    with i from 1 (past N - 1 it wraps to 1, mt[0] = mt[N-1]), j from 0 mod
+    L; then mt[0] = 2**31.  Pass 2 starts from pass 1's last write and reads
+    at each i what pass 1 wrote there: pass 1 runs to its end, then again
+    beside pass 2, on length-T vectors, and no (N, T) state is held.  Output
+    k is the first twist of mt[k], mt[k+1], mt[k+M]: only those are kept."""
+    words, trials = out.shape
+    length = _key_words(max(mags))
+    key = np.frombuffer(b"".join(m.to_bytes(4 * length, "little") for m in mags), dtype="<u4")
+    key = [key[j::length] + np.uint32(j) for j in range(length)]
+    table, minus = _seeding_tables()
+    up, down = np.uint32(1664525), np.uint32(1566083941)
+
+    def pass1(i, prev, buf):
+        return _mix(prev, up, table[i], key[(i - 1) % length], buf)
+
+    p1 = pass1(1, table[0], np.empty(trials, dtype=np.uint32))
+    p, spare = p1.copy(), np.empty(trials, dtype=np.uint32)
+    for i in range(2, _N):
+        p, spare = pass1(i, p, spare), p
+    a1 = _mix(p, up, p1, key[(_N - 1) % length], spare)
+    p, spare, q = p1, p, a1
+    head = np.empty((words + 1, trials), dtype=np.uint32)  # the seeded mt[0..W]
+    scratch = (np.empty(trials, dtype=np.uint32), np.empty(trials, dtype=np.uint32))
+    for i in range(2, _N):
+        p, spare = pass1(i, p, spare), p
+        dst = head[i] if i <= words else out[i - _M] if _M <= i < _M + words else scratch[i & 1]
+        q = _mix(q, down, p, minus[i], dst)
+    _mix(q, down, a1, minus[1], head[1])
+    head[0] = 0x80000000
+    for r in range(0, words, 4):  # four rows at a time: 48 bytes of temporaries a trial
+        o = out[r : r + 4]
+        y = head[r : r + len(o)] & 0x80000000 | head[r + 1 : r + 1 + len(o)] & 0x7FFFFFFF
+        o ^= y >> 1 ^ (y & 1) * 0x9908B0DF
+        o ^= o >> 11
+        o ^= o << 7 & 0x9D2C5680
+        o ^= o << 15 & 0xEFC60000
+        o ^= o >> 18
+
+
+def seeded_words(seeds, words: int, rng: random.Random | None = None) -> np.ndarray:
+    """(len(seeds), words) uint32: the first ``words`` outputs of each
+    ``random.Random(seed)``, in ``getrandbits`` order.  A stretch of seeds
+    of one key length (a block across 2**32 has two) is replayed by
+    :func:`_replay` when it holds ``_REPLAY_TRIALS`` seeds or more and
+    words <= N - M = 227; the rest reseed ``rng``, or one new generator."""
+    mags = list(map(abs, seeds))  # CPython seeds with |seed|
+    if len(mags) < _REPLAY_TRIALS or words > _N - _M:
+        return _generator_words(reseeded(rng or random.Random(), mags), words)
+    ends = [0, len(mags)]
+    if _key_words(min(mags)) != _key_words(max(mags)):
+        ends[1:1] = np.flatnonzero(np.diff([_key_words(m) for m in mags])) + 1
+    out = np.empty((words, len(mags)), dtype=np.uint32)
+    for a, b in zip(ends, ends[1:]):
+        if b - a >= _REPLAY_TRIALS:
+            _replay(mags[a:b], out[:, a:b])
+        else:
+            rng = rng or random.Random()
+            out[:, a:b] = _generator_words(reseeded(rng, mags[a:b]), words).T
+    return out.T
+
+
+def uniform_bytes(count: int) -> int:
+    """Bytes per trial that bound :func:`seeded_uniforms`' peak, on both
+    paths: ``_CELL_BYTES`` a cell (:func:`draw_uniforms`; the replay's state
+    words and output stand for the join), and ``_TRIAL_BYTES`` for the seed's
+    int, and its bytes object or the replay's key, vectors and temporaries."""
+    return _CELL_BYTES * count + _TRIAL_BYTES
+
+
+def _halves(words: np.ndarray):
+    """The bits ``random()`` keeps of each pair of words: apart from
+    :func:`_doubles`, so that the words are freed before the doubles."""
+    return words[:, 0::2] >> 5, words[:, 1::2] >> 6
+
+
+def _doubles(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    u = high.astype(np.float64)
+    u *= 2.0**26
+    u += low
+    u /= 2.0**53
+    return u
+
+
 def draw_uniforms(rngs, count: int) -> np.ndarray:
     """(k, count) floats for the k generators ``rngs`` yields, count >= 1:
     row i holds the next ``count`` values of the i-th generator's
     ``random()``, bit for bit, and leaves it where those calls would.
 
     ``random()`` makes each double from two 32-bit generator words a, b as
-    ((a >> 5) * 2**26 + (b >> 6)) / 2**53.  One ``getrandbits(64 * count)``
-    call draws the same words, the first in the lowest bits, so the doubles
-    are formed all at once from its bytes.  At the peak a cell takes 16
-    bytes: its words twice over while they are joined, then its shifted
-    words and its double."""
-    raw = b"".join(rng.getrandbits(64 * count).to_bytes(8 * count, "little") for rng in rngs)
-    words = np.frombuffer(raw, dtype="<u4").reshape(-1, count, 2)
-    high, low = words[..., 0] >> 5, words[..., 1] >> 6
-    del raw, words
-    u = high.astype(np.float64)
-    u *= 2.0**26
-    u += low
-    u /= 2.0**53
-    return u
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, so the doubles are formed all at
+    once from the words of one ``getrandbits`` call.  At the peak a cell
+    takes 16 bytes: its words twice over while they are joined, then its
+    words and halves, then its halves and its double."""
+    return _doubles(*_halves(_generator_words(rngs, 2 * count)))
+
+
+def seeded_uniforms(seeds, count: int) -> np.ndarray:
+    """:func:`draw_uniforms` of fresh ``random.Random(seed)``s, from
+    :func:`seeded_words`."""
+    return _doubles(*_halves(seeded_words(seeds, 2 * count)))
 
 
 def _first_draw(bound: int, count: int) -> int:
@@ -137,29 +264,25 @@ def draw_below(seeds, bound: int, count: int) -> np.ndarray:
     k = bound.bit_length() bits and rejects one >= bound.  A candidate takes
     one 32-bit generator word when k <= 32 and two when k > 32: the first
     word is its low half, and the top word is shifted right by
-    32 * words - k.  One ``getrandbits(32 * words * m)`` call draws the words
-    of m candidates, the first in the lowest bits, so all trials' candidates
-    are formed and screened at once.  The trials whose m candidates hold
-    fewer than ``count`` accepted ones are drawn again, reseeded, with twice
-    as many."""
+    32 * words - k.  The words of m candidates a trial come from
+    :func:`seeded_words`, so all trials' candidates are formed and screened
+    at once.  The trials whose m candidates hold fewer than ``count``
+    accepted ones are drawn again, with twice as many and the same
+    generator."""
     k = bound.bit_length()
     words = -(-k // 32)
     out = np.empty((len(seeds), count), dtype=np.int64)
     rng = random.Random()
     todo, m = np.arange(len(seeds)), _first_draw(bound, count)
     while todo.size:
-        nbits = 32 * words * m
-        raw = b"".join(
-            rng.getrandbits(nbits).to_bytes(nbits // 8, "little")
-            for _ in reseeded(rng, map(seeds.__getitem__, todo.tolist()))
-        )
-        w = np.frombuffer(raw, dtype="<u4").reshape(todo.size, m, words)
+        w = seeded_words(map(seeds.__getitem__, todo.tolist()), words * m, rng)
+        w = w.reshape(todo.size, m, words)
         cand = w[..., -1] >> (32 * words - k)
         if words == 2:  # the first word is the low half
             cand = cand.astype(np.int64)
             cand <<= 32
             cand |= w[..., 0]
-        del raw, w
+        del w
         ok = cand < bound
         kept = ok.sum(axis=1)
         full = kept >= count
@@ -173,7 +296,7 @@ def random_plan_digits(seeds, n: int, q: int, on_fraction: float) -> np.ndarray:
     """(len(seeds), n, q) base-3 cells of one seeded random plan per seed.
     Cells are drawn row-major, one uniform each: L (0) below
     ``on_fraction / 2``, else R (1) below ``on_fraction``, else O (2)."""
-    u = draw_uniforms(reseeded(random.Random(), seeds), n * q).reshape(len(seeds), n, q)
+    u = seeded_uniforms(seeds, n * q).reshape(len(seeds), n, q)
     return (u >= on_fraction / 2.0).astype(np.uint8) + (u >= on_fraction)
 
 

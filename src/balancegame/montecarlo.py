@@ -4,15 +4,15 @@ Reproducibility scheme: trial ``t`` of a run with master seed ``s`` uses the
 derived seed ``s * 1_000_003 + t``, so any subset of trials can be re-run
 on its own and the whole run is a pure function of its arguments.
 
-Trials run in blocks that fit the engine's block budget.  Each block builds
-one ``random.Random`` and reseeds it per trial (``builders.reseeded``),
-which leaves it in exactly the state ``random.Random(seed)`` starts in.  A
-trial's numbers come from one ``getrandbits`` call, whose raw words are
-turned into ``random()`` values by ``builders.draw_uniforms`` and into
-``randrange`` values by ``builders.draw_below``, a word-level replay of
-CPython's rejection sampling (a trial that comes up short is drawn again).
-What remains per trial is mostly CPython's seeding itself (Mersenne
-Twister ``init_by_array``), which is now most of the time of a run.
+Trials run in blocks that fit the engine's block budget.  A trial's
+numbers come from the first words of ``random.Random(seed)``
+(``builders.seeded_words``): a block of ``builders._REPLAY_TRIALS`` trials
+or more replays CPython's Mersenne Twister seeding across its trials in
+numpy, and a smaller one reseeds one generator for each trial in turn
+(``builders.reseeded``).  ``builders.seeded_uniforms`` turns the words into
+``random()`` values and ``builders.draw_below`` into ``randrange`` values,
+a word-level replay of CPython's rejection sampling (a trial that comes up
+short is drawn again).
 """
 
 from __future__ import annotations
@@ -27,19 +27,21 @@ import numpy as np
 from . import engine
 from .analysis import chernoff_tail_bound
 from .builders import (
+    _CELL_BYTES,
     RandomStrategyParams,
     below_bytes,
     draw_below,
     draw_uniforms,
     random_plan_digits,
     reseeded,
+    seeded_uniforms,
+    uniform_bytes,
 )
 from .core import DomainError, GameSpec
 from .verifier import census_perfect
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 CENSUS_CAP = 500_000  # most plans for which random_perfect_rate reports census_count and census_rate
-_CELL_BYTES = 16  # peak bytes per cell of builders.draw_uniforms; sizes blocks of draws
 
 
 def trial_seed(seed: int, t: int) -> int:
@@ -88,7 +90,7 @@ def simulate_random_player(spec: GameSpec, r: float, trials: int, seed: int = 0)
     engine.check_rounds(spec.q)
     RandomStrategyParams(r, seed)  # rejects an on-rate outside [0, 1]
     wins = 0
-    trial_bytes = max(_CELL_BYTES * spec.n * spec.q, engine.verdict_bytes(spec))
+    trial_bytes = max(uniform_bytes(spec.n * spec.q), engine.verdict_bytes(spec))
     for seeds in _seed_blocks(seed, trials, trial_bytes):
         rows = np.moveaxis(random_plan_digits(seeds, spec.n, spec.q, r), -1, 0)  # round first
         wins += int(engine.batch_balance_wins(spec, rows).sum())
@@ -111,11 +113,12 @@ def concentration_experiment(
     bound = chernoff_tail_bound(q, delta)  # refuses a bad delta before any trial runs
     pieces = list(engine._blocks(q, _CELL_BYTES))  # a longer row is drawn in pieces
     hits = 0
-    for seeds in _seed_blocks(seed, trials, _CELL_BYTES * q):
-        rngs = reseeded(random.Random(), seeds)
-        if len(pieces) > 1:  # a block of one trial, its row drawn piece by piece
-            rngs = list(rngs)
-        on = sum((draw_uniforms(rngs, cs.stop - cs.start) < r).sum(axis=1) for cs in pieces)
+    for seeds in _seed_blocks(seed, trials, uniform_bytes(q)):
+        if len(pieces) == 1:
+            on = (seeded_uniforms(seeds, q) < r).sum(axis=1)
+        else:  # a block of one trial, its row drawn piece by piece
+            rngs = list(reseeded(random.Random(), seeds))
+            on = sum((draw_uniforms(rngs, cs.stop - cs.start) < r).sum(axis=1) for cs in pieces)
         hits += int((np.abs(on / q - r) > delta).sum())
     return hits / trials, bound
 

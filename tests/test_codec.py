@@ -13,6 +13,7 @@ from balancegame import (
     ResourceLimitError,
     complement_free_strategy,
     concentration_experiment,
+    random_perfect_rate,
     random_strategy,
     simulate_random_player,
     surviving_hypotheses,
@@ -220,6 +221,110 @@ class TestSeededDraws:
         assert simulate_random_player(spec, r, trials, seed).successes == wins
         monkeypatch.setattr(engine, "_PAIR_BYTES", 16 * spec.n * spec.q * 11)
         assert simulate_random_player(spec, r, trials, seed).successes == wins
+
+
+def generator_words(seed, words):
+    raw = random.Random(seed).getrandbits(32 * words).to_bytes(4 * words, "little")
+    return np.frombuffer(raw, dtype="<u4").tolist()
+
+
+def count_reseeds(monkeypatch):
+    reseeds = []
+    reseeded = builders.reseeded
+
+    def counted(rng, seeds):
+        for r in reseeded(rng, seeds):
+            reseeds.append(r)
+            yield r
+
+    monkeypatch.setattr(builders, "reseeded", counted)
+    return reseeds
+
+
+# The seeding replay forced on everywhere, and forced off.
+BOTH_PATHS = pytest.mark.parametrize("crossover", [0, 10**9], ids=["replay", "cpython"])
+
+
+class TestSeedingReplay:
+    @BOTH_PATHS
+    @pytest.mark.parametrize("words", [1, 2, 227, 228])
+    def test_words_equal_random_random(self, words, crossover, monkeypatch):
+        monkeypatch.setattr(builders, "_REPLAY_TRIALS", crossover)
+        reseeds = count_reseeds(monkeypatch)
+        # CPython seeds with |seed|; the last seeds straddle 2**32 and 2**64,
+        # so their keys are one, two and three words long.
+        seeds = SEEDS + [-s for s in SEEDS] + [2**32 - 2, 2**32 + 1, 2**64 - 1, 2**64, -(2**64)]
+        got = builders.seeded_words(seeds, words)
+        assert got.shape == (len(seeds), words)
+        for seed, row in zip(seeds, got):
+            assert row.tolist() == generator_words(seed, words)
+        replayed = crossover == 0 and words <= 227
+        assert len(reseeds) == (0 if replayed else len(seeds))
+
+    @pytest.mark.parametrize("crossover,reseeded", [(40, []), (41, [40, 40]), (81, [80])])
+    def test_a_block_straddling_2_32_runs_as_two_stretches(self, crossover, reseeded, monkeypatch):
+        # 40 seeds of one key word, then 40 of two.  A stretch shorter than
+        # the crossover reseeds, even in a block that is long enough.
+        monkeypatch.setattr(builders, "_REPLAY_TRIALS", crossover)
+        calls = []
+        generator_words_of = builders._generator_words
+
+        def counted(rngs, words):
+            got = generator_words_of(rngs, words)
+            calls.append(len(got))
+            return got
+
+        monkeypatch.setattr(builders, "_generator_words", counted)
+        seeds = range(2**32 - 40, 2**32 + 40)
+        got = builders.seeded_words(seeds, 9)
+        assert [row.tolist() for row in got] == [generator_words(s, 9) for s in seeds]
+        assert calls == reseeded
+
+    @pytest.mark.parametrize("size,replayed", [(15, False), (16, True)])
+    def test_a_block_takes_the_replay_from_the_crossover_on(self, size, replayed, monkeypatch):
+        monkeypatch.setattr(builders, "_REPLAY_TRIALS", 16)
+        reseeds = count_reseeds(monkeypatch)
+        seeds = [trial_seed(10**6 + 17, t) for t in range(size)]
+        got = builders.seeded_words(seeds, 31)
+        assert [row.tolist() for row in got] == [generator_words(s, 31) for s in seeds]
+        assert len(reseeds) == (0 if replayed else size)
+
+    @pytest.mark.parametrize("q", [1, 2, 20, 21, 39])
+    def test_word_randrange_redraws_under_the_replay(self, q, monkeypatch):
+        monkeypatch.setattr(builders, "_REPLAY_TRIALS", 0)
+        monkeypatch.setattr(builders, "_first_draw", lambda bound, count: count)
+        rounds = []
+        seeded_words = builders.seeded_words
+
+        def counted(seeds, words, rng=None):
+            rounds.append(words)
+            return seeded_words(seeds, words, rng)
+
+        monkeypatch.setattr(builders, "seeded_words", counted)
+        reseeds = count_reseeds(monkeypatch)
+        seeds = SEEDS + [trial_seed(10**6 + 17, t) for t in range(60)]
+        got = draw_below(seeds, 3**q, 5)
+        for seed, row in zip(seeds, got):
+            reference = random.Random(seed)
+            assert row.tolist() == [reference.randrange(3**q) for _ in range(5)]
+        assert len(rounds) > 1  # some trials were drawn again
+        assert max(rounds) <= 227 and not reseeds  # every round was replayed
+
+    @pytest.mark.parametrize("seed", [0, -1, 10**6 + 3])
+    def test_reports_are_the_same_on_both_paths(self, seed, monkeypatch):
+        def reports():
+            return (
+                simulate_random_player(GameSpec(5, 3, 0, "unknown"), 0.6, 300, seed),
+                simulate_random_player(GameSpec(4, 3, 1, "heavy"), 0.6, 300, seed),
+                [random_perfect_rate(2, q, "unknown", 300, seed) for q in (2, 17, 21, 39)],
+                concentration_experiment(30, 0.4521, 0.2, 300, seed),
+                concentration_experiment(114, 0.4521, 0.1, 300, seed),  # 228 words: CPython
+            )
+
+        monkeypatch.setattr(builders, "_REPLAY_TRIALS", 10**9)
+        want = reports()
+        monkeypatch.setattr(builders, "_REPLAY_TRIALS", 0)
+        assert reports() == want
 
 
 class TestBatchSurvivorCounts:

@@ -17,7 +17,7 @@ from balancegame import (
     simulate_random_player,
     trial_seed,
 )
-from balancegame import engine, montecarlo
+from balancegame import builders, engine, montecarlo
 from balancegame.montecarlo import Z_95
 
 
@@ -152,15 +152,31 @@ class TestBlockMemory:
         ("perfect-rate", (6, 39, "unknown")),
         ("simulate", (13, 3, 0, "unknown")),
         ("simulate", (4, 2, 0, "unknown")),
+        ("concentrate", (30, 0.4521, 0.2)),
+        ("concentrate", (100, 0.4521, 0.2)),
     ])
     def test_blocks_fit_the_larger_of_draw_and_decide(self, command, args):
-        # On these plans deciding a trial costs more than drawing it.
+        # On the plans deciding a trial costs more than drawing it; concentrate
+        # only draws, so its per-trial objects must be charged too.
         tracemalloc.start()
         try:
             if command == "perfect-rate":
                 random_perfect_rate(*args, 20_000, seed=1)
-            else:
+            elif command == "simulate":
                 simulate_random_player(GameSpec(*args), 0.6, 20_000, seed=1)
+            else:
+                concentration_experiment(*args, 20_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * engine._PAIR_BYTES
+
+    @pytest.mark.parametrize("q", [7, 30, 100])
+    def test_concentrate_blocks_fit_without_the_seeding_replay(self, q, monkeypatch):
+        monkeypatch.setattr(builders, "_REPLAY_TRIALS", 10**9)
+        tracemalloc.start()
+        try:
+            concentration_experiment(q, 0.4521, 0.2, 20_000, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
