@@ -92,6 +92,7 @@ _N, _M = 624, 397  # MT19937's words of state, and the offset its twist reads
 _CELL_BYTES = 16  # peak bytes per cell of a draw of uniforms; sizes blocks of draws
 _TRIAL_BYTES = 192  # peak bytes per trial beyond its cells; see uniform_bytes
 _REPLAY_TRIALS = 1000  # fewest seeds of one key length whose seeding seeded_words replays
+_JOIN_BYTES = 1 << 16  # most bytes of generator words seeded_words joins at once off the replay
 
 
 def _generator_words(rngs, words: int) -> np.ndarray:
@@ -127,6 +128,13 @@ def _mix(prev, mult, x, add, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _twist(high, low):
+    """MT19937's twist of y, y's top bit from ``high`` and the rest from
+    ``low``, less its mt[k + M] term: y >> 1 ^ (y & 1) * 0x9908B0DF."""
+    y = high & 0x80000000 | low & 0x7FFFFFFF
+    return y >> 1 ^ (y & 1) * 0x9908B0DF
+
+
 def _replay(mags: list, out: np.ndarray) -> None:
     """Write into ``out`` (W, T), W <= N - M, the first W outputs of
     ``random.Random(m)`` for the T seeds m >= 0 in ``mags``, keys of one length L.
@@ -137,12 +145,24 @@ def _replay(mags: list, out: np.ndarray) -> None:
     with i from 1 (past N - 1 it wraps to 1, mt[0] = mt[N-1]), j from 0 mod
     L; then mt[0] = 2**31.  Pass 2 starts from pass 1's last write and reads
     at each i what pass 1 wrote there: pass 1 runs to its end, then again
-    beside pass 2, on length-T vectors, and no (N, T) state is held.  Output
-    k is the first twist of mt[k], mt[k+1], mt[k+M]: only those are kept."""
+    beside pass 2, on length-T vectors, and no (N, T) state is held.
+
+    Output k is the first twist of mt[k], mt[k+1] and mt[k+M], and pass 2
+    writes mt[2..N-1] in order, then mt[1].  So W + 2 state rows are kept:
+    ``out[k]`` holds mt[k] for 2 <= k < W, and two more rows hold mt[2] and
+    mt[W].  Before mt[M] is written each of those rows is twisted but for its
+    mt[k+M] term, which is XORed in as it is written; mt[M] and mt[M+1] wait
+    in ``out[0]`` and ``out[1]``, and outputs 0 and 1 are twisted last, once
+    mt[1] is known."""
     words, trials = out.shape
     length = _key_words(max(mags))
-    key = np.frombuffer(b"".join(m.to_bytes(4 * length, "little") for m in mags), dtype="<u4")
-    key = [key[j::length] + np.uint32(j) for j in range(length)]
+    if length <= 2:  # each seed's low and high word, from one uint64
+        raw, stride = np.fromiter(mags, np.uint64, len(mags)).astype("<u8").view("<u4"), 2
+    else:
+        raw = np.frombuffer(b"".join(m.to_bytes(4 * length, "little") for m in mags), dtype="<u4")
+        stride = length
+    key = [raw[j::stride] + np.uint32(j) for j in range(length)]
+    del raw
     table, minus = _seeding_tables()
     up, down = np.uint32(1664525), np.uint32(1566083941)
 
@@ -155,18 +175,29 @@ def _replay(mags: list, out: np.ndarray) -> None:
         p, spare = pass1(i, p, spare), p
     a1 = _mix(p, up, p1, key[(_N - 1) % length], spare)
     p, spare, q = p1, p, a1
-    head = np.empty((words + 1, trials), dtype=np.uint32)  # the seeded mt[0..W]
+    kept = np.empty((2, trials), dtype=np.uint32)  # mt[2] and mt[W]
     scratch = (np.empty(trials, dtype=np.uint32), np.empty(trials, dtype=np.uint32))
+    rows = {i: out[i] for i in range(2, words)} | {words: kept[1], _M: out[0]}  # where mt[i] goes
+    if words > 1:
+        rows[_M + 1] = out[1]
     for i in range(2, _N):
+        if i == _M:  # mt[2..W] are written and none of mt[M..]: twist them
+            kept[0] = out[2] if words > 2 else kept[1]
+            for r in range(2, words - 1, 4):  # four rows at a time
+                o = out[r : min(r + 4, words - 1)]
+                o[...] = _twist(o, out[r + 1 : r + 1 + len(o)])
+            if words > 2:
+                out[words - 1] = _twist(out[words - 1], kept[1])
         p, spare = pass1(i, p, spare), p
-        dst = head[i] if i <= words else out[i - _M] if _M <= i < _M + words else scratch[i & 1]
-        q = _mix(q, down, p, minus[i], dst)
-    _mix(q, down, a1, minus[1], head[1])
-    head[0] = 0x80000000
+        q = _mix(q, down, p, minus[i], rows.get(i, scratch[i & 1]))
+        if _M + 2 <= i < _M + words:
+            out[i - _M] ^= q
+    mt1 = _mix(q, down, a1, minus[1], scratch[0] if q is scratch[1] else scratch[1])
+    out[0] ^= _twist(0x80000000, mt1)
+    if words > 1:
+        out[1] ^= _twist(mt1, kept[0])
     for r in range(0, words, 4):  # four rows at a time: 48 bytes of temporaries a trial
         o = out[r : r + 4]
-        y = head[r : r + len(o)] & 0x80000000 | head[r + 1 : r + 1 + len(o)] & 0x7FFFFFFF
-        o ^= y >> 1 ^ (y & 1) * 0x9908B0DF
         o ^= o >> 11
         o ^= o << 7 & 0x9D2C5680
         o ^= o << 15 & 0xEFC60000
@@ -175,31 +206,38 @@ def _replay(mags: list, out: np.ndarray) -> None:
 
 def seeded_words(seeds, words: int, rng: random.Random | None = None) -> np.ndarray:
     """(len(seeds), words) uint32: the first ``words`` outputs of each
-    ``random.Random(seed)``, in ``getrandbits`` order.  A stretch of seeds
-    of one key length (a block across 2**32 has two) is replayed by
-    :func:`_replay` when it holds ``_REPLAY_TRIALS`` seeds or more and
-    words <= N - M = 227; the rest reseed ``rng``, or one new generator."""
+    ``random.Random(seed)``, in ``getrandbits`` order, 4 bytes a word.  A
+    stretch of seeds of one key length (a block across 2**32 has two) is
+    replayed by :func:`_replay` when it holds ``_REPLAY_TRIALS`` seeds or
+    more and words <= N - M = 227, in W + 2 state rows; the rest reseed
+    ``rng``, or one new generator, and join at most ``_JOIN_BYTES`` of their
+    words at a time."""
     mags = list(map(abs, seeds))  # CPython seeds with |seed|
-    if len(mags) < _REPLAY_TRIALS or words > _N - _M:
-        return _generator_words(reseeded(rng or random.Random(), mags), words)
+    replay = len(mags) >= _REPLAY_TRIALS and words <= _N - _M
     ends = [0, len(mags)]
-    if _key_words(min(mags)) != _key_words(max(mags)):
+    if replay and _key_words(min(mags)) != _key_words(max(mags)):
         ends[1:1] = np.flatnonzero(np.diff([_key_words(m) for m in mags])) + 1
-    out = np.empty((words, len(mags)), dtype=np.uint32)
+    if replay:
+        out = np.empty((words, len(mags)), dtype=np.uint32)
+    else:  # trial first, so that the words come back contiguous
+        out = np.empty((len(mags), words), dtype=np.uint32).T
     for a, b in zip(ends, ends[1:]):
-        if b - a >= _REPLAY_TRIALS:
+        if replay and b - a >= _REPLAY_TRIALS:
             _replay(mags[a:b], out[:, a:b])
-        else:
-            rng = rng or random.Random()
-            out[:, a:b] = _generator_words(reseeded(rng, mags[a:b]), words).T
+            continue
+        rng = rng or random.Random()
+        step = max(1, _JOIN_BYTES // (8 * words))
+        for c in range(a, b, step):
+            part = mags[c : min(c + step, b)]
+            out[:, c : c + len(part)] = _generator_words(reseeded(rng, part), words).T
     return out.T
 
 
 def uniform_bytes(count: int) -> int:
     """Bytes per trial that bound :func:`seeded_uniforms`' peak, on both
-    paths: ``_CELL_BYTES`` a cell (:func:`draw_uniforms`; the replay's state
-    words and output stand for the join), and ``_TRIAL_BYTES`` for the seed's
-    int, and its bytes object or the replay's key, vectors and temporaries."""
+    paths: ``_CELL_BYTES`` a cell (:func:`draw_uniforms`: its two words and
+    their halves, then its halves and double), and ``_TRIAL_BYTES`` for the
+    seed's int, and the replay's key, kept rows, vectors and temporaries."""
     return _CELL_BYTES * count + _TRIAL_BYTES
 
 
@@ -234,6 +272,34 @@ def seeded_uniforms(seeds, count: int) -> np.ndarray:
     """:func:`draw_uniforms` of fresh ``random.Random(seed)``s, from
     :func:`seeded_words`."""
     return _doubles(*_halves(seeded_words(seeds, 2 * count)))
+
+
+def below_rate_bytes(count: int) -> int:
+    """Bytes per trial that bound :func:`seeded_below_rate`'s peak, on both
+    paths: per value its two words and two flags, and ``_TRIAL_BYTES`` for
+    the seed's int, and the replay's key, kept rows, vectors and temporaries."""
+    return 10 * count + _TRIAL_BYTES
+
+
+def seeded_below_rate(seeds, count: int, rate: float) -> np.ndarray:
+    """(len(seeds),) ints: how many of the first ``count`` ``random()``
+    values of each ``random.Random(seed)`` fall below ``rate`` in [0, 1].
+
+    A value is x / 2**53 for x = (a >> 5) * 2**26 + (b >> 6) from words a, b
+    (:func:`draw_uniforms`), so it is below ``rate`` iff x < ceil(rate * 2**53),
+    the scaling being exact: iff a >> 5 is below that bound's top 27 bits, or
+    equal to them with b >> 6 below its low 26.  That is tested on the words
+    as drawn, without forming a double."""
+    if rate >= 1.0:
+        return np.full(len(seeds), count)
+    words = seeded_words(seeds, 2 * count)
+    high, low = words[:, 0::2], words[:, 1::2]
+    top, rest = divmod(math.ceil(rate * 2.0**53), 2**26)  # top < 2**27: the bounds fit uint32
+    below = high < top << 5
+    tie = high <= top << 5 | 31
+    tie ^= below  # a >> 5 == top
+    below[tie] = low[tie] < rest << 6
+    return np.count_nonzero(below, axis=1)
 
 
 def _first_draw(bound: int, count: int) -> int:

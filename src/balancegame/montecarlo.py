@@ -4,14 +4,19 @@ Reproducibility scheme: trial ``t`` of a run with master seed ``s`` uses the
 derived seed ``s * 1_000_003 + t``, so any subset of trials can be re-run
 on its own and the whole run is a pure function of its arguments.
 
-Trials run in blocks that fit the engine's block budget.  A trial's
-numbers come from the first words of ``random.Random(seed)``
-(``builders.seeded_words``): a block of ``builders._REPLAY_TRIALS`` trials
-or more replays CPython's Mersenne Twister seeding across its trials in
-numpy, and a smaller one reseeds one generator for each trial in turn
-(``builders.reseeded``).  ``builders.seeded_uniforms`` turns the words into
-``random()`` values and ``builders.draw_below`` into ``randrange`` values,
-a word-level replay of CPython's rejection sampling (a trial that comes up
+Trials run in blocks that fit the engine's block budget.  A run draws in
+blocks sized by the draw alone and decides each drawn block in slices
+sized by the verdict (``engine.verdict_bytes``), so a run whose draw fits
+one block seeds its trials once; from ``engine.pigeonhole_min_n`` coins on
+every plan loses, and nothing is drawn.  A trial's numbers come from the
+first words of ``random.Random(seed)`` (``builders.seeded_words``): a block
+of ``builders._REPLAY_TRIALS`` trials or more replays CPython's Mersenne
+Twister seeding across its trials in numpy, and a smaller one reseeds one
+generator for each trial in turn (``builders.reseeded``).
+``builders.seeded_uniforms`` turns the words into ``random()`` values,
+``builders.seeded_below_rate`` counts the values below a rate straight from
+the words, and ``builders.draw_below`` makes ``randrange`` values, a
+word-level replay of CPython's rejection sampling (a trial that comes up
 short is drawn again).
 """
 
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,17 +36,20 @@ from .builders import (
     _CELL_BYTES,
     RandomStrategyParams,
     below_bytes,
+    below_rate_bytes,
     draw_below,
     draw_uniforms,
     random_plan_digits,
     reseeded,
-    seeded_uniforms,
+    seeded_below_rate,
     uniform_bytes,
 )
 from .core import DomainError, GameSpec
 from .verifier import census_perfect
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_TINY = math.log(5e-324)  # the least subnormal; half of it rounds to 0.0
 CENSUS_CAP = 500_000  # most plans for which random_perfect_rate reports census_count and census_rate
 
 
@@ -89,11 +98,14 @@ def simulate_random_player(spec: GameSpec, r: float, trials: int, seed: int = 0)
     _check_trials(trials)
     engine.check_rounds(spec.q)
     RandomStrategyParams(r, seed)  # rejects an on-rate outside [0, 1]
-    wins = 0
-    trial_bytes = max(uniform_bytes(spec.n * spec.q), engine.verdict_bytes(spec))
-    for seeds in _seed_blocks(seed, trials, trial_bytes):
-        rows = np.moveaxis(random_plan_digits(seeds, spec.n, spec.q, r), -1, 0)  # round first
-        wins += int(engine.batch_balance_wins(spec, rows).sum())
+    if spec.n >= engine.pigeonhole_min_n(spec.q, spec.k, spec.prior):
+        return _report(spec, {"r": r}, trials, trials, seed)  # every plan loses: nothing to draw
+    wins, cells = 0, spec.n * spec.q
+    for seeds in _seed_blocks(seed, trials, uniform_bytes(cells) + cells):
+        digits = random_plan_digits(seeds, spec.n, spec.q, r)
+        for ts in engine._blocks(len(seeds), engine.verdict_bytes(spec)):
+            rows = np.moveaxis(digits[ts], -1, 0)  # round first
+            wins += int(engine.batch_balance_wins(spec, rows).sum())
     return _report(spec, {"r": r}, trials, wins, seed)
 
 
@@ -113,14 +125,33 @@ def concentration_experiment(
     bound = chernoff_tail_bound(q, delta)  # refuses a bad delta before any trial runs
     pieces = list(engine._blocks(q, _CELL_BYTES))  # a longer row is drawn in pieces
     hits = 0
-    for seeds in _seed_blocks(seed, trials, uniform_bytes(q)):
+    for seeds in _seed_blocks(seed, trials, below_rate_bytes(q)):
         if len(pieces) == 1:
-            on = (seeded_uniforms(seeds, q) < r).sum(axis=1)
+            on = seeded_below_rate(seeds, q, r)
         else:  # a block of one trial, its row drawn piece by piece
             rngs = list(reseeded(random.Random(), seeds))
             on = sum((draw_uniforms(rngs, cs.stop - cs.start) < r).sum(axis=1) for cs in pieces)
         hits += int((np.abs(on / q - r) > delta).sum())
     return hits / trials, bound
+
+
+def _pair_count_rate(name: str, n: int, q: int, columns: int) -> float:
+    """2**n n! columns! / 3**(q n) as a float, or a ``DomainError`` where it
+    overflows one.  Its log, from ``math.lgamma``, settles the far cases
+    first: with a slack well past the logs' rounding, a rate past the float
+    range is refused and one far below the least subnormal is 0.0, so only
+    rates near the range are formed as exact integers."""
+    try:
+        up = n * math.log(2) + math.lgamma(n + 1) + math.lgamma(columns + 1)
+        down = q * n * math.log(3)
+        log, slack = up - down, 1.0 + 1e-12 * (up + down)
+        if log < _LOG_TINY - slack:
+            return 0.0
+        if log <= _LOG_MAX + slack:
+            return 2**n * math.factorial(n) * math.factorial(columns) / (3**q) ** n
+    except OverflowError:  # the rate, or n itself (past a float, 2**n n! outgrows 3**(q n))
+        pass
+    raise DomainError(f"{name} overflows a float at n={n}, q={q}")
 
 
 def random_perfect_rate(
@@ -143,19 +174,16 @@ def random_perfect_rate(
     _check_trials(trials)
     spec = GameSpec(n, q, 0, prior)
     engine.check_rounds(spec.q)
-    total = (3**q) ** n
     extras: dict[str, Any] = {}
     for name, columns in (("pair_count_rate", 1), ("pair_count_rate_with_columns", q)):
-        try:
-            extras[name] = 2**n * math.factorial(n) * math.factorial(columns) / total
-        except OverflowError:
-            raise DomainError(f"{name} overflows a float at n={n}, q={q}") from None
+        extras[name] = _pair_count_rate(name, n, q, columns)
     perfect = 0
-    decide = n * engine._CODE_BYTES + engine.verdict_bytes(spec)  # codes peeled, then decided
-    for seeds in _seed_blocks(seed, trials, max(below_bytes(3**q, n), decide)):
-        codes = draw_below(seeds, 3**q, n)
-        perfect += int((~engine.batch_balance_wins(spec, engine.code_digits(codes, q))).sum())
-    if total <= CENSUS_CAP:
+    if n < engine.pigeonhole_min_n(q, 0, prior):  # from there on no plan is perfect
+        decide = n * engine._CODE_BYTES + engine.verdict_bytes(spec)  # codes peeled, then decided
+        for seeds in _seed_blocks(seed, trials, max(below_bytes(3**q, n), decide)):
+            codes = draw_below(seeds, 3**q, n)
+            perfect += int((~engine.batch_balance_wins(spec, engine.code_digits(codes, q))).sum())
+    if q * n <= math.log(CENSUS_CAP, 3) + 1 and 3 ** (q * n) <= CENSUS_CAP:
         extras["census_count"] = census_perfect(spec)
-        extras["census_rate"] = extras["census_count"] / total
+        extras["census_rate"] = extras["census_count"] / 3 ** (q * n)
     return _report(spec, {}, trials, perfect, seed, extras)

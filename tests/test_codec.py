@@ -1,7 +1,9 @@
 """Fast row conversions and bulk seeded draws against their readable forms."""
 
 import itertools
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,7 +208,7 @@ class TestSeededDraws:
             hits += abs(on / q - r) > delta
         want = hits / trials
         assert concentration_experiment(q, r, delta, trials, seed)[0] == want
-        monkeypatch.setattr(engine, "_PAIR_BYTES", 16 * q * 7)  # blocks of 7 trials
+        monkeypatch.setattr(engine, "_PAIR_BYTES", builders.below_rate_bytes(q) * 7)  # blocks of 7 trials
         assert concentration_experiment(q, r, delta, trials, seed)[0] == want
         monkeypatch.setattr(engine, "_PAIR_BYTES", 16 * 3)  # one trial, in pieces of 3 cells
         assert concentration_experiment(q, r, delta, trials, seed)[0] == want
@@ -261,6 +263,32 @@ class TestSeedingReplay:
         replayed = crossover == 0 and words <= 227
         assert len(reseeds) == (0 if replayed else len(seeds))
 
+    @pytest.mark.parametrize("words", [1, 2, 3, 4, 5, 226, 227])
+    def test_the_replay_keeps_two_state_rows_past_its_output(self, words):
+        # Each stretch is one key length: one word up to 2**32 - 1, two up
+        # to 2**64 - 1, three from 2**64 on.
+        T = 2000
+        builders._seeding_tables()  # built once, outside the measured peak
+        for seeds in (
+            [2**32 - 1, *range(T - 1)],
+            [2**32, 2**64 - 1, *(trial_seed(10**6 + 17, t) for t in range(T - 2))],
+            [2**64, *(2**70 + t for t in range(T - 1))],
+        ):
+            out = np.empty((words, T), dtype=np.uint32)
+            tracemalloc.start()
+            try:
+                builders._replay(seeds, out)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            for seed, row in zip(seeds, out.T):
+                assert row.tolist() == generator_words(seed, words)
+            # Two kept rows, the vectors of both passes, the key and the
+            # twist's temporaries: none of it grows with the words drawn.
+            # Rows of the whole seeded state, 4 bytes a trial each, would
+            # read 912 bytes a trial at 227 words.
+            assert peak <= 128 * T + 64_000
+
     @pytest.mark.parametrize("crossover,reseeded", [(40, []), (41, [40, 40]), (81, [80])])
     def test_a_block_straddling_2_32_runs_as_two_stretches(self, crossover, reseeded, monkeypatch):
         # 40 seeds of one key word, then 40 of two.  A stretch shorter than
@@ -309,6 +337,23 @@ class TestSeedingReplay:
             assert row.tolist() == [reference.randrange(3**q) for _ in range(5)]
         assert len(rounds) > 1  # some trials were drawn again
         assert max(rounds) <= 227 and not reseeds  # every round was replayed
+
+    @BOTH_PATHS
+    @pytest.mark.parametrize("count", [1, 7, 113])
+    def test_counts_below_a_rate_equal_random_random(self, count, crossover, monkeypatch):
+        # The rates include each seed's own values and their neighbours, so
+        # the word-level test is tried on ties and one ulp either side.
+        monkeypatch.setattr(builders, "_REPLAY_TRIALS", crossover)
+        seeds = SEEDS + [trial_seed(293813, t) for t in range(40)]
+        values = {s: [rng.random() for _ in range(count)] for s, rng in zip(seeds, map(random.Random, seeds))}
+        # a tie whose second word's six dropped bits are zero tells b >> 6 < c
+        # from b < c << 6 apart
+        sharp = [v for s in seeds for v, b in zip(values[s], generator_words(s, 2 * count)[1::2]) if b % 64 == 0]
+        ties = [values[s][-1] for s in seeds[::9]] + sharp[:4]
+        for rate in [0.0, 1.0, 0.4615, 5e-324, 2**-27, 1 - 2**-53, *ties,
+                     *(math.nextafter(v, 0.0) for v in ties), *(math.nextafter(v, 1.0) for v in ties)]:
+            got = builders.seeded_below_rate(seeds, count, rate)
+            assert got.tolist() == [sum(v < rate for v in values[s]) for s in seeds]
 
     @pytest.mark.parametrize("seed", [0, -1, 10**6 + 3])
     def test_reports_are_the_same_on_both_paths(self, seed, monkeypatch):

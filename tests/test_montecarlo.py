@@ -78,6 +78,58 @@ class TestSimulateRandomPlayer:
         with pytest.raises(DomainError):
             simulate_random_player(GameSpec(2, 1, 0, "heavy"), 0.5, 0)
 
+    @pytest.mark.parametrize("spec", [
+        GameSpec(5, 3, 0, "heavy"), GameSpec(5, 3, 0, "unknown"),
+        GameSpec(4, 3, 1, "heavy"), GameSpec(4, 3, 1, "unknown"),
+        GameSpec(3, 4, 2, "heavy"), GameSpec(3, 4, 2, "unknown"),
+    ])
+    def test_verdict_slices_do_not_change_the_report(self, spec, monkeypatch):
+        # One draw is decided in slices of the verdict's own size: one plan a
+        # slice here, then small draw blocks as well.
+        want = simulate_random_player(spec, 0.6, 120, seed=10**6 + 3)
+        monkeypatch.setattr(engine, "verdict_bytes", lambda spec: engine._PAIR_BYTES + 1)
+        assert simulate_random_player(spec, 0.6, 120, seed=10**6 + 3) == want
+        monkeypatch.setattr(engine, "_PAIR_BYTES", 4096)
+        assert simulate_random_player(spec, 0.6, 120, seed=10**6 + 3) == want
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    function = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestPigeonhole:
+    # From engine.pigeonhole_min_n coins on the balance wins against every
+    # plan, so nothing is drawn; the reports are those of the drawn trials.
+    @pytest.mark.parametrize("spec", [
+        GameSpec(12, 6, 2, "heavy"), GameSpec(10, 2, 0, "heavy"), GameSpec(5, 2, 0, "unknown"),
+        GameSpec(40000, 1, 1, "heavy"),
+    ])
+    def test_simulate_draws_nothing(self, spec, monkeypatch):
+        draws = count_calls(monkeypatch, builders, "seeded_words")
+        report = simulate_random_player(spec, 0.7, 40, seed=764030)
+        assert not draws and report.successes == 40
+        if spec.n < 100:
+            monkeypatch.setattr(engine, "pigeonhole_min_n", lambda q, k, prior: 10**9)
+            assert simulate_random_player(spec, 0.7, 40, seed=764030) == report
+            assert draws
+
+    @pytest.mark.parametrize("n,q,prior", [(10, 2, "heavy"), (5, 2, "unknown"), (28, 3, "heavy")])
+    def test_perfect_rate_draws_nothing(self, n, q, prior, monkeypatch):
+        draws = count_calls(monkeypatch, builders, "seeded_words")
+        report = random_perfect_rate(n, q, prior, 40, seed=5)
+        assert not draws and report.successes == 0
+        monkeypatch.setattr(engine, "pigeonhole_min_n", lambda q, k, prior: 10**9)
+        assert random_perfect_rate(n, q, prior, 40, seed=5) == report
+        assert draws
+
 
 class TestConcentrationExperiment:
     def test_reproducible(self):
@@ -130,6 +182,42 @@ class TestRandomPerfectRate:
             )
         assert report.successes == perfect
 
+    def test_refuses_a_huge_rate_without_a_factorial(self, monkeypatch):
+        def factorial(x):
+            raise AssertionError(f"factorial({x}) was formed")
+
+        monkeypatch.setattr(math, "factorial", factorial)
+        with pytest.raises(DomainError) as refusal:
+            random_perfect_rate(10**6, 1, "heavy", 1)
+        assert str(refusal.value) == "pair_count_rate overflows a float at n=1000000, q=1"
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 20, 39])
+    def test_rates_equal_the_exact_quotient(self, q):
+        # Each side of the float range is crossed: the lgamma bounds must
+        # answer exactly where the integers would.
+        for n in [*range(1, 260), *range(260, 4000, 37)]:
+            for name, columns in (("pair_count_rate", 1), ("pair_count_rate_with_columns", q)):
+                try:
+                    want = 2**n * math.factorial(n) * math.factorial(columns) / (3**q) ** n
+                except OverflowError:
+                    with pytest.raises(DomainError, match=f"^{name} overflows a float at n={n}, q={q}$"):
+                        montecarlo._pair_count_rate(name, n, q, columns)
+                else:
+                    assert montecarlo._pair_count_rate(name, n, q, columns) == want
+
+    @pytest.mark.parametrize("n,q", [(40, 20), (19, 39), (150, 1), (250, 2)])
+    def test_rates_at_the_edges_of_the_float_range_are_exact(self, n, q):
+        # A column factor of 1..400 steps the rate's log by ln(columns) at a
+        # time: the subnormals and the largest floats are all crossed finely.
+        for columns in range(1, 400):
+            try:
+                want = 2**n * math.factorial(n) * math.factorial(columns) / (3**q) ** n
+            except OverflowError:
+                with pytest.raises(DomainError):
+                    montecarlo._pair_count_rate("rate", n, q, columns)
+            else:
+                assert montecarlo._pair_count_rate("rate", n, q, columns) == want
+
     def test_no_census_extras_when_space_is_large(self):
         report = random_perfect_rate(13, 3, "unknown", 5, seed=0)
         assert "census_count" not in report.extras
@@ -154,6 +242,7 @@ class TestBlockMemory:
         ("simulate", (4, 2, 0, "unknown")),
         ("concentrate", (30, 0.4521, 0.2)),
         ("concentrate", (100, 0.4521, 0.2)),
+        ("simulate", (27, 3, 0, "heavy")),
     ])
     def test_blocks_fit_the_larger_of_draw_and_decide(self, command, args):
         # On the plans deciding a trial costs more than drawing it; concentrate
@@ -180,6 +269,27 @@ class TestBlockMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak <= 1.1 * engine._PAIR_BYTES
+
+
+class TestOneReplay:
+    # A run whose draw fits one block seeds all its trials in one replay.
+    def test_simulate_seeds_once(self, monkeypatch):
+        replays = count_calls(monkeypatch, builders, "_replay")
+        reseeds = count_calls(monkeypatch, builders, "reseeded")
+        simulate_random_player(GameSpec(13, 3, 0, "unknown"), 0.6667, 2000, seed=611895)
+        assert [len(args[0]) for args in replays] == [2000] and not reseeds
+
+    def test_concentrate_at_q_100_seeds_once_within_the_budget(self, monkeypatch):
+        replays = count_calls(monkeypatch, builders, "_replay")
+        reseeds = count_calls(monkeypatch, builders, "reseeded")
+        tracemalloc.start()
+        try:
+            concentration_experiment(100, 0.4615, 0.1, 3000, seed=293813)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(args[0]) for args in replays] == [3000] and not reseeds
         assert peak <= 1.1 * engine._PAIR_BYTES
 
 
