@@ -271,15 +271,6 @@ class TestBlockMemory:
             tracemalloc.stop()
         assert peak <= 1.1 * engine._PAIR_BYTES
 
-
-class TestOneReplay:
-    # A run whose draw fits one block seeds all its trials in one replay.
-    def test_simulate_seeds_once(self, monkeypatch):
-        replays = count_calls(monkeypatch, builders, "_replay")
-        reseeds = count_calls(monkeypatch, builders, "reseeded")
-        simulate_random_player(GameSpec(13, 3, 0, "unknown"), 0.6667, 2000, seed=611895)
-        assert [len(args[0]) for args in replays] == [2000] and not reseeds
-
     def test_concentrate_at_q_100_seeds_once_within_the_budget(self, monkeypatch):
         replays = count_calls(monkeypatch, builders, "_replay")
         reseeds = count_calls(monkeypatch, builders, "reseeded")
@@ -291,6 +282,15 @@ class TestOneReplay:
             tracemalloc.stop()
         assert [len(args[0]) for args in replays] == [3000] and not reseeds
         assert peak <= 1.1 * engine._PAIR_BYTES
+
+
+class TestOneReplay:
+    # A run whose draw fits one block seeds all its trials in one replay.
+    def test_simulate_seeds_once(self, monkeypatch):
+        replays = count_calls(monkeypatch, builders, "_replay")
+        reseeds = count_calls(monkeypatch, builders, "reseeded")
+        simulate_random_player(GameSpec(13, 3, 0, "unknown"), 0.6667, 2000, seed=611895)
+        assert [len(args[0]) for args in replays] == [2000] and not reseeds
 
 
 class TestGenerators:
