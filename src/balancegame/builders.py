@@ -215,10 +215,10 @@ def seeded_words(seeds, words: int, rng: random.Random | None = None) -> np.ndar
     mags = list(map(abs, seeds))  # CPython seeds with |seed|
     replay = len(mags) >= _REPLAY_TRIALS and words <= _N - _M
     ends = [0, len(mags)]
-    if replay and _key_words(min(mags)) != _key_words(max(mags)):
-        ends[1:1] = np.flatnonzero(np.diff([_key_words(m) for m in mags])) + 1
     if replay:
         out = np.empty((words, len(mags)), dtype=np.uint32)
+        if _key_words(min(mags)) != _key_words(max(mags)):
+            ends[1:1] = np.flatnonzero(np.diff([_key_words(m) for m in mags])) + 1
     else:  # trial first, so that the words come back contiguous
         out = np.empty((len(mags), words), dtype=np.uint32).T
     for a, b in zip(ends, ends[1:]):
