@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .core import CapacityError, DomainError, PLACEMENTS
 from .engine import decode_rows, digit_rows, mirror_free_codes
 
@@ -89,18 +90,27 @@ def reseeded(rng: random.Random, seeds):
 
 
 _N, _M = 624, 397  # MT19937's words of state, and the offset its twist reads
-_CELL_BYTES = 16  # peak bytes per cell of a draw of uniforms; sizes blocks of draws
-_TRIAL_BYTES = 192  # peak bytes per trial beyond its cells; see uniform_bytes
+_TRIAL_BYTES = 192  # peak bytes per trial beyond its values; see below_rate_bytes
 _REPLAY_TRIALS = 1000  # fewest seeds of one key length whose seeding seeded_words replays
-_JOIN_BYTES = 1 << 16  # most bytes of generator words seeded_words joins at once off the replay
+_JOIN_BYTES = 1 << 16  # most bytes seeded_words holds at once off the replay beyond its output
 
 
 def _generator_words(rngs, words: int) -> np.ndarray:
     """(k, words) uint32: the next ``words`` outputs of each generator
     ``rngs`` yields, in ``getrandbits`` order, from one ``getrandbits`` call
-    each.  A word takes 8 bytes at the peak: its bytes, then their join."""
+    each.  A word takes 8 bytes at the peak: its int and bytes, then its
+    bytes and their join."""
     raw = b"".join(rng.getrandbits(32 * words).to_bytes(4 * words, "little") for rng in rngs)
     return np.frombuffer(raw, dtype="<u4").reshape(-1, words)
+
+
+def _fill(rng: random.Random, out: np.ndarray) -> None:
+    """Write the next ``len(out)`` outputs of ``rng`` into ``out`` in calls of
+    ``_JOIN_BYTES // 8`` words, ``_JOIN_BYTES`` at the peak: whole 32-bit
+    words follow on from call to call as one call's would."""
+    span = _JOIN_BYTES // 8
+    for j in range(0, len(out), span):
+        out[j : j + span] = _generator_words([rng], min(span, len(out) - j))[0]
 
 
 def _key_words(m: int) -> int:
@@ -206,12 +216,12 @@ def _replay(mags: list, out: np.ndarray) -> None:
 
 def seeded_words(seeds, words: int, rng: random.Random | None = None) -> np.ndarray:
     """(len(seeds), words) uint32: the first ``words`` outputs of each
-    ``random.Random(seed)``, in ``getrandbits`` order, 4 bytes a word.  A
-    stretch of seeds of one key length (a block across 2**32 has two) is
-    replayed by :func:`_replay` when it holds ``_REPLAY_TRIALS`` seeds or
-    more and words <= N - M = 227, in W + 2 state rows; the rest reseed
-    ``rng``, or one new generator, and join at most ``_JOIN_BYTES`` of their
-    words at a time."""
+    ``random.Random(seed)``, in ``getrandbits`` order, 4 bytes a word on
+    every path.  A stretch of seeds of one key length (a block across 2**32
+    has two) is replayed by :func:`_replay` when it holds ``_REPLAY_TRIALS``
+    seeds or more and words <= N - M = 227, in W + 2 state rows; the rest
+    reseed ``rng``, or one new generator, and draw at most ``_JOIN_BYTES``
+    more at a time: short trials' words joined, a long trial's by :func:`_fill`."""
     mags = list(map(abs, seeds))  # CPython seeds with |seed|
     replay = len(mags) >= _REPLAY_TRIALS and words <= _N - _M
     ends = [0, len(mags)]
@@ -226,80 +236,61 @@ def seeded_words(seeds, words: int, rng: random.Random | None = None) -> np.ndar
             _replay(mags[a:b], out[:, a:b])
             continue
         rng = rng or random.Random()
-        step = max(1, _JOIN_BYTES // (8 * words))
+        step = _JOIN_BYTES // (8 * words)  # trials whose words are joined at once
+        if not step:
+            for t, g in enumerate(reseeded(rng, mags[a:b]), a):
+                _fill(g, out[:, t])
+            continue
         for c in range(a, b, step):
             part = mags[c : min(c + step, b)]
             out[:, c : c + len(part)] = _generator_words(reseeded(rng, part), words).T
     return out.T
 
 
-def uniform_bytes(count: int) -> int:
-    """Bytes per trial that bound :func:`seeded_uniforms`' peak, on both
-    paths: ``_CELL_BYTES`` a cell (:func:`draw_uniforms`: its two words and
-    their halves, then its halves and double), and ``_TRIAL_BYTES`` for the
-    seed's int, and the replay's key, kept rows, vectors and temporaries."""
-    return _CELL_BYTES * count + _TRIAL_BYTES
-
-
-def _halves(words: np.ndarray):
-    """The bits ``random()`` keeps of each pair of words: apart from
-    :func:`_doubles`, so that the words are freed before the doubles."""
-    return words[:, 0::2] >> 5, words[:, 1::2] >> 6
-
-
-def _doubles(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    u = high.astype(np.float64)
-    u *= 2.0**26
-    u += low
-    u /= 2.0**53
-    return u
-
-
-def draw_uniforms(rngs, count: int) -> np.ndarray:
-    """(k, count) floats for the k generators ``rngs`` yields, count >= 1:
-    row i holds the next ``count`` values of the i-th generator's
-    ``random()``, bit for bit, and leaves it where those calls would.
-
-    ``random()`` makes each double from two 32-bit generator words a, b as
-    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, so the doubles are formed all at
-    once from the words of one ``getrandbits`` call.  At the peak a cell
-    takes 16 bytes: its words twice over while they are joined, then its
-    words and halves, then its halves and its double."""
-    return _doubles(*_halves(_generator_words(rngs, 2 * count)))
-
-
-def seeded_uniforms(seeds, count: int) -> np.ndarray:
-    """:func:`draw_uniforms` of fresh ``random.Random(seed)``s, from
-    :func:`seeded_words`."""
-    return _doubles(*_halves(seeded_words(seeds, 2 * count)))
-
-
 def below_rate_bytes(count: int) -> int:
-    """Bytes per trial that bound :func:`seeded_below_rate`'s peak, on both
-    paths: per value its two words and two flags, and ``_TRIAL_BYTES`` for
-    the seed's int, and the replay's key, kept rows, vectors and temporaries."""
+    """Bytes per trial that bound the peak of every draw of values, on every
+    path: per value its two words and two flags (:func:`_below`), and
+    ``_TRIAL_BYTES`` for the seed's int, and the replay's key, kept rows,
+    vectors and temporaries."""
     return 10 * count + _TRIAL_BYTES
+
+
+def _below(words: np.ndarray, rate: float) -> np.ndarray:
+    """(k, count) flags: whether each ``random()`` value that the (k, 2 count)
+    generator words make is below ``rate`` in [0, 1].
+
+    A value is x / 2**53 for x = (a >> 5) * 2**26 + (b >> 6) from words a, b,
+    so it is below ``rate`` iff x < ceil(rate * 2**53), the scaling being
+    exact: iff a >> 5 is below that bound's top 27 bits, or equal to them
+    with b >> 6 below its low 26.  No double is formed."""
+    high, low = words[:, 0::2], words[:, 1::2]
+    top, rest = divmod(math.ceil(rate * 2.0**53), 2**26)
+    if top >> 27:  # rate 1: every value is below it
+        return np.ones(high.shape, dtype=bool)
+    below = high < top << 5  # top < 2**27: the bounds fit uint32
+    tie = high <= top << 5 | 31
+    tie ^= below  # a >> 5 == top
+    below[tie] = low[tie] < rest << 6
+    return below
 
 
 def seeded_below_rate(seeds, count: int, rate: float) -> np.ndarray:
     """(len(seeds),) ints: how many of the first ``count`` ``random()``
-    values of each ``random.Random(seed)`` fall below ``rate`` in [0, 1].
-
-    A value is x / 2**53 for x = (a >> 5) * 2**26 + (b >> 6) from words a, b
-    (:func:`draw_uniforms`), so it is below ``rate`` iff x < ceil(rate * 2**53),
-    the scaling being exact: iff a >> 5 is below that bound's top 27 bits, or
-    equal to them with b >> 6 below its low 26.  That is tested on the words
-    as drawn, without forming a double."""
+    values of each ``random.Random(seed)`` fall below ``rate`` in [0, 1].  A
+    row too long for one block of ``engine._PAIR_BYTES`` is counted in
+    pieces of the block, from one ``random.Random(seed)`` per trial."""
     if rate >= 1.0:
         return np.full(len(seeds), count)
-    words = seeded_words(seeds, 2 * count)
-    high, low = words[:, 0::2], words[:, 1::2]
-    top, rest = divmod(math.ceil(rate * 2.0**53), 2**26)  # top < 2**27: the bounds fit uint32
-    below = high < top << 5
-    tie = high <= top << 5 | 31
-    tie ^= below  # a >> 5 == top
-    below[tie] = low[tie] < rest << 6
-    return np.count_nonzero(below, axis=1)
+    if below_rate_bytes(count) <= engine._PAIR_BYTES:
+        return np.count_nonzero(_below(seeded_words(seeds, 2 * count), rate), axis=1)
+    on = np.zeros(len(seeds), dtype=np.int64)
+    for t, rng in enumerate(map(random.Random, seeds)):
+        for cs in engine._blocks(count, 10):  # below_rate_bytes' 10 bytes a value
+            words = np.empty((1, 2 * (cs.stop - cs.start)), dtype=np.uint32)
+            _fill(rng, words[0])
+            on[t] += np.count_nonzero(_below(words, rate))
+            del words  # freed before the next piece is allocated
+    return on
 
 
 def _first_draw(bound: int, count: int) -> int:
@@ -360,10 +351,14 @@ def draw_below(seeds, bound: int, count: int) -> np.ndarray:
 
 def random_plan_digits(seeds, n: int, q: int, on_fraction: float) -> np.ndarray:
     """(len(seeds), n, q) base-3 cells of one seeded random plan per seed.
-    Cells are drawn row-major, one uniform each: L (0) below
-    ``on_fraction / 2``, else R (1) below ``on_fraction``, else O (2)."""
-    u = seeded_uniforms(seeds, n * q).reshape(len(seeds), n, q)
-    return (u >= on_fraction / 2.0).astype(np.uint8) + (u >= on_fraction)
+    Cells are drawn row-major, one ``random()`` value u each: L (0) below
+    ``on_fraction / 2``, else R (1) below ``on_fraction``, else O (2), so a
+    cell is 2 - [u < on_fraction / 2] - [u < on_fraction] (:func:`_below`)."""
+    words = seeded_words(seeds, 2 * n * q)
+    digits = np.full((len(words), n * q), 2, dtype=np.uint8)
+    digits -= _below(words, on_fraction / 2.0)
+    digits -= _below(words, on_fraction)
+    return digits.reshape(-1, n, q)
 
 
 def random_strategy(n: int, q: int, params: RandomStrategyParams) -> tuple[str, ...]:

@@ -12,18 +12,17 @@ every plan loses, and nothing is drawn.  A trial's numbers come from the
 first words of ``random.Random(seed)`` (``builders.seeded_words``): a block
 of ``builders._REPLAY_TRIALS`` trials or more replays CPython's Mersenne
 Twister seeding across its trials in numpy, and a smaller one reseeds one
-generator for each trial in turn (``builders.reseeded``).
-``builders.seeded_uniforms`` turns the words into ``random()`` values,
-``builders.seeded_below_rate`` counts the values below a rate straight from
-the words, and ``builders.draw_below`` makes ``randrange`` values, a
-word-level replay of CPython's rejection sampling (a trial that comes up
-short is drawn again).
+generator for each trial in turn.  ``builders.random_plan_digits`` and
+``builders.seeded_below_rate`` decide each ``random()`` comparison on the
+words by one exact integer test, 10 bytes a value
+(``builders.below_rate_bytes``), and ``builders.draw_below`` makes
+``randrange`` values, a word-level replay of CPython's rejection sampling
+(a trial that comes up short is drawn again).
 """
 
 from __future__ import annotations
 
 import math
-import random
 import sys
 from dataclasses import dataclass, field
 from typing import Any
@@ -33,18 +32,14 @@ import numpy as np
 from . import engine
 from .analysis import chernoff_tail_bound
 from .builders import (
-    _CELL_BYTES,
     RandomStrategyParams,
     below_bytes,
     below_rate_bytes,
     draw_below,
-    draw_uniforms,
     random_plan_digits,
-    reseeded,
     seeded_below_rate,
-    uniform_bytes,
 )
-from .core import DomainError, GameSpec
+from .core import DomainError, GameSpec, ResourceLimitError
 from .verifier import census_perfect
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -101,7 +96,7 @@ def simulate_random_player(spec: GameSpec, r: float, trials: int, seed: int = 0)
     if spec.n >= engine.pigeonhole_min_n(spec.q, spec.k, spec.prior):
         return _report(spec, {"r": r}, trials, trials, seed)  # every plan loses: nothing to draw
     wins, cells = 0, spec.n * spec.q
-    for seeds in _seed_blocks(seed, trials, uniform_bytes(cells) + cells):
+    for seeds in _seed_blocks(seed, trials, below_rate_bytes(cells) + cells):
         digits = random_plan_digits(seeds, spec.n, spec.q, r)
         for ts in engine._blocks(len(seeds), engine.verdict_bytes(spec)):
             rows = np.moveaxis(digits[ts], -1, 0)  # round first
@@ -123,14 +118,9 @@ def concentration_experiment(
         raise DomainError(f"on-balance rate must lie in [0, 1], got {r}")
     _check_trials(trials)
     bound = chernoff_tail_bound(q, delta)  # refuses a bad delta before any trial runs
-    pieces = list(engine._blocks(q, _CELL_BYTES))  # a longer row is drawn in pieces
     hits = 0
     for seeds in _seed_blocks(seed, trials, below_rate_bytes(q)):
-        if len(pieces) == 1:
-            on = seeded_below_rate(seeds, q, r)
-        else:  # a block of one trial, its row drawn piece by piece
-            rngs = list(reseeded(random.Random(), seeds))
-            on = sum((draw_uniforms(rngs, cs.stop - cs.start) < r).sum(axis=1) for cs in pieces)
+        on = seeded_below_rate(seeds, q, r)
         hits += int((np.abs(on / q - r) > delta).sum())
     return hits / trials, bound
 
@@ -140,7 +130,8 @@ def _pair_count_rate(name: str, n: int, q: int, columns: int) -> float:
     overflows one.  Its log, from ``math.lgamma``, settles the far cases
     first: with a slack well past the logs' rounding, a rate past the float
     range is refused and one far below the least subnormal is 0.0, so only
-    rates near the range are formed as exact integers."""
+    rates near the range are formed as exact integers, about q n log2(3)
+    bits each: past the engine's block budget, a ``ResourceLimitError``."""
     try:
         up = n * math.log(2) + math.lgamma(n + 1) + math.lgamma(columns + 1)
         down = q * n * math.log(3)
@@ -148,6 +139,10 @@ def _pair_count_rate(name: str, n: int, q: int, columns: int) -> float:
         if log < _LOG_TINY - slack:
             return 0.0
         if log <= _LOG_MAX + slack:
+            if q * n * math.log2(3) > 8 * engine._PAIR_BYTES:
+                raise ResourceLimitError(
+                    f"{name} at n={n}, q={q} needs exact integers past the {engine._PAIR_BYTES}-byte block"
+                )
             return 2**n * math.factorial(n) * math.factorial(columns) / (3**q) ** n
     except OverflowError:  # the rate, or n itself (past a float, 2**n n! outgrows 3**(q n))
         pass
@@ -169,7 +164,8 @@ def random_perfect_rate(
     q! column factor, and ``census_count`` and ``census_rate`` give the exact
     census (:func:`verifier.census_perfect`, in closed form at zero lies, so
     nothing is enumerated) whenever the 3**(n q) plans number at most
-    ``CENSUS_CAP``.  A rate past a float is a ``DomainError``.
+    ``CENSUS_CAP``.  A rate past a float is a ``DomainError``, and one whose
+    exact integers outgrow the block budget a ``ResourceLimitError``.
     """
     _check_trials(trials)
     spec = GameSpec(n, q, 0, prior)

@@ -23,7 +23,7 @@ from balancegame import (
     trial_seed,
 )
 from balancegame import builders, engine
-from balancegame.builders import draw_below, draw_uniforms
+from balancegame.builders import draw_below
 from balancegame.core import (
     OUTCOMES,
     PLACEMENTS,
@@ -47,6 +47,12 @@ from balancegame.engine import (
 # Seeds at the edges of the 32-bit seeding words and derived trial seeds of a
 # master seed past 10**6, as the CLI forms them.
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, trial_seed(10**6, 0), trial_seed(10**6 + 17, 4321)]
+# Each seed's first random() value and its neighbours one ulp either side,
+# twice each of those where that is a rate (so a plan's r / 2 ties them),
+# and the least subnormal.
+DRAWN = [v for u in (random.Random(s).random() for s in SEEDS)
+         for v in (u, math.nextafter(u, 0.0), math.nextafter(u, 1.0))]
+EDGE_RATES = DRAWN + [2 * v for v in DRAWN if 2 * v <= 1.0] + [5e-324]
 
 
 @st.composite
@@ -152,13 +158,25 @@ def readable_row_codes(n, q, on_fraction, seed):
 
 
 class TestSeededDraws:
-    def test_bulk_uniforms_equal_random_random(self):
-        rngs = [random.Random(s) for s in SEEDS]
-        got = np.concatenate([draw_uniforms(rngs, 9), draw_uniforms(rngs, 4)], axis=1)
-        for seed, row, rng in zip(SEEDS, got, rngs):
+    @pytest.mark.parametrize("rate", [0.0, 0.37, 5e-324, 1 - 2**-53, *DRAWN[:6]])
+    def test_long_rows_are_counted_in_pieces(self, rate, monkeypatch):
+        # A row too long for one block is counted piece by piece, each piece
+        # drawn on from the same generator.
+        monkeypatch.setattr(engine, "_PAIR_BYTES", 10 * 4)  # pieces of 4 values
+        fills = []
+        fill = builders._fill
+
+        def counted(rng, out):
+            fills.append(len(out))
+            fill(rng, out)
+
+        monkeypatch.setattr(builders, "_fill", counted)
+        seeds = SEEDS[:3]
+        got = builders.seeded_below_rate(seeds, 13, rate)
+        for seed, on in zip(seeds, got):
             reference = random.Random(seed)
-            assert row.tolist() == [reference.random() for _ in range(13)]
-            assert rng.random() == reference.random()
+            assert on == sum(reference.random() < rate for _ in range(13))
+        assert fills == [8, 8, 8, 2] * len(seeds)
 
     @pytest.mark.parametrize("q", range(1, engine.MAX_ROUNDS + 1))
     def test_word_randrange_equals_random_random(self, q):
@@ -190,7 +208,7 @@ class TestSeededDraws:
             assert row.tolist() == [reference.randrange(3**q) for _ in range(5)]
         assert len(reseeds) > len(seeds)  # some trials were drawn again
 
-    @pytest.mark.parametrize("on_fraction", [0.0, 1.0, 2 / 3, 0.3])
+    @pytest.mark.parametrize("on_fraction", [0.0, 1.0, 2 / 3, 0.3, *EDGE_RATES])
     @pytest.mark.parametrize("q", [1, 4, 45])
     def test_row_codes_equal_the_per_cell_draw(self, on_fraction, q):
         for seed in SEEDS:
@@ -210,7 +228,7 @@ class TestSeededDraws:
         assert concentration_experiment(q, r, delta, trials, seed)[0] == want
         monkeypatch.setattr(engine, "_PAIR_BYTES", builders.below_rate_bytes(q) * 7)  # blocks of 7 trials
         assert concentration_experiment(q, r, delta, trials, seed)[0] == want
-        monkeypatch.setattr(engine, "_PAIR_BYTES", 16 * 3)  # one trial, in pieces of 3 cells
+        monkeypatch.setattr(engine, "_PAIR_BYTES", 10 * 3)  # one trial, in pieces of 3 values
         assert concentration_experiment(q, r, delta, trials, seed)[0] == want
 
     @pytest.mark.parametrize("spec", [GameSpec(5, 2, 0, "heavy"), GameSpec(4, 3, 1, "unknown")])
@@ -221,7 +239,8 @@ class TestSeededDraws:
             codes = np.array([readable_row_codes(spec.n, spec.q, r, trial_seed(seed, t))])
             wins += int(engine.batch_balance_wins(spec, code_digits(codes, spec.q))[0])
         assert simulate_random_player(spec, r, trials, seed).successes == wins
-        monkeypatch.setattr(engine, "_PAIR_BYTES", 16 * spec.n * spec.q * 11)
+        cells = spec.n * spec.q  # blocks of 11 trials
+        monkeypatch.setattr(engine, "_PAIR_BYTES", (builders.below_rate_bytes(cells) + cells) * 11)
         assert simulate_random_player(spec, r, trials, seed).successes == wins
 
 
@@ -288,6 +307,21 @@ class TestSeedingReplay:
             # Rows of the whole seeded state, 4 bytes a trial each, would
             # read 912 bytes a trial at 227 words.
             assert peak <= 128 * T + 64_000
+
+    @pytest.mark.parametrize("words", [40_000, 480_000])
+    def test_a_long_trial_is_drawn_in_pieces(self, words):
+        # Off the replay a trial past _JOIN_BYTES // 8 words takes several
+        # getrandbits calls: 4 bytes a word and at most two joins' worth more.
+        seed = trial_seed(10**6 + 17, 3)
+        want = generator_words(seed, words)
+        tracemalloc.start()
+        try:
+            got = builders.seeded_words([seed], words)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (1, words) and got[0].tolist() == want
+        assert peak <= 4 * words + 2 * builders._JOIN_BYTES
 
     @pytest.mark.parametrize("crossover,reseeded", [(40, []), (41, [40, 40]), (81, [80])])
     def test_a_block_straddling_2_32_runs_as_two_stretches(self, crossover, reseeded, monkeypatch):

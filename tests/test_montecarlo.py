@@ -9,6 +9,7 @@ from balancegame import (
     DomainError,
     GameSpec,
     RandomStrategyParams,
+    ResourceLimitError,
     adjudicate,
     chernoff_tail_bound,
     concentration_experiment,
@@ -191,6 +192,29 @@ class TestRandomPerfectRate:
             random_perfect_rate(10**6, 1, "heavy", 1)
         assert str(refusal.value) == "pair_count_rate overflows a float at n=1000000, q=1"
 
+    def test_refuses_a_rate_whose_integers_outgrow_the_block(self, monkeypatch):
+        # log rate -0.44: inside the float range, but (3**20)**n alone would
+        # take 18 GB.
+        def factorial(x):
+            raise AssertionError(f"factorial({x}) was formed")
+
+        monkeypatch.setattr(math, "factorial", factorial)
+        with pytest.raises(ResourceLimitError, match="^pair_count_rate at n=4739031326, q=20 "):
+            random_perfect_rate(4739031326, 20, "heavy", 1)
+
+    def test_the_integer_bound_is_the_block_budget(self, monkeypatch):
+        # 20 * 40 * log2(3) = 1268 bits: refused in 158 bytes, formed in 159.
+        want = montecarlo._pair_count_rate("rate", 40, 20, 1)
+        monkeypatch.setattr(engine, "_PAIR_BYTES", 158)
+        with pytest.raises(ResourceLimitError):
+            montecarlo._pair_count_rate("rate", 40, 20, 1)
+        monkeypatch.setattr(engine, "_PAIR_BYTES", 159)
+        assert montecarlo._pair_count_rate("rate", 40, 20, 1) == want
+
+    def test_a_rate_within_the_bound_still_answers(self):
+        report = random_perfect_rate(80255, 10, "heavy", 1)  # 1.27e6 bits, past the pigeonhole
+        assert report.extras["pair_count_rate"] == 285.311790696792
+
     @pytest.mark.parametrize("q", [1, 2, 3, 5, 20, 39])
     def test_rates_equal_the_exact_quotient(self, q):
         # Each side of the float range is crossed: the lgamma bounds must
@@ -255,6 +279,28 @@ class TestBlockMemory:
                 simulate_random_player(GameSpec(*args), 0.6, 20_000, seed=1)
             else:
                 concentration_experiment(*args, 20_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * engine._PAIR_BYTES
+
+    @pytest.mark.parametrize("command,args", [
+        ("concentrate", (100_000, 0.4615, 0.01)),
+        ("concentrate", (200_000, 0.4615, 0.01)),
+        ("concentrate", (262_000, 0.4615, 0.01)),
+        ("concentrate", (500_000, 0.4615, 0.001)),  # past one block: counted in pieces
+        ("concentrate", (1_000_000, 0.4615, 0.001)),  # two whole pieces and a short one
+        ("simulate", (20_000, 12, 0, "heavy")),
+    ])
+    def test_long_rows_fit_the_block(self, command, args):
+        # A trial of more words than one join is drawn in pieces, 4 bytes a
+        # word; four trials fill a block at q = 100,000.
+        tracemalloc.start()
+        try:
+            if command == "simulate":
+                simulate_random_player(GameSpec(*args), 0.6, 4, seed=5)
+            else:
+                concentration_experiment(*args, 4, seed=5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
