@@ -18,14 +18,15 @@ survivors of every mask (:func:`iter_survivor_blocks`,
 :func:`batch_survivor_counts`); no verdict uses it, and it is the tests'
 oracle for the conservation law and the verdicts.  Censuses, game values
 and sweeps count or find cliques of pairwise compatible rows instead of the
-3**(n*q) plans, by one ladder (:class:`_CliqueSearch`): no clique from the
-pigeonhole threshold or past the W admissible rows on, each admissible row
-one at n = 1, closed forms at k = 0, and at k >= 1 a search rooted at one
-word per orbit of the game's symmetries.  Only that last rung
-(:meth:`_CliqueSearch.needs_graph`) builds the compatibility graph, makes
-int64 codes of its words, and is metered by the matrix cap: its rounds and
-its W**2 cells are checked before anything is allocated, and its nodes are
-counted as they are visited.  Every Hamming distance between digit arrays
+3**(n*q) plans, by one ladder (:class:`_CliqueSearch`): no clique where the
+balance bound rules one out (:func:`every_plan_loses`: the pigeonhole, or at
+k >= 1 the Delsarte LP for ternary codes) or past the W admissible rows,
+each admissible row one at n = 1, closed forms at k = 0, and at k >= 1 a
+search rooted at one word per orbit of the game's symmetries.  Only that
+last rung (:meth:`_CliqueSearch.needs_graph`) builds the compatibility
+graph, makes int64 codes of its words, and is metered by the matrix cap:
+its rounds and its W**2 cells are checked before anything is allocated,
+and its nodes are counted as they are visited.  Every Hamming distance between digit arrays
 here is one digit-wise count, :func:`_distances`; the one between two
 lists of digits starts :func:`_pair_common_word`.  Every block but the
 survivor scan's, Monte Carlo's too, is cut by one rule, :func:`_blocks`.
@@ -37,6 +38,7 @@ suite holds the two implementations against each other.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 from typing import Iterator
@@ -368,6 +370,86 @@ def pigeonhole_min_n(q: int, k: int, prior: str) -> int:
     return 3**q // per_coin + 1
 
 
+def _krawtchouk(q: int, j: int, i: int) -> int:
+    """K_j(i) of the ternary Hamming scheme of length q: sum over s of
+    (-1)**s 2**(j - s) C(i, s) C(q - i, j - s)."""
+    return sum(
+        (-1) ** s * 2 ** (j - s) * math.comb(i, s) * math.comb(q - i, j - s) for s in range(j + 1)
+    )
+
+
+@functools.cache
+def delsarte_bound(q: int, k: int):
+    """The Delsarte LP optimum, a ``Fraction`` no ternary code of length q
+    and minimum distance 2k + 1 outgrows (Delsarte, Philips Res. Rep. Suppl.
+    10, 1973; MacWilliams and Sloane, The Theory of Error-Correcting Codes,
+    ch. 17): the most 1 + sum A_i over A_i >= 0, i = 2k+1..q, with
+    sum_i A_i K_j(i) >= -K_j(0) for j = 1..q (:func:`_krawtchouk`).
+
+    Solved exactly by the simplex method from the slack basis, feasible as
+    K_j(0) = C(q, j) 2**j > 0, under Bland's rule: the least column with a
+    positive reduced cost enters, and the least basic column leaves among
+    tied ratios, so no basis repeats."""
+    from fractions import Fraction  # on first use: set-up does not pay for the import
+
+    cols = range(2 * k + 1, q + 1)
+    width = len(cols) + q  # the A_i, then one slack per j
+    rows = []
+    for j in range(1, q + 1):
+        row = [Fraction(-_krawtchouk(q, j, i)) for i in cols] + [Fraction(0)] * (q + 1)
+        row[len(cols) + j - 1], row[-1] = Fraction(1), Fraction(math.comb(q, j) * 2**j)
+        rows.append(row)
+    basis = list(range(len(cols), width))
+    cost = [Fraction(1)] * len(cols) + [Fraction(0)] * (q + 1)  # reduced costs, then -sum A_i
+    while (e := next((c for c in range(width) if cost[c] > 0), None)) is not None:
+        _, _, r = min((row[-1] / row[e], basis[r], r) for r, row in enumerate(rows) if row[e] > 0)
+        pivot = rows[r] = [x / rows[r][e] for x in rows[r]]
+        basis[r] = e
+        for other in [*rows, cost]:
+            f = other[e]
+            if f and other is not pivot:
+                other[:] = [x - f * y if y else x for x, y in zip(other, pivot)]
+    return 1 - cost[-1]
+
+
+def delsarte_min_n(q: int, k: int, prior: str) -> int:
+    """Smallest coin count past every plan the Delsarte LP allows
+    (:func:`delsarte_bound`).  Under the heavy prior a must-win plan's rows
+    are a ternary code at distance 2k + 1.  Under the unknown prior its rows,
+    their mirrors and the all-off word are one of 2n + 1 words: a row is
+    admissible exactly when it lies more than 2k from the all-off word, and
+    the mirror keeps distances.  At k = 0 the LP gives 3**q, the pigeonhole's."""
+    words = delsarte_bound(q, k)
+    return (words // 1 if prior == HEAVY else (words - 1) // 2) + 1
+
+
+def _greedy_rows(q: int, k: int, prior: str) -> int:
+    """Rows a greedy must-win plan reaches at least, the Gilbert-Varshamov
+    size: it takes rows while fewer than 3**q words are ruled out, V(q, 2k)
+    about each row, and under the unknown prior as many about each row's
+    mirror besides the V(q, 2k) inadmissible words."""
+    volume = hamming_ball_volume(q, 2 * k)
+    if prior == HEAVY:
+        return -(-(3**q) // volume)
+    return -((volume - 3**q) // (2 * volume))
+
+
+@functools.lru_cache(maxsize=1024)  # a ladder asks it up to three times per n
+def every_plan_loses(n: int, q: int, k: int, prior: str) -> bool:
+    """Does the balance win against every plan of n coins, by one of two
+    rules: the pigeonhole (:func:`pigeonhole_min_n`), or at k >= 1 the
+    Delsarte LP (:func:`delsarte_min_n`), never above it.  The LP is solved
+    only where it can decide, below the pigeonhole and past the greedy
+    plan's size (:func:`_greedy_rows`), and in bounded time: up to
+    MAX_ROUNDS rounds, where it takes at most 0.55 s, at (39, 5), against
+    1.3 s at (50, 8) (2 vCPUs, Python 3.11.7)."""
+    if n >= pigeonhole_min_n(q, k, prior):
+        return True
+    if k == 0 or q > MAX_ROUNDS or n <= _greedy_rows(q, k, prior):
+        return False
+    return n >= delsarte_min_n(q, k, prior)
+
+
 def verdict_bytes(spec: GameSpec) -> int:
     """Bytes per plan that bound :func:`batch_balance_wins`' peak under
     tracemalloc, its (q, T, n) input rows included: q per row, and 3q more
@@ -446,8 +528,8 @@ class _CliqueSearch:
     so all four heavy/light images of a pair stay apart.
 
     :meth:`first` and :meth:`count` settle any n by the module's ladder;
-    ``least`` is where no clique is left, the pigeonhole threshold or W + 1,
-    and :meth:`needs_graph` says whether n reaches the graph rung.
+    :meth:`lost` says whether the bounds leave no n-clique, and
+    :meth:`needs_graph` whether n reaches the graph rung.
 
     The graph holds the admissible codes in ascending order and, for word
     i, a Python-int bitset of the later words compatible with it; a row is
@@ -466,13 +548,19 @@ class _CliqueSearch:
     def __init__(self, spec: GameSpec, cap: int):
         self.spec, self.cap, self.nodes = spec, cap, 0
         self.size = admissible_count(spec)  # W
-        self.least = min(pigeonhole_min_n(spec.q, spec.k, spec.prior), self.size + 1)
         self.words: np.ndarray | None = None  # (W,) codes, set by build()
+
+    def lost(self, n: int) -> bool:
+        """Is no n-clique left: past the W admissible rows, or where every
+        plan of n coins loses by the balance bound (:func:`every_plan_loses`)?"""
+        spec = self.spec
+        return n > self.size or every_plan_loses(n, spec.q, spec.k, spec.prior)
 
     def needs_graph(self, n: int) -> bool:
         """Does n coins reach the ladder's last rung, the graph search?  Only
-        for 1 < n < ``least`` at k >= 1; every other n is settled in closed form."""
-        return 1 < n < self.least and self.spec.k >= 1
+        for n > 1 at k >= 1 where the bounds leave a clique possible
+        (:meth:`lost`); every other n is settled in closed form."""
+        return n > 1 and self.spec.k >= 1 and not self.lost(n)
 
     def build(self) -> None:
         """Scan the admissible words once, under the round bound and the cap;
@@ -548,7 +636,7 @@ class _CliqueSearch:
         that completes gives the first clique, and none means none at all.
         The graph does not depend on n, so one search serves every n."""
         spec = self.spec
-        if n >= self.least:
+        if self.lost(n):
             return None
         if n == 1:
             return [0]
@@ -562,7 +650,7 @@ class _CliqueSearch:
         return None
 
     def count(self, n: int) -> int:
-        """Number of n-cliques: 0 from ``least`` on and W at n = 1.  At
+        """Number of n-cliques: 0 where :meth:`lost` and W at n = 1.  At
         k = 0 any n distinct words under the heavy prior, C(3**q, n), and one
         word from each of n mirror pairs of the 3**q - 1 admissible ones
         under the unknown prior, 2**n C((3**q - 1) / 2, n).
@@ -583,7 +671,7 @@ class _CliqueSearch:
         c(v_j) the (n-1)-cliques in N(v_j).  Each division is checked to be
         exact."""
         q, k = self.spec.q, self.spec.k
-        if n >= self.least:
+        if self.lost(n):
             return 0
         if n == 1:
             return self.size

@@ -7,8 +7,9 @@ on its own and the whole run is a pure function of its arguments.
 Trials run in blocks that fit the engine's block budget.  A run draws in
 blocks sized by the draw alone and decides each drawn block in slices
 sized by the verdict (``engine.verdict_bytes``), so a run whose draw fits
-one block seeds its trials once; from ``engine.pigeonhole_min_n`` coins on
-every plan loses, and nothing is drawn.  A trial's numbers come from the
+one block seeds its trials once.  Where every plan loses by the balance
+bound (``engine.every_plan_loses``: the pigeonhole, or at k >= 1 the exact
+Delsarte LP), nothing is drawn.  A trial's numbers come from the
 first words of ``random.Random(seed)`` (``builders.seeded_words``): a block
 of ``builders._REPLAY_TRIALS`` trials or more replays CPython's Mersenne
 Twister seeding across its trials in numpy, and a smaller one reseeds one
@@ -93,8 +94,8 @@ def simulate_random_player(spec: GameSpec, r: float, trials: int, seed: int = 0)
     _check_trials(trials)
     engine.check_rounds(spec.q)
     RandomStrategyParams(r, seed)  # rejects an on-rate outside [0, 1]
-    if spec.n >= engine.pigeonhole_min_n(spec.q, spec.k, spec.prior):
-        return _report(spec, {"r": r}, trials, trials, seed)  # every plan loses: nothing to draw
+    if engine.every_plan_loses(spec.n, spec.q, spec.k, spec.prior):
+        return _report(spec, {"r": r}, trials, trials, seed)  # nothing to draw
     wins, cells = 0, spec.n * spec.q
     for seeds in _seed_blocks(seed, trials, below_rate_bytes(cells) + cells):
         digits = random_plan_digits(seeds, spec.n, spec.q, r)
@@ -125,28 +126,38 @@ def concentration_experiment(
     return hits / trials, bound
 
 
-def _pair_count_rate(name: str, n: int, q: int, columns: int) -> float:
-    """2**n n! columns! / 3**(q n) as a float, or a ``DomainError`` where it
-    overflows one.  Its log, from ``math.lgamma``, settles the far cases
-    first: with a slack well past the logs' rounding, a rate past the float
-    range is refused and one far below the least subnormal is 0.0, so only
-    rates near the range are formed as exact integers, about q n log2(3)
-    bits each: past the engine's block budget, a ``ResourceLimitError``."""
-    try:
-        up = n * math.log(2) + math.lgamma(n + 1) + math.lgamma(columns + 1)
-        down = q * n * math.log(3)
-        log, slack = up - down, 1.0 + 1e-12 * (up + down)
-        if log < _LOG_TINY - slack:
-            return 0.0
-        if log <= _LOG_MAX + slack:
-            if q * n * math.log2(3) > 8 * engine._PAIR_BYTES:
-                raise ResourceLimitError(
-                    f"{name} at n={n}, q={q} needs exact integers past the {engine._PAIR_BYTES}-byte block"
-                )
-            return 2**n * math.factorial(n) * math.factorial(columns) / (3**q) ** n
-    except OverflowError:  # the rate, or n itself (past a float, 2**n n! outgrows 3**(q n))
-        pass
-    raise DomainError(f"{name} overflows a float at n={n}, q={q}")
+def _pair_count_rates(n: int, q: int, columns: dict[str, int]) -> dict[str, float]:
+    """Each name's 2**n n! columns! / 3**(q n) as a float, in order, or a
+    ``DomainError`` at the first that overflows one.  A rate's log, from
+    ``math.lgamma``, settles the far cases first: with a slack well past the
+    logs' rounding, a rate past the float range is refused and one far below
+    the least subnormal is 0.0, so only rates near the range are formed from
+    exact integers, about q n log2(3) bits each: past the engine's block
+    budget, a ``ResourceLimitError``.  2**n n! and 3**(q n) are formed once,
+    for the first rate that needs them."""
+    rates: dict[str, float] = {}
+    exact = None
+    for name, c in columns.items():
+        try:
+            up = n * math.log(2) + math.lgamma(n + 1) + math.lgamma(c + 1)
+            down = q * n * math.log(3)
+            log, slack = up - down, 1.0 + 1e-12 * (up + down)
+            if log < _LOG_TINY - slack:
+                rates[name] = 0.0
+                continue
+            if log <= _LOG_MAX + slack:
+                if q * n * math.log2(3) > 8 * engine._PAIR_BYTES:
+                    raise ResourceLimitError(
+                        f"{name} at n={n}, q={q} needs exact integers past the {engine._PAIR_BYTES}-byte block"
+                    )
+                if exact is None:
+                    exact = 2**n * math.factorial(n), (3**q) ** n
+                rates[name] = exact[0] * math.factorial(c) / exact[1]
+                continue
+        except OverflowError:  # the rate, or n itself (past a float, 2**n n! outgrows 3**(q n))
+            pass
+        raise DomainError(f"{name} overflows a float at n={n}, q={q}")
+    return rates
 
 
 def random_perfect_rate(
@@ -170,9 +181,9 @@ def random_perfect_rate(
     _check_trials(trials)
     spec = GameSpec(n, q, 0, prior)
     engine.check_rounds(spec.q)
-    extras: dict[str, Any] = {}
-    for name, columns in (("pair_count_rate", 1), ("pair_count_rate_with_columns", q)):
-        extras[name] = _pair_count_rate(name, n, q, columns)
+    extras: dict[str, Any] = _pair_count_rates(
+        n, q, {"pair_count_rate": 1, "pair_count_rate_with_columns": q}
+    )
     perfect = 0
     if n < engine.pigeonhole_min_n(q, 0, prior):  # from there on no plan is perfect
         decide = n * engine._CODE_BYTES + engine.verdict_bytes(spec)  # codes peeled, then decided

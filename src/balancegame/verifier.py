@@ -93,8 +93,8 @@ def game_value(
     matrix_cap: int = engine.DEFAULT_MATRIX_CAP,
 ) -> GameValue:
     """Best-play winner, by the clique search's one ladder
-    (:class:`engine._CliqueSearch`): no plan from ``least`` on, all-L at
-    n = 1, the builders' plan at k = 0, and else the graph.
+    (:class:`engine._CliqueSearch`): no plan where the bounds leave none, all-L
+    at n = 1, the builders' plan at k = 0, and else the graph.
 
     ``auto`` is exhaustive while the 3**(n*q) plans fit ``matrix_cap``.
     Constructive mode refuses the graph rung with :class:`UndecidedError`
@@ -113,7 +113,7 @@ def game_value(
     graph = search.needs_graph(spec.n)
     if graph and mode == "constructive":
         raise UndecidedError(f"no constructive rule decides {spec.compact()}; use exhaustive mode")
-    if not graph and spec.n < search.least and spec.n * spec.q > matrix_cap:
+    if not graph and not search.lost(spec.n) and spec.n * spec.q > matrix_cap:
         raise ResourceLimitError(
             f"the builder plan for {spec.compact()} has {spec.n * spec.q} cells, over the "
             f"matrix cap ({matrix_cap}); raise --matrix-cap to proceed"
@@ -132,12 +132,12 @@ def game_value(
 def census_perfect(spec: GameSpec, matrix_cap: int = engine.DEFAULT_MATRIX_CAP) -> int:
     """Count every plan that certifies must-win, over all 3**(n*q) plans:
     n! row orders of each clique of compatible rows (:func:`engine.clique_count`).
-    One ladder counts them: none from the pigeonhole threshold or past the
-    admissible rows on, each admissible row at n = 1, a closed form at
-    k = 0, and at k >= 1 orbit sums over the game's symmetries.  Only the
-    last can be refused: past MAX_ROUNDS or ``matrix_cap`` graph cells
-    before it starts, or past ``matrix_cap`` nodes as it runs
-    (:class:`engine._CliqueSearch`)."""
+    One ladder counts them: none where the balance bound leaves none
+    (:func:`engine.every_plan_loses`) or past the admissible rows, each
+    admissible row at n = 1, a closed form at k = 0, and at k >= 1 orbit
+    sums over the game's symmetries.  Only the last can be refused: past
+    MAX_ROUNDS or ``matrix_cap`` graph cells before it starts, or past
+    ``matrix_cap`` nodes as it runs (:class:`engine._CliqueSearch`)."""
     return math.factorial(spec.n) * engine.clique_count(spec, matrix_cap)
 
 

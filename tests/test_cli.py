@@ -173,8 +173,9 @@ class TestValue:
         # The witness is certified on the digits it is printed from; this holds
         # the printed text to the public certify on every value of the grid
         # q <= 5, k <= 2, n <= least + 1 that answers.  A cap of 300 000 keeps
-        # the q = 5, k = 1 heavy exhaustive searches at n 16-22, which take
-        # 4-63 s each at the default cap, to a third of a second each.
+        # the q = 5, k = 1 heavy exhaustive searches at n 16-18, which take
+        # 3-5 s each at the default cap, to a tenth of a second each; from
+        # n = 19 on the Delsarte LP answers without a search.
         witnesses = 0
         for q, k, prior in itertools.product(range(1, 6), range(3), ("heavy", "unknown")):
             if k > q:
@@ -221,6 +222,21 @@ class TestSearchFreeAnswers:
          "perfect_count", 531152),  # 3**12 less the 289 rows within 2 rounds on a pan
     ])
     def test_decided_without_a_graph_under_a_small_cap(self, capsys, monkeypatch, argv, field, want):
+        def refuse(self):
+            raise AssertionError("graph built")
+        monkeypatch.setattr(engine._CliqueSearch, "_admissible", refuse)
+        assert run_json(capsys, *argv)[field] == want
+
+    @pytest.mark.parametrize("argv,field,want", [
+        # 18 words at distance 3 is the most five rounds hold (the Delsarte LP),
+        # so from 19 coins every plan loses; the pigeonhole starts at 23.
+        *[(["value", "--spec", f"{n},5,1,heavy", "--exhaustive"], "winner", "balance")
+          for n in range(19, 23)],
+        (["value", "--spec", "19,5,1,heavy"], "winner", "balance"),
+        (["census", "--n", "19", "--q", "5", "--k", "1"], "perfect_count", 0),
+        (["census", "--n", "9", "--q", "5", "--k", "1", "--prior", "unknown"], "perfect_count", 0),
+    ])
+    def test_decided_by_the_delsarte_lp(self, capsys, monkeypatch, argv, field, want):
         def refuse(self):
             raise AssertionError("graph built")
         monkeypatch.setattr(engine._CliqueSearch, "_admissible", refuse)

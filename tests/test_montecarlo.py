@@ -107,18 +107,19 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestPigeonhole:
-    # From engine.pigeonhole_min_n coins on the balance wins against every
-    # plan, so nothing is drawn; the reports are those of the drawn trials.
+    # Where engine.every_plan_loses, by the pigeonhole or the Delsarte LP, the
+    # balance wins against every plan, so nothing is drawn; the reports are
+    # those of the drawn trials.
     @pytest.mark.parametrize("spec", [
         GameSpec(12, 6, 2, "heavy"), GameSpec(10, 2, 0, "heavy"), GameSpec(5, 2, 0, "unknown"),
-        GameSpec(40000, 1, 1, "heavy"),
+        GameSpec(40000, 1, 1, "heavy"), GameSpec(20, 5, 1, "heavy"), GameSpec(10, 5, 1, "unknown"),
     ])
     def test_simulate_draws_nothing(self, spec, monkeypatch):
         draws = count_calls(monkeypatch, builders, "seeded_words")
         report = simulate_random_player(spec, 0.7, 40, seed=764030)
         assert not draws and report.successes == 40
         if spec.n < 100:
-            monkeypatch.setattr(engine, "pigeonhole_min_n", lambda q, k, prior: 10**9)
+            monkeypatch.setattr(engine, "every_plan_loses", lambda n, q, k, prior: False)
             assert simulate_random_player(spec, 0.7, 40, seed=764030) == report
             assert draws
 
@@ -148,6 +149,10 @@ class TestConcentrationExperiment:
     def test_wide_deviation_never_hit(self):
         empirical, _ = concentration_experiment(50, 0.5, 0.49, 500, seed=2)
         assert empirical == 0.0
+
+
+def pair_count_rate(name, n, q, columns):
+    return montecarlo._pair_count_rates(n, q, {name: columns})[name]
 
 
 class TestRandomPerfectRate:
@@ -204,12 +209,12 @@ class TestRandomPerfectRate:
 
     def test_the_integer_bound_is_the_block_budget(self, monkeypatch):
         # 20 * 40 * log2(3) = 1268 bits: refused in 158 bytes, formed in 159.
-        want = montecarlo._pair_count_rate("rate", 40, 20, 1)
+        want = pair_count_rate("rate", 40, 20, 1)
         monkeypatch.setattr(engine, "_PAIR_BYTES", 158)
         with pytest.raises(ResourceLimitError):
-            montecarlo._pair_count_rate("rate", 40, 20, 1)
+            pair_count_rate("rate", 40, 20, 1)
         monkeypatch.setattr(engine, "_PAIR_BYTES", 159)
-        assert montecarlo._pair_count_rate("rate", 40, 20, 1) == want
+        assert pair_count_rate("rate", 40, 20, 1) == want
 
     def test_a_rate_within_the_bound_still_answers(self):
         report = random_perfect_rate(80255, 10, "heavy", 1)  # 1.27e6 bits, past the pigeonhole
@@ -225,9 +230,33 @@ class TestRandomPerfectRate:
                     want = 2**n * math.factorial(n) * math.factorial(columns) / (3**q) ** n
                 except OverflowError:
                     with pytest.raises(DomainError, match=f"^{name} overflows a float at n={n}, q={q}$"):
-                        montecarlo._pair_count_rate(name, n, q, columns)
+                        pair_count_rate(name, n, q, columns)
                 else:
-                    assert montecarlo._pair_count_rate(name, n, q, columns) == want
+                    assert pair_count_rate(name, n, q, columns) == want
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 20, 39])
+    def test_the_exact_integers_are_formed_once(self, q, monkeypatch):
+        # n! is formed once for both rates, besides the column factors 1 and q
+        # themselves; the rates and refusals stay those of one rate at a time.
+        factorial = math.factorial
+        for n in [*range(1, 260), *range(260, 4000, 37)]:
+            columns = {"pair_count_rate": 1, "pair_count_rate_with_columns": q}
+            want = {}
+            for name, c in columns.items():
+                try:
+                    want[name] = 2**n * factorial(n) * factorial(c) / (3**q) ** n
+                except OverflowError:
+                    want = (f"{name} overflows a float at n={n}, q={q}",)
+                    break
+            calls = []
+            monkeypatch.setattr(math, "factorial", lambda x: calls.append(x) or factorial(x))
+            try:
+                got = montecarlo._pair_count_rates(n, q, columns)
+            except DomainError as refusal:
+                got = refusal.args
+            monkeypatch.setattr(math, "factorial", factorial)
+            assert got == want, (n, q)
+            assert calls.count(n) <= 1 + (1, q).count(n), (n, q, calls)
 
     @pytest.mark.parametrize("n,q", [(40, 20), (19, 39), (150, 1), (250, 2)])
     def test_rates_at_the_edges_of_the_float_range_are_exact(self, n, q):
@@ -238,9 +267,9 @@ class TestRandomPerfectRate:
                 want = 2**n * math.factorial(n) * math.factorial(columns) / (3**q) ** n
             except OverflowError:
                 with pytest.raises(DomainError):
-                    montecarlo._pair_count_rate("rate", n, q, columns)
+                    pair_count_rate("rate", n, q, columns)
             else:
-                assert montecarlo._pair_count_rate("rate", n, q, columns) == want
+                assert pair_count_rate("rate", n, q, columns) == want
 
     def test_no_census_extras_when_space_is_large(self):
         report = random_perfect_rate(13, 3, "unknown", 5, seed=0)

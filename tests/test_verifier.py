@@ -1,3 +1,4 @@
+import fractions
 import itertools
 import math
 import random
@@ -291,13 +292,13 @@ class TestGameValue:
 
     @pytest.mark.parametrize("prior", ["heavy", "unknown"])
     def test_constructive_mode_is_the_ladder_without_its_graph_rung(self, prior):
-        # q <= 6, every k, every n up to one past the ladder's least: constructive
+        # q <= 6, every k, every n up to one past the pigeonhole: constructive
         # mode refuses exactly the graph rung and elsewhere agrees with exhaustive
         # mode, each plan handed out as one instance and only within the cap's cells.
         refused = answered = 0
         for q in range(1, 7):
             for k in range(q + 1):
-                for n in range(1, engine._CliqueSearch(GameSpec(1, q, k, prior), CAP).least + 2):
+                for n in range(1, engine.pigeonhole_min_n(q, k, prior) + 2):
                     spec = GameSpec(n, q, k, prior)
                     if engine._CliqueSearch(spec, CAP).needs_graph(n):
                         with pytest.raises(UndecidedError):
@@ -315,7 +316,7 @@ class TestGameValue:
                         with pytest.raises(ResourceLimitError, match=rf"{n * q} cells"):
                             game_value(spec, mode, n * q - 1)
                     answered += 1
-        assert refused >= 44 and answered >= 549  # the unknown prior's counts; heavy has more
+        assert refused >= 33 and answered >= 549  # the unknown prior's counts; heavy has more
 
 
 class TestPigeonhole:
@@ -349,7 +350,7 @@ class TestPigeonhole:
                 if engine._CliqueSearch(below, CAP).needs_graph(below.n):
                     with pytest.raises(UndecidedError):
                         game_value(below, "constructive")
-                else:  # one coin, or no n-clique left under the unknown prior
+                else:  # one coin, or no n-clique left by the LP or the admissible rows
                     value, ex = game_value(below, "constructive"), game_value(below, "exhaustive")
                     assert (value.winner, value.witness) == (ex.winner, ex.witness), below
 
@@ -363,6 +364,79 @@ class TestPigeonhole:
             rows = engine.code_digits(codes, 3)
             wins = engine.batch_balance_wins(GameSpec(n, 3, 1, "heavy"), rows)
             assert len(calls) == 1 and wins.all()  # every pair here lies within 2k = 2
+
+
+def pigeonhole_only(n, q, k, prior):
+    return n >= engine.pigeonhole_min_n(q, k, prior)
+
+
+class TestDelsarteBound:
+    """engine.every_plan_loses: the pigeonhole, or at k >= 1 the Delsarte LP."""
+
+    @pytest.mark.parametrize("q,k,optimum", [
+        (5, 1, 18), (6, 1, fractions.Fraction(243, 5)), (10, 2, 243), (11, 2, 729),
+        (12, 1, 19683), (13, 1, 59049),
+    ])
+    def test_lp_optima(self, q, k, optimum):
+        assert engine.delsarte_bound(q, k) == optimum  # exact: 48 codewords at most at (6, 1)
+
+    @pytest.mark.parametrize("q,k", [(4, 1), (11, 2), (13, 1)])  # tetracode, Golay, Hamming
+    def test_a_perfect_code_meets_the_pigeonhole(self, q, k):
+        for prior in ("heavy", "unknown"):
+            assert engine.delsarte_min_n(q, k, prior) == engine.pigeonhole_min_n(q, k, prior)
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_never_above_the_pigeonhole(self, prior):
+        for q in range(1, 13):
+            for k in range(q + 1):
+                lp, least = engine.delsarte_min_n(q, k, prior), engine.pigeonhole_min_n(q, k, prior)
+                assert lp <= least and (k or lp == least), (q, k)
+
+    def test_tight_at_five_rounds_one_lie(self):
+        # 18 words at distance 3 exist, so 18 coins still win and 19 lose.
+        assert engine.delsarte_min_n(5, 1, "heavy") == 19 < engine.pigeonhole_min_n(5, 1, "heavy")
+        assert not engine.every_plan_loses(18, 5, 1, "heavy")
+        assert engine.every_plan_loses(19, 5, 1, "heavy")
+        code = ("LLLLL", "LLRRR", "LRLRO", "LROOL", "LOROO", "LOOLR", "RLLOO", "RLORL", "RRROR",
+                "RROLO", "ROLRR", "RORLL", "OLRLO", "OLOOR", "ORLLR", "ORRRL", "OOLOL", "OOORO")
+        assert certify(GameSpec(18, 5, 1, "heavy"), code).must_win  # the exhaustive search's first
+
+    @pytest.mark.parametrize("q,k,prior", [
+        (4, 2, "heavy"), (5, 2, "heavy"), (5, 2, "unknown"), (5, 1, "unknown"), (6, 2, "heavy"),
+        (6, 2, "unknown"), (6, 3, "heavy"), (7, 2, "unknown"), (7, 3, "heavy"), (7, 3, "unknown"),
+        (7, 4, "heavy"), (8, 3, "heavy"),
+    ])
+    def test_the_graph_finds_no_plan_from_the_lp_threshold(self, q, k, prior, monkeypatch):
+        # Past the LP's threshold and below the pigeonhole, the search the LP
+        # spares finds no clique either: (5, 1, unknown) at n 9-11, (6, 2, heavy) at 6-9.
+        lp, least = engine.delsarte_min_n(q, k, prior), engine.pigeonhole_min_n(q, k, prior)
+        assert lp < least
+        for n in range(lp, least):
+            assert engine._CliqueSearch(GameSpec(n, q, k, prior), CAP).first(n) is None
+            assert not engine._CliqueSearch(GameSpec(n, q, k, prior), CAP).needs_graph(n)
+        monkeypatch.setattr(engine, "every_plan_loses", pigeonhole_only)
+        for n in range(lp, least):
+            search = engine._CliqueSearch(GameSpec(n, q, k, prior), CAP)
+            assert search.needs_graph(n) and search.first(n) is None, n
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_no_lp_where_it_cannot_decide(self, prior, monkeypatch):
+        # At k = 0, up to the Gilbert-Varshamov size and from the pigeonhole on,
+        # the answer is known without the LP; past MAX_ROUNDS it is not solved.
+        engine.every_plan_loses.cache_clear()
+        monkeypatch.setattr(engine, "delsarte_min_n", lambda *a: pytest.fail(f"LP at {a}"))
+        q = engine.MAX_ROUNDS + 1
+        assert not engine.every_plan_loses(engine.pigeonhole_min_n(q, 1, prior) - 1, q, 1, prior)
+        for q in range(1, 13):
+            for k in range(q + 1):
+                least = engine.pigeonhole_min_n(q, k, prior)
+                assert engine.every_plan_loses(least, q, k, prior)
+                if k == 0:
+                    assert not engine.every_plan_loses(least - 1, q, k, prior)
+                    continue
+                greedy = engine._greedy_rows(q, k, prior)
+                for n in range(max(1, greedy - 1), greedy + 1):
+                    assert not engine.every_plan_loses(n, q, k, prior)
 
 
 class TestCensusPerfect:
@@ -409,7 +483,7 @@ def builder_plan(spec):
     """The plan a rung before the graph gives the player, else None: the
     builders' plan, all-L at n = 1."""
     search = engine._CliqueSearch(spec, CAP)
-    if search.needs_graph(spec.n) or spec.n >= search.least:
+    if search.needs_graph(spec.n) or search.lost(spec.n):
         return None
     return (ternary_strategy if spec.prior == "heavy" else complement_free_strategy)(spec.n, spec.q)
 
@@ -475,7 +549,7 @@ class TestCliqueSearch:
         for n, q, k in dict.fromkeys(SMALL_SPECS + GRID):
             spec = GameSpec(n, q, k, prior)
             search, path = engine._CliqueSearch(spec, CAP), []
-            if n == 1 or n >= search.least:
+            if n == 1 or search.lost(n):
                 continue
             search.build()
             search.search((1 << len(search.words)) - 1, n, path)
@@ -522,9 +596,12 @@ class TestCliqueSearch:
 
     def test_heavy_balance_win_branches_only_inside_the_root_neighbourhood(self, monkeypatch):
         # 4 rows of 5 rounds pairwise 5 apart do not exist, which the pigeonhole
-        # does not see (it starts at 5).  Translations move any clique onto word
-        # 0, so after its one branch nothing is left to search.
+        # does not see (it starts at 5).  The Delsarte LP does (3 words), so it
+        # is set aside to watch the search.  Translations move any clique onto
+        # word 0, so after its one branch nothing is left to search.
         spec, unpatched = GameSpec(4, 5, 2, "heavy"), engine._CliqueSearch
+        assert engine.every_plan_loses(4, 5, 2, "heavy")
+        monkeypatch.setattr(engine, "every_plan_loses", pigeonhole_only)
         searches = recording(monkeypatch)
         assert engine._CliqueSearch(spec, CAP).first(spec.n) is None
         (search,) = searches
