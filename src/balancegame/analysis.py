@@ -5,13 +5,23 @@ fraction ``r`` of the rounds and let the announcement deviate in a fraction
 ``r2 < r`` of a coin's on-rounds.  The number of coins the balance can
 afford to keep plausible grows like ``rate**q``, and the player survives
 exactly when ``2n`` stays below that envelope.
+
+Each rate is written once, as a private formula over a float or a numpy
+array.  The public functions check their domain and evaluate it on Python
+floats; :func:`best_on_fraction`'s bracket scan evaluates it on an array.
+numpy's ``log2`` and ``power`` may differ from ``math.log2`` and ``**`` in
+the last bit, so the array only narrows the choice: every value the scan
+decides by, and every number returned, comes from the scalar closed form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import DomainError
 
@@ -24,7 +34,12 @@ def binary_entropy(p: float) -> float:
         raise DomainError(f"entropy argument must lie in [0, 1], got {p}")
     if p in (0.0, 1.0):
         return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return _entropy(p)
+
+
+def _entropy(p, log2=math.log2):
+    """H(p) in bits for 0 < p < 1: a float with ``math.log2``, an array with ``np.log2``."""
+    return -p * log2(p) - (1.0 - p) * log2(1.0 - p)
 
 
 def hamming_ball_volume(length: int, radius: int, arity: int = 3) -> int:
@@ -69,6 +84,11 @@ def honest_threshold_rate(r: float) -> float:
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"on-balance rate must lie strictly in (0, 1), got {r}")
+    return _honest_rate(r)
+
+
+def _honest_rate(r):
+    """g(r) for 0 < r < 1, a float or an array."""
     return 1.0 / (1.0 - r) * (r / (2.0 * (1.0 - r))) ** (-r)
 
 
@@ -83,9 +103,16 @@ def lying_threshold_rate(r: float, lie_fraction: float) -> float:
         raise DomainError(f"on-balance rate must lie strictly in (0, 1), got {r}")
     if not 0.0 <= lie_fraction < r:
         raise DomainError(f"lie fraction must lie in [0, r), got {lie_fraction} with r={r}")
-    alpha = (r - lie_fraction) / r
-    alpha = min(1.0, max(0.0, alpha))  # guard rounding at the edges
-    return honest_threshold_rate(r) * 2.0 ** (-r * binary_entropy(alpha))
+    if r - lie_fraction == r:  # the share (r - r2) / r is 1: H(1) = 0, no toll
+        return _honest_rate(r)
+    return _lying_rate(r, lie_fraction)
+
+
+def _lying_rate(r, lie_fraction, log2=math.log2):
+    """v(r, r2) for r2 < r < 1, a float or an array r.  The share
+    (r - r2) / r lies in (0, 1] and is 1 exactly where r - r2 rounds to r;
+    there H(1) is a log of 0: a float raises ``ValueError``, an array holds NaN."""
+    return _honest_rate(r) * 2.0 ** (-r * _entropy((r - lie_fraction) / r, log2))
 
 
 def golden_section_max(
@@ -127,29 +154,56 @@ def best_on_fraction(lie_fraction: float = 0.0, tol: float = 1e-8) -> tuple[floa
     ``lie_fraction = 0.22`` the curve also climbs toward the left edge,
     where the entropy toll degenerates (every on-round lied about), and
     that edge run is taken only when no interior peak exists at all.
-    """
+
+    The scan is one array evaluation of the rate's formula
+    (:func:`_scan_peak`); it picks the bracket a scan of scalar calls picks,
+    and golden-section refines on the scalar function, so both returned
+    numbers are scalar closed-form values."""
     check_lie_fraction(lie_fraction)
     if lie_fraction == 0.0:
         fn = honest_threshold_rate
     else:
-        fn = lambda r: lying_threshold_rate(r, lie_fraction)
+        fn = functools.partial(lying_threshold_rate, lie_fraction=lie_fraction)
     lo, hi = lie_fraction, 1.0
     grid = 2000
     step = (hi - lo) / (grid + 1)
-    vals = [fn(lo + i * step) for i in range(1, grid + 1)]
-    peaks = [
-        i
-        for i in range(1, grid - 1)
-        if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]
-    ]
-    if peaks:
-        best = max(peaks, key=vals.__getitem__)
+    r = lo + np.arange(1, grid + 1) * step  # lo + i * step, bit for bit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = _honest_rate(r) if lie_fraction == 0.0 else _lying_rate(r, lie_fraction, np.log2)
+    best = _scan_peak(fn, r, vals)
+    if best is not None:
         a, b = lo + best * step, lo + (best + 2) * step
-    elif vals[0] >= vals[-1]:
+    elif fn(lo + step) >= fn(lo + grid * step):
         a, b = lo, lo + 2 * step
     else:
         a, b = hi - 2 * step, hi
     return golden_section_max(fn, a, b, tol)
+
+
+def _scan_peak(fn: Callable[[float], float], r: np.ndarray, vals: np.ndarray) -> int | None:
+    """Index of the first best interior local maximum of ``fn`` over the
+    points ``r``, the one ``max(peaks, key=[fn(x) for x in r].__getitem__)``
+    picks, or ``None`` if there is none; ``vals`` is ``fn`` evaluated as an
+    array, whose last bits (or NaN) may differ from the scalar values.
+
+    The array decides nothing its error could flip: taking it as at most
+    ``slack``, 1e-12 of a value (thousands of ulps), every neighbour
+    comparison closer than the two slacks, and every peak within them of the
+    best, is decided again from scalar calls."""
+    slack = 1e-12 * np.abs(vals)
+    rise = np.diff(vals)  # its sign decides vals[i + 1] >= vals[i] where it clears the slacks
+    near = np.flatnonzero(~(np.abs(rise) > slack[1:] + slack[:-1]))  # NaN included
+    if near.size:
+        redo = np.union1d(near, near + 1)
+        vals[redo] = [fn(x) for x in r[redo].tolist()]
+        slack[redo] = 0.0
+        rise[near] = vals[near + 1] - vals[near]
+    peaks = np.flatnonzero((rise[:-1] >= 0.0) & (rise[1:] <= 0.0)) + 1
+    if not peaks.size:
+        return None
+    floor = (vals[peaks] - slack[peaks]).max()  # the best peak's value is at least this
+    ties = peaks[vals[peaks] + slack[peaks] >= floor].tolist()
+    return max(ties, key=lambda i: fn(float(r[i])))
 
 
 def lying_survivor_bound(on_rounds: int, p: float, rounds: int, lies: int) -> float:
@@ -263,4 +317,4 @@ def sample_curve(
         raise DomainError(f"need at least one sample, got {num}")
     step = (hi - lo) / (num + 1)
     grid = tuple(lo + i * step for i in range(1, num + 1))
-    return RateCurve(parameter, grid, tuple(fn(x) for x in grid))
+    return RateCurve(parameter, grid, tuple(map(fn, grid)))

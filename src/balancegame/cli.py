@@ -174,7 +174,7 @@ def _cmd_value(args) -> dict[str, Any]:
 def _cmd_census(args) -> dict[str, Any]:
     spec = GameSpec(args.n, args.q, args.k, args.prior)
     count = verifier.census_perfect(spec, matrix_cap=args.matrix_cap)
-    total = (3**spec.q) ** spec.n
+    total = verifier.plan_total(spec, "total_plans")
     return dict(
         spec=spec_fields(spec),
         perfect_count=count,
@@ -214,7 +214,7 @@ def _cmd_analyze(args) -> str:
         if len(r2) != 1:
             raise FormatError("curve 'v' takes exactly one --r2 value")
         analysis.check_lie_fraction(r2[0])
-        fn = lambda r: analysis.lying_threshold_rate(r, r2[0])
+        fn = functools.partial(analysis.lying_threshold_rate, lie_fraction=r2[0])
         curve = analysis.sample_curve(fn, r2[0], 1.0, num)
     elif args.curve == "f":
         if args.qvec is None or args.q is None:
@@ -222,12 +222,12 @@ def _cmd_analyze(args) -> str:
         qvec = _number_list(args.qvec, int)
         if not qvec:
             raise FormatError(f"curve 'f' needs at least one --qvec value, got {args.qvec!r}")
-        fn = lambda p: analysis.expected_survivors(qvec, p, args.q)
+        fn = functools.partial(analysis.expected_survivors, qvec, rounds=args.q)
         curve = analysis.sample_curve(fn, 0.0, 0.5, num, parameter="p")
     else:  # phi
         if args.r is None or args.q is None:
             raise FormatError("curve 'phi' needs --r and --q")
-        fn = lambda p: analysis.prob_considered_heavier(p, args.r, args.q)
+        fn = functools.partial(analysis.prob_considered_heavier, r=args.r, rounds=args.q)
         curve = analysis.sample_curve(fn, 0.0, 0.5, num, parameter="p")
     return render_csv([curve.parameter, args.curve], list(zip(curve.grid, curve.values)))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Iterable, NoReturn, Sequence
 
@@ -109,21 +110,61 @@ def _digits(x: int) -> int:
     return d + 1 if 10**d <= x else d
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit, 0 where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_many_digits(name: str, digits: int, limit: int) -> DomainError:
+    return DomainError(
+        f"cannot print {name}: it has {digits} digits, over the {limit}-digit limit on integer printing"
+    )
+
+
 def _refuse(cells: Iterable[tuple[str, Any]], failure: ValueError) -> NoReturn:
     """Rendering failed with ``failure``: refuse the first cell no report can
     print, an integer past ``sys.get_int_max_str_digits()`` or a float that is
     not finite, with a :class:`DomainError`; re-raise ``failure`` if none is."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     too_long = 10**limit if limit else math.inf  # the least magnitude past the limit
     for name, value in cells:
         if isinstance(value, float) and not math.isfinite(value):
             raise DomainError(f"cannot print {name}: {value} is not a JSON number") from failure
         if isinstance(value, int) and abs(value) >= too_long:
-            raise DomainError(
-                f"cannot print {name}: it has {_digits(value)} digits, over the "
-                f"{limit}-digit limit on integer printing"
-            ) from failure
+            raise _too_many_digits(name, _digits(value), limit) from failure
     raise failure
+
+
+def power_of_three_digits(exponent: int) -> int:
+    """Decimal digits of 3**exponent, floor(exponent log10(3)) + 1, counted
+    without forming it.  The float product settles the floor where it lies
+    clear of an integer.  Near one, log10(3) is taken to enough decimal
+    places, correctly rounded by ``decimal``, for an integer bracket of the
+    product to hold one floor; it always does at some precision, since no
+    power of 3 past 3**0 is a power of 10."""
+    x = exponent * math.log10(3)
+    floor, slack = math.floor(x), 1e-12 * x  # the float is within about 3 ulps of x
+    if slack < x - floor < 1.0 - slack:
+        return floor + 1
+    import decimal  # on first use: only a product within the slack of an integer needs it
+
+    places = len(str(exponent)) + 20
+    while True:
+        context = decimal.Context(prec=places)
+        log = int(context.log10(3).scaleb(places, context))  # within 1/2 of 10**places log10(3)
+        low, high = ((2 * exponent * log + sign * exponent) // (2 * 10**places) for sign in (-1, 1))
+        if low == high:
+            return low + 1
+        places *= 2
+
+
+def refuse_power_of_three(name: str, exponent: int) -> None:
+    """Raise the :class:`DomainError` a report raises for the integer cell
+    ``name`` if it holds 3**exponent and that has more digits than the
+    int-to-str limit, counted without forming it (:func:`power_of_three_digits`)."""
+    limit = _digit_limit()
+    if limit and (digits := power_of_three_digits(exponent)) > limit:
+        raise _too_many_digits(name, digits, limit)
 
 
 def render_report(doc: dict[str, Any], pretty: bool = False) -> str:
@@ -197,7 +238,13 @@ def csv_number(x: Any) -> str:
 
 
 def render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """One header line, then one line of :func:`csv_number` cells per row.
+    A table of floats only, every row as wide as the header, is written with
+    one format call per row, to the same bytes."""
     lines = [",".join(header)]
+    if set(map(len, rows)) == {len(header)} and set(map(type, chain.from_iterable(rows))) == {float}:
+        lines.extend(starmap(",".join(["{:.9g}"] * len(header)).format, rows))
+        return "\n".join(lines) + "\n"
     try:
         lines.extend(",".join(csv_number(cell) for cell in row) for row in rows)
     except ValueError as failure:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
+from . import engine, formats
 from .adversary import AttackResult, find_winning_mask
 from .analysis import hamming_ball_volume
 from .core import HEAVY, PLACEMENTS, BalanceGameError, DomainError, GameSpec, ResourceLimitError
@@ -106,7 +106,7 @@ def game_value(
     and none in constructive mode.  The one plan handed out is certified
     again (:func:`_certified`)."""
     if mode == "auto":
-        mode = "exhaustive" if (3**spec.q) ** spec.n <= matrix_cap else "constructive"
+        mode = "exhaustive" if spec.n * spec.q <= _cap_exponent(matrix_cap) else "constructive"
     elif mode not in ("exhaustive", "constructive"):
         raise ValueError(f"mode must be auto, exhaustive or constructive, got {mode!r}")
     search = engine._CliqueSearch(spec, matrix_cap)
@@ -120,7 +120,8 @@ def game_value(
         )
     first = search.first(spec.n)
     if first is None:
-        return GameValue(BALANCE, mode, None, 0 if mode == "constructive" else (3**spec.q) ** spec.n)
+        checked = 0 if mode == "constructive" else plan_total(spec, "instances_checked")
+        return GameValue(BALANCE, mode, None, checked)
     rank = 0
     if graph:
         for code in first:  # the witness's index in the (3**q)**n enumeration, row 0 first
@@ -138,7 +139,34 @@ def census_perfect(spec: GameSpec, matrix_cap: int = engine.DEFAULT_MATRIX_CAP) 
     sums over the game's symmetries.  Only the last can be refused: past
     MAX_ROUNDS or ``matrix_cap`` graph cells before it starts, or past
     ``matrix_cap`` nodes as it runs (:class:`engine._CliqueSearch`)."""
-    return math.factorial(spec.n) * engine.clique_count(spec, matrix_cap)
+    count = engine.clique_count(spec, matrix_cap)
+    return math.factorial(spec.n) * count if count else 0
+
+
+def _cap_exponent(cap: int) -> int:
+    """The largest e with 3**e <= ``cap``, -1 for a cap below 1: the 3**(n q)
+    plans fit the cap exactly when n q <= e, so no plan count is formed to
+    be compared with it."""
+    if cap < 1:
+        return -1
+    e = int(math.log(cap, 3))  # the float logarithm may be off by one either way
+    e += 3 ** (e + 1) <= cap
+    return e - (3**e > cap)
+
+
+def plan_total(spec: GameSpec, field: str) -> int:
+    """All 3**(n q) plans of ``spec``, the report field ``field``, formed only
+    within the engine's block budget in bits.  Past it the integer is refused
+    unformed: by the report's own :class:`DomainError` where it has more
+    digits than the int-to-str limit (:func:`formats.refuse_power_of_three`),
+    else by :class:`ResourceLimitError`."""
+    exponent = spec.n * spec.q
+    if exponent * math.log2(3) > 8 * engine._PAIR_BYTES:
+        formats.refuse_power_of_three(field, exponent)
+        raise ResourceLimitError(
+            f"{field} for {spec.compact()} is an integer past the {engine._PAIR_BYTES}-byte block"
+        )
+    return 3**exponent
 
 
 @dataclass(frozen=True)
@@ -161,8 +189,8 @@ def _largest_win(
     codes, and the first n the balance wins, ``None`` if the walk reaches
     the cap first."""
     search, won, codes = engine._CliqueSearch(GameSpec(1, q, k, prior), matrix_cap), 0, None
-    n = 1
-    while (3**q) ** n <= matrix_cap:
+    n, most = 1, _cap_exponent(matrix_cap)
+    while n * q <= most:
         clique = search.first(n)
         if clique is None:
             return won, codes, n

@@ -1,10 +1,13 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from balancegame import (
     DomainError,
+    analysis,
     adaptive_first_move_range,
     best_on_fraction,
     binary_entropy,
@@ -178,6 +181,88 @@ class TestBestOnFraction:
     def test_argmax_non_increasing_in_lie_fraction(self):
         args = [best_on_fraction(r2 / 100)[0] for r2 in range(0, 31, 5)]
         assert all(a >= b - 1e-9 for a, b in zip(args, args[1:]))
+
+
+def scalar_lying_threshold_rate(r, lie_fraction):
+    """The lying rate as one chain of checked scalar calls, clamp included."""
+    alpha = min(1.0, max(0.0, (r - lie_fraction) / r))
+    return honest_threshold_rate(r) * 2.0 ** (-r * binary_entropy(alpha))
+
+
+def scalar_best_on_fraction(lie_fraction, tol=1e-8):
+    """The bracket scan as 2000 scalar calls, then golden section: the oracle."""
+    if lie_fraction == 0.0:
+        fn = honest_threshold_rate
+    else:
+        fn = lambda r: lying_threshold_rate(r, lie_fraction)
+    lo, hi = lie_fraction, 1.0
+    grid = 2000
+    step = (hi - lo) / (grid + 1)
+    vals = [fn(lo + i * step) for i in range(1, grid + 1)]
+    peaks = [i for i in range(1, grid - 1) if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]]
+    if peaks:
+        best = max(peaks, key=vals.__getitem__)
+        a, b = lo + best * step, lo + (best + 2) * step
+    elif vals[0] >= vals[-1]:
+        a, b = lo, lo + 2 * step
+    else:
+        a, b = hi - 2 * step, hi
+    return golden_section_max(fn, a, b, tol)
+
+
+class TestArrayScan:
+    """The array-evaluated bracket scan against the scalar loop it replaces."""
+
+    # 4,001 evenly spaced lie fractions in [0, 0.99] from 0, 200 about the edge-run
+    # regime near 0.22, and lie fractions small enough that r - r2 rounds to r.
+    LIE_FRACTIONS = (
+        [0.99 * i / 4000 for i in range(4001)]
+        + [0.22 + 1e-4 * i for i in range(-100, 100)]
+        + [5e-324, 1e-300, 1e-17, 1e-16, 1e-15]
+    )
+
+    def test_equals_the_scalar_scan(self):
+        for lie_fraction in self.LIE_FRACTIONS:
+            got = best_on_fraction(lie_fraction)
+            assert got == scalar_best_on_fraction(lie_fraction), lie_fraction
+            assert tuple(map(type, got)) == (float, float), lie_fraction
+
+    def test_the_array_differs_from_the_scalar_values_only_in_the_last_bits(self):
+        # Where the two disagree is what the scan decides again from scalar calls.
+        for lie_fraction in (0.0, 0.05, 0.2, 0.5):
+            step = (1.0 - lie_fraction) / 2001
+            r = lie_fraction + np.arange(1, 2001) * step
+            scalar = np.array([lying_threshold_rate(x, lie_fraction) for x in r.tolist()])
+            if lie_fraction == 0.0:
+                array = analysis._honest_rate(r)
+            else:
+                array = analysis._lying_rate(r, lie_fraction, np.log2)
+            assert np.abs(array - scalar).max() <= 1e-14 * scalar.max()
+
+    def test_scalar_calls_return_floats(self):
+        rng = random.Random(31)
+        for _ in range(2000):
+            r = rng.uniform(1e-6, 1.0 - 1e-6)
+            lie_fraction = rng.choice([0.0, 1e-300, rng.uniform(0.0, r)])
+            for value, oracle in (
+                (honest_threshold_rate(r), 1.0 / (1.0 - r) * (r / (2.0 * (1.0 - r))) ** (-r)),
+                (lying_threshold_rate(r, lie_fraction), scalar_lying_threshold_rate(r, lie_fraction)),
+                (binary_entropy(r), -r * math.log2(r) - (1.0 - r) * math.log2(1.0 - r)),
+            ):
+                assert type(value) is float and value == oracle, (r, lie_fraction)
+
+    @pytest.mark.parametrize("call,args", [
+        (honest_threshold_rate, (0.0,)), (honest_threshold_rate, (1.0,)),
+        (honest_threshold_rate, (-0.2,)), (honest_threshold_rate, (math.nan,)),
+        (lying_threshold_rate, (0.5, 0.5)), (lying_threshold_rate, (0.5, -0.01)),
+        (lying_threshold_rate, (1.0, 0.1)), (lying_threshold_rate, (0.0, 0.0)),
+        (lying_threshold_rate, (0.5, math.nan)), (lying_threshold_rate, (math.nan, 0.1)),
+        (binary_entropy, (-0.1,)), (binary_entropy, (1.1,)), (binary_entropy, (math.nan,)),
+        (best_on_fraction, (1.0,)), (best_on_fraction, (-0.1,)), (best_on_fraction, (math.nan,)),
+    ])
+    def test_scalar_calls_refuse_bad_inputs(self, call, args):
+        with pytest.raises(DomainError):
+            call(*args)
 
 
 class TestLyingSurvivorBound:

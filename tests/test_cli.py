@@ -457,6 +457,21 @@ class TestConcentrate:
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit on int-to-str
 
 
+class TestHugeCoinCounts:
+    """Auto value and census at 10**9 and 10**12 coins answer or refuse at once."""
+
+    def test_auto_value(self, capsys):
+        code, out, err = run(capsys, "value", "--spec", "1000000000,39,5,heavy")
+        assert (code, out) == (6, "")  # below the LP threshold: only the graph decides
+        doc = run_json(capsys, "value", "--spec", "1000000000000,39,5,heavy")  # past the pigeonhole
+        assert (doc["winner"], doc["mode"], doc["instances_checked"]) == ("balance", "constructive", 0)
+
+    def test_census_refuses_the_graph_at_a_billion_coins(self, capsys):
+        code, out, err = run(capsys, "census", "--n", "1000000000", "--q", "39", "--k", "5")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: a compatibility graph of 4052555153018976267**2 cells")
+
+
 @pytest.mark.skipif(LIMIT == 0, reason="this interpreter prints integers of any length")
 class TestUnprintableNumbers:
     """A count past the int-to-str digit limit is refused with exit 5 and one line."""
@@ -486,6 +501,17 @@ class TestUnprintableNumbers:
         code, out, err = run(capsys, "sweep", "--qmax", str(q))
         assert (code, out) == (5, "")
         assert err.startswith(f"error: cannot print player_max_n: it has {LIMIT + 1} digits")
+
+    @pytest.mark.parametrize("argv,field", [
+        (["census", "--n", "1000000000000", "--q", "39", "--k", "5"], "total_plans"),
+        (["value", "--spec", "1000000000000,39,5,heavy", "--exhaustive"], "instances_checked"),
+    ])
+    def test_a_count_past_the_block_budget_is_refused_unformed(self, capsys, argv, field):
+        # 3**(39 * 10**12) has 18,607,728,934,067 digits; it is counted, never formed.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (5, "")
+        assert err == (f"error: cannot print {field}: it has 18607728934067 digits, over the "
+                       f"{LIMIT}-digit limit on integer printing\n")
 
     def test_no_traceback_from_the_console(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

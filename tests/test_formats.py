@@ -1,15 +1,20 @@
+import contextlib
+import decimal
+import io
 import json
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from balancegame import DimensionError, DomainError, GameSpec
+from balancegame import DimensionError, DomainError, GameSpec, analysis, cli
 from balancegame.core import validate_row, validate_strategy
 from balancegame.formats import (
     FormatError,
     csv_number,
+    power_of_three_digits,
     format_strategy,
     parse_mask,
     parse_strategy,
@@ -177,6 +182,88 @@ class TestCsv:
 
 
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit on int-to-str
+
+
+def csv_oracle(header, rows):
+    """A table cell by cell through csv_number, as every table was written."""
+    return "".join(",".join(map(csv_number, row)) + "\n" for row in [header, *rows])
+
+
+def analyze(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", *argv]) == 0
+    return out.getvalue()
+
+
+class TestFloatRows:
+    """Tables of floats only take one format call per row, to the same bytes."""
+
+    CURVES = [
+        (["--curve", "g"], ("r", "g"), 0.0, 1.0, analysis.honest_threshold_rate),
+        (["--curve", "v", "--r2", "0.176"], ("r", "v"), 0.176, 1.0,
+         lambda r: analysis.lying_threshold_rate(r, 0.176)),
+        (["--curve", "phi", "--r", "0.4592", "--q", "24"], ("p", "phi"), 0.0, 0.5,
+         lambda p: analysis.prob_considered_heavier(p, 0.4592, 24)),
+        (["--curve", "f", "--qvec", "8,1,0,10,7", "--q", "10"], ("p", "f"), 0.0, 0.5,
+         lambda p: analysis.expected_survivors([8, 1, 0, 10, 7], p, 10)),
+    ]
+
+    @pytest.mark.parametrize("grid", [1, 2, 400, 2000])
+    @pytest.mark.parametrize("argv,header,lo,hi,fn", CURVES)
+    def test_every_curve_equals_per_point_scalar_calls(self, argv, header, lo, hi, fn, grid):
+        step = (hi - lo) / (grid + 1)
+        points = [lo + i * step for i in range(1, grid + 1)]
+        assert analyze(*argv, "--grid", str(grid)) == csv_oracle(header, [[x, fn(x)] for x in points])
+
+    def test_optimal_r_rows(self):
+        r2s = [0.0, 0.05, 0.3]
+        rows = [[r2, *analysis.best_on_fraction(r2)] for r2 in r2s]
+        assert analyze("--curve", "optimal-r", "--r2", "0,0.05,0.3") == csv_oracle(("r2", "argmax", "max"), rows)
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, math.inf], [math.nan, -math.inf], [-0.0, 1e-300]],  # floats only: the row path
+        [[1, 2.5], [True, None], ["x", 1e21]],
+        [[np.float64(0.1), 2.5]],  # a float subclass takes the cell path
+        [[0.5], [0.25, 0.75]],  # rows narrower than the header
+        [[0.5, 0.25, 0.125]],  # and wider
+        [],
+    ])
+    def test_tables_keep_their_bytes(self, rows):
+        assert render_csv(["a", "b"], rows) == csv_oracle(("a", "b"), rows)
+
+    @pytest.mark.skipif(LIMIT == 0, reason="this interpreter prints integers of any length")
+    def test_an_int_past_the_limit_is_refused(self):
+        with pytest.raises(DomainError, match=rf"^cannot print b: it has {LIMIT + 1} digits, "):
+            render_csv(["a", "b"], [[0.5, 0.25], [0.5, 10**LIMIT]])
+
+
+class TestPowerOfThreeDigits:
+    def test_small_powers(self):
+        for m in range(3000):
+            assert power_of_three_digits(m) == len(str(3**m)), m
+
+    @pytest.mark.parametrize("m", [1653915, 2319052])
+    def test_products_within_the_float_slack_of_an_integer(self, m):
+        # Denominators of continued-fraction convergents of log10(3): m log10(3)
+        # lies within 1e-12 m log10(3) of an integer, so decimal decides the floor.
+        x = m * math.log10(3)
+        assert abs(x - round(x)) < 1e-12 * x
+        digits = power_of_three_digits(m)
+        big = 3**m
+        assert 10 ** (digits - 1) <= big < 10**digits
+
+    @pytest.mark.parametrize("m,floor", [
+        (9045525078269505, 4315812274942119),  # the float product reads ...118.5
+        (9307476767034999, 4440794993361845),  # the float product reads ...846.5
+    ])
+    def test_products_past_the_float_precision(self, m, floor):
+        # The floors come from ln(3) / ln(10) at 60 digits, where the product lies
+        # within 1e-11 of an integer but more than 1e-20 from it.
+        context = decimal.Context(prec=60)
+        exact = context.multiply(context.divide(context.ln(3), context.ln(10)), m)
+        assert math.floor(exact) == floor and 1e-20 < min(exact - floor, floor + 1 - exact) < 1e-11
+        assert power_of_three_digits(m) == floor + 1
 
 
 class Unprintable:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from balancegame import (
     CapacityError,
+    DomainError,
     GameSpec,
     ResourceLimitError,
     UndecidedError,
@@ -456,6 +457,53 @@ class TestCensusPerfect:
     def test_census_cap(self):
         with pytest.raises(ResourceLimitError):  # a graph of 3**18 cells
             census_perfect(GameSpec(4, 9, 1, "heavy"))
+
+    def test_a_count_of_zero_skips_the_factorial(self, monkeypatch):
+        def factorial(n):
+            raise AssertionError("n! formed for a count of 0")
+
+        monkeypatch.setattr(math, "factorial", factorial)
+        for n, q, k, prior in ((10**12, 39, 5, "heavy"), (4, 1, 0, "heavy"), (19, 5, 1, "heavy")):
+            assert census_perfect(GameSpec(n, q, k, prior)) == 0
+
+
+class TestBoundedIntegers:
+    """Plan counts are bounded before the integer 3**(n q) is formed."""
+
+    CAPS = [-5, 0, 1, 2, 3, 8, 9, 10, 26, 27, 28, 3**20 - 1, 3**20, 3**20 + 1, 10**40, 3**200]
+
+    def test_the_plans_fit_test_equals_the_integer_one(self):
+        for cap in self.CAPS:
+            for n in range(1, 12):
+                for q in range(1, 12):
+                    assert (n * q <= verifier._cap_exponent(cap)) == ((3**q) ** n <= cap), (n, q, cap)
+
+    def test_the_cap_exponent_at_powers_of_three(self):
+        for e in range(400):
+            assert verifier._cap_exponent(3**e) == e
+            assert verifier._cap_exponent(3**e + 1) == e
+            assert verifier._cap_exponent(3 ** (e + 1) - 1) == e
+
+    def test_plan_total_forms_counts_within_the_block_budget(self):
+        assert verifier.plan_total(GameSpec(4300, 5, 0, "heavy"), "x") == 3**21500
+
+    def test_plan_total_refuses_unformed_past_the_block_budget(self, monkeypatch):
+        spec = GameSpec(10**12, 39, 5, "heavy")
+        monkeypatch.setattr(verifier.formats, "_digit_limit", lambda: 4300)
+        with pytest.raises(DomainError, match=r"^cannot print total_plans: it has 18607728934067 digits, "
+                                              r"over the 4300-digit limit on integer printing$"):
+            verifier.plan_total(spec, "total_plans")
+        monkeypatch.setattr(verifier.formats, "_digit_limit", lambda: 0)
+        with pytest.raises(ResourceLimitError, match=r"^total_plans for 1000000000000,39,5,heavy is an integer "):
+            verifier.plan_total(spec, "total_plans")
+
+    def test_auto_value_at_a_billion_coins(self):
+        # The LP leaves 10**9 coins over 39 rounds undecided; past the pigeonhole
+        # (204,505,166,203) the balance wins, and 3**(n q) is never formed.
+        with pytest.raises(UndecidedError):
+            game_value(GameSpec(10**9, 39, 5, "heavy"))
+        value = game_value(GameSpec(10**12, 39, 5, "heavy"))
+        assert (value.winner, value.mode, value.instances_checked) == ("balance", "constructive", 0)
 
 
 def enumerated(spec):
