@@ -82,11 +82,19 @@ def _parse_spec(text: str) -> GameSpec:
 
 
 def _load_strategy(path: str) -> tuple[str, ...]:
+    """The rows of the strategy file at ``path``: its bytes, decoded as UTF-8
+    once, then :func:`parse_strategy`."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read strategy file {path!r}: {exc.strerror}") from exc
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"strategy file {path!r} is not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}"
+        ) from exc
     return parse_strategy(text)
 
 

@@ -58,6 +58,8 @@ TRANSCRIPTION = {
 _IMAGE = {HEAVY: str.maketrans("LRO", "LRD"), LIGHT: str.maketrans("LRO", "RLD")}
 _PRE_IMAGE = {sign: {out: cell for cell, out in image.items()} for sign, image in _IMAGE.items()}
 _SWAP_PANS = str.maketrans("LR", "RL")
+# Deletes every placement: what a row's translate() leaves lies outside the alphabet.
+DROP_PLACEMENTS = str.maketrans("", "", PLACEMENTS)
 
 
 class BalanceGameError(Exception):
@@ -141,7 +143,7 @@ class GameSpec:
 def validate_row(row: str, q: int) -> None:
     if len(row) != q:
         raise DimensionError(f"row {row!r} has length {len(row)}, expected {q}")
-    if row.strip(PLACEMENTS):  # some cell lies outside the alphabet
+    if row.translate(DROP_PLACEMENTS):  # some cell lies outside the alphabet
         bad = set(row) - set(PLACEMENTS)
         raise DimensionError(f"row {row!r} uses characters outside {PLACEMENTS!r}: {sorted(bad)}")
 
@@ -151,7 +153,7 @@ def validate_strategy(spec: GameSpec, strategy) -> tuple[str, ...]:
     rows = tuple(strategy)
     if len(rows) != spec.n:
         raise DimensionError(f"strategy has {len(rows)} rows, spec wants n={spec.n}")
-    if set(map(len, rows)) == {spec.q} and not "".join(rows).strip(PLACEMENTS):
+    if set(map(len, rows)) == {spec.q} and not "".join(rows).translate(DROP_PLACEMENTS):
         return rows  # every row of q cells over the alphabet
     for row in rows:  # find the first bad row and word the error
         validate_row(row, spec.q)

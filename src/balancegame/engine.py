@@ -256,7 +256,7 @@ def close_pairs(
         if spec.k == 0:
             block = digit_codes(preds[:, ts])
             order = np.argsort(block, axis=1, kind="stable")
-            ranked = np.take_along_axis(block, order, axis=1)
+            ranked = block[np.arange(len(block))[:, None], order]
             same = ranked[:, 1:] == ranked[:, :-1]
             # Flat indices first: np.nonzero on an n-d array is many times slower.
             t, i = np.unravel_index(np.flatnonzero(same), same.shape)
@@ -669,16 +669,26 @@ class _CliqueSearch:
         of off-balance rounds, C(q, j) 2**(q-j) words, admissible for
         j < q - 2k, so the count is (1/n) sum_j C(q, j) 2**(q-j) c(v_j), with
         c(v_j) the (n-1)-cliques in N(v_j).  Each division is checked to be
-        exact."""
+        exact.
+
+        A k = 0 count is formed only while the census, n! times it, fits the
+        block budget in bits, bounded from below by :func:`_falling_bits`
+        (and the 2**n of the unknown prior); past it the count is refused
+        unformed with :class:`ResourceLimitError`."""
         q, k = self.spec.q, self.spec.k
         if self.lost(n):
             return 0
         if n == 1:
             return self.size
         if k == 0:
-            if self.spec.prior == HEAVY:
-                return math.comb(3**q, n)
-            return 2**n * math.comb((3**q - 1) // 2, n)
+            heavy = self.spec.prior == HEAVY
+            N = self.size if heavy else self.size // 2  # the words, or their mirror pairs
+            if _falling_bits(n, N) + (0 if heavy else n) > 8 * _PAIR_BYTES:
+                raise ResourceLimitError(
+                    f"the must-win plan count for {n},{q},0,{self.spec.prior} is an integer "
+                    f"past the {_PAIR_BYTES}-byte block"
+                )
+            return math.comb(N, n) if heavy else 2**n * math.comb(N, n)
         self._start(n)
         if self.spec.prior == HEAVY:
             # Word 0 comes first: its later words are all of N(0).
@@ -720,6 +730,15 @@ class _CliqueSearch:
                 return found
             total += found
         return total
+
+
+def _falling_bits(n: int, N: int) -> int:
+    """An exact lower bound on the bits of n! C(N, n), 0 < n <= N: the
+    falling factorial N (N - 1) ... (N - n + 1), whose top m factors are
+    each at least N - m + 1.  Both m = n and m = ceil(n / 2) are taken: the
+    first is the sharper while n is far below N, and the second keeps
+    growing where n nears N, as its least factor stays above n / 2."""
+    return max(m * ((N - m + 1).bit_length() - 1) for m in (n, (n + 1) // 2))
 
 
 def _exact(total: int, parts: int) -> int:

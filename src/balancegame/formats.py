@@ -1,8 +1,9 @@
 """Text formats: strategy files, masks and report documents.
 
-A strategy file holds one row per line over ``L``/``R``/``O``; blank lines
-and lines starting with ``#`` are ignored.  A valid file is accepted by a
-few C-level string calls over all its rows; only a bad one runs the line
+A strategy file holds one row per line over ``L``/``R``/``O``, in either
+case; blank lines and lines starting with ``#`` are ignored.  The CLI reads
+a file as bytes and decodes them as UTF-8 once.  Valid text has one path,
+a few whole-string C calls over all its rows; only a bad one runs the line
 loop, which words the error with its line and column.  Formatting then
 parsing gives back the same rows (comments aside).  Masks are plain
 strings over ``L``/``R``/``D``.  Reports are versioned key/value documents
@@ -21,7 +22,7 @@ from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any, Iterable, NoReturn, Sequence
 
-from .core import BalanceGameError, DomainError, OUTCOMES, PLACEMENTS, GameSpec
+from .core import BalanceGameError, DomainError, DROP_PLACEMENTS, OUTCOMES, PLACEMENTS, GameSpec
 
 REPORT_SCHEMA = "1"
 
@@ -40,17 +41,24 @@ class FormatError(BalanceGameError):
 
 
 def parse_strategy(text: str) -> tuple[str, ...]:
-    rows = [line.upper() for line in map(str.strip, text.splitlines())
-            if line and not line.startswith("#")]
-    if len(set(map(len, rows))) == 1 and not "".join(rows).strip(PLACEMENTS):
+    """The rows of a strategy file's text, upper-cased.  Valid text takes one
+    path of whole-string calls: the text is upper-cased and split once, its
+    lines stripped and blank ones dropped by ``map``/``filter``, comment
+    lines dropped only where the text holds a ``#``, and every cell checked
+    at once by :data:`core.DROP_PLACEMENTS`.  Upper-casing the whole text
+    moves no line end, blank or ``#``, so it gives the rows of upper-casing
+    each line.  Only text that fails runs the line loop, which words the
+    error for its first bad line with its line and column."""
+    text = text.upper()
+    rows = list(filter(None, map(str.strip, text.splitlines())))
+    if "#" in text:
+        rows = [row for row in rows if row[0] != "#"]
+    if len(set(map(len, rows))) == 1 and not "".join(rows).translate(DROP_PLACEMENTS):
         return tuple(rows)  # every row over the alphabet, all of one width
-    # Else the line loop words the error for the first bad line; no bad line means no rows.
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, row in enumerate(map(str.strip, text.splitlines()), start=1):
+        if not row or row[0] == "#":
             continue
-        row = line.upper()
-        if row.strip(PLACEMENTS):  # some cell lies outside the alphabet: find the first
+        if row.translate(DROP_PLACEMENTS):  # some cell lies outside the alphabet: find the first
             col, ch = next((c, ch) for c, ch in enumerate(row, start=1) if ch not in PLACEMENTS)
             raise FormatError(f"placement must be one of {PLACEMENTS!r}, got {ch!r}", lineno, col)
         if len(row) != len(rows[0]):

@@ -29,6 +29,7 @@ from balancegame import (
 )
 from balancegame.cli import main
 from balancegame.formats import FormatError, render_report, report
+from test_formats import readable_parse_strategy
 
 
 def run(capsys, *argv):
@@ -142,6 +143,87 @@ class TestCertify:
         doc = run_json(capsys, "certify", "--spec", "2,1,0,heavy", "--strategy", path)
         assert doc["outcome"] == "balance-wins"
         assert doc["attack_mask"] == "D"
+
+
+# Lines of a strategy file: rows of one width in either case, ragged rows,
+# padding, comments (some indented, some holding '#' past their first cell),
+# non-ASCII letters (some upper-casing to two letters) and blanks; joined by
+# every kind of line end, then encoded, with a stray byte that is not UTF-8
+# spliced in now and then.
+_FILE_LINES = st.lists(st.one_of(
+    st.text(alphabet="LROlro", min_size=3, max_size=3),
+    st.text(alphabet="LROlro", min_size=2, max_size=4),
+    st.tuples(st.text(alphabet=" \t", max_size=2), st.text(alphabet="LROlro", min_size=3, max_size=3),
+              st.text(alphabet=" \t", max_size=2)).map("".join),
+    st.tuples(st.text(alphabet=" \t", max_size=2), st.text(alphabet="# xL", max_size=4)).map(
+        lambda t: t[0] + "#" + t[1]),
+    st.sampled_from(["L#R", "l#r", "LR#", "ß", "ﬁ", "LßR", "é", "", "  ", "\t"]),
+), max_size=8)
+_FILE_BYTES = st.tuples(
+    _FILE_LINES,
+    st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\u2028", ""]), min_size=8, max_size=8),
+    st.sampled_from([b"", b"", b"", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\xe2\x82"]),
+    st.integers(0, 64),
+).map(lambda t: (lambda data: data[: t[3]] + t[2] + data[t[3]:])(
+    "".join(line + end for line, end in zip(t[0], t[1])).encode()))
+
+
+def _first_bad_byte(data):
+    """Offset of the first byte of ``data`` that is not UTF-8, by the text
+    ``errors="replace"`` decodes: its first U+FFFD (the data holds none),
+    and the bytes of the text before it."""
+    text = data.decode("utf-8", "replace")
+    return len(text[: text.index("\ufffd")].encode()) if "\ufffd" in text else None
+
+
+class TestLoadStrategy:
+    """The CLI reads a strategy file's bytes and decodes them once."""
+
+    @given(_FILE_BYTES)
+    @settings(max_examples=400)
+    def test_agrees_with_text_mode_reading(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "plan-bytes.txt"
+        path.write_bytes(data)
+        bad = _first_bad_byte(data)
+        if bad is not None:
+            with pytest.raises(FormatError) as got:
+                cli._load_strategy(str(path))
+            assert str(got.value) == (
+                f"strategy file {str(path)!r} is not UTF-8: byte {data[bad]:#04x} at offset {bad}")
+            return
+        with open(path, encoding="utf-8") as fh:  # text mode: universal newlines
+            text = fh.read()
+        try:
+            want = readable_parse_strategy(text)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                cli._load_strategy(str(path))
+            assert (str(got.value), got.value.line, got.value.column) == (str(exc), exc.line, exc.column)
+        else:
+            assert cli._load_strategy(str(path)) == want
+
+    @pytest.mark.parametrize("data,message", [
+        (b"LRO\r\nL#R\r\n", "line 2, column 2: placement must be one of 'LRO', got '#'"),
+        (b"  # note\rlro\rLR\r", "line 3: row has 2 placements, earlier rows have 3"),
+        (b"lr\x0cLR\xe2\x80\xa8LRO\n", "line 3: row has 3 placements, earlier rows have 2"),
+    ])
+    def test_pinned_errors(self, tmp_path, data, message):
+        path = tmp_path / "plan.txt"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            cli._load_strategy(str(path))
+
+    def test_crlf_lower_case_and_comments(self, tmp_path):
+        path = tmp_path / "plan.txt"
+        path.write_bytes(b"# four coins\r\n\tll \r\n  # note\r\nlr\r\n\r\nRL\r\nrr")
+        assert cli._load_strategy(str(path)) == ("LL", "LR", "RL", "RR")
+
+    def test_a_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"L\xffR\n")
+        code, out, err = run(capsys, "certify", "--spec", "1,3,0,heavy", "--strategy", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: strategy file {str(path)!r} is not UTF-8: byte 0xff at offset 1\n"
 
 
 class TestValue:

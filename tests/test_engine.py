@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balancegame import GameSpec, ResourceLimitError, partial_complement, surviving_hypotheses
+from balancegame import GameSpec, ResourceLimitError, engine, partial_complement, surviving_hypotheses
 from balancegame.core import OUTCOMES, PLACEMENTS
 from balancegame.engine import (
+    _hypothesis_digits,
     batch_balance_wins,
     batch_survivor_counts,
+    close_pairs,
     code_digits,
     decode,
     digit_codes,
@@ -85,6 +87,51 @@ class TestSurvivorCounts:
         spec = GameSpec(2, 1, 0, "heavy")
         rows = code_digits(np.array([[0, 0], [0, 1]]), 1)  # ("L","L") loses, ("L","R") wins
         np.testing.assert_array_equal(batch_balance_wins(spec, rows), [True, False])
+
+
+def take_along_axis_pairs(preds):
+    """The k = 0 close pairs of (q, T, H) hypothesis digits, the sorted codes
+    gathered by ``np.take_along_axis``, in one block: (t, a, b) arrays."""
+    block = digit_codes(preds)
+    order = np.argsort(block, axis=1, kind="stable")
+    ranked = np.take_along_axis(block, order, axis=1)
+    t, i = np.nonzero(ranked[:, 1:] == ranked[:, :-1])
+    return t, order[t, i], order[t, i + 1]
+
+
+class TestZeroLieGather:
+    """close_pairs' k = 0 branch gathers the sorted codes by one fancy index."""
+
+    @given(st.integers(1, 4).flatmap(lambda q: st.tuples(
+        st.just(q),
+        st.sampled_from(["heavy", "unknown"]),
+        st.integers(1, 12),
+        st.integers(2, 40),
+        st.integers(1, 3**q),  # a small pool of codes: many duplicate and mirror rows
+        st.integers(0, 2**32 - 1),
+    )))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_take_along_axis(self, case):
+        q, prior, n, T, pool, seed = case
+        spec = GameSpec(n, q, 0, prior)
+        codes = np.random.default_rng(seed).integers(0, pool, size=(T, n))
+        preds = _hypothesis_digits(spec, code_digits(codes, q))
+        got = [np.concatenate(parts) for parts in zip(*close_pairs(spec, preds))]
+        for have, want in zip(got, take_along_axis_pairs(preds)):
+            np.testing.assert_array_equal(have, want)
+
+    def test_equals_take_along_axis_in_many_blocks(self, monkeypatch):
+        monkeypatch.setattr(engine, "_PAIR_BYTES", 16000)  # ten plans a block
+        spec = GameSpec(9, 2, 0, "unknown")
+        codes = np.random.default_rng(5).integers(0, 4, size=(300, 9))  # LL, LR, LO and RL
+        preds = _hypothesis_digits(spec, code_digits(codes, 2))
+        blocks = list(close_pairs(spec, preds))
+        assert len(blocks) > 10
+        got = [np.concatenate(parts) for parts in zip(*blocks)]
+        want = take_along_axis_pairs(preds)
+        assert len(want[0]) > 300 * 9  # duplicates, and LR beside RL, its mirror, all close
+        for have, expected in zip(got, want):
+            np.testing.assert_array_equal(have, expected)
 
 
 class TestMatrixEnumeration:

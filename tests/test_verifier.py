@@ -2,6 +2,7 @@ import fractions
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -496,6 +497,45 @@ class TestBoundedIntegers:
         monkeypatch.setattr(verifier.formats, "_digit_limit", lambda: 0)
         with pytest.raises(ResourceLimitError, match=r"^total_plans for 1000000000000,39,5,heavy is an integer "):
             verifier.plan_total(spec, "total_plans")
+
+    @pytest.mark.parametrize("prior", ["heavy", "unknown"])
+    def test_a_huge_zero_lie_census_is_refused_at_once(self, prior):
+        # n = N, 3**39 words or (3**39 - 1) // 2 mirror pairs, is the most coins a
+        # zero-lie plan holds: there the census is N! and N - n + 1 is 1.
+        for n in (10**9, 3**39 if prior == "heavy" else (3**39 - 1) // 2):
+            t0 = time.perf_counter()
+            with pytest.raises(ResourceLimitError, match=f"^the must-win plan count for {n},39,0,{prior} "
+                                                         r"is an integer past the 4194304-byte block$"):
+                census_perfect(GameSpec(n, 39, 0, prior))
+            assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("prior,N", [("heavy", 243), ("unknown", 121)])
+    def test_the_census_bound_at_a_small_block(self, monkeypatch, prior, N):
+        # 64 bits: 9 coins over 5 rounds bound their census by 9 * 7 = 63 bits
+        # (plus the 2**n under the unknown prior, where N - n + 1 >= 64 takes
+        # 6 bits a factor), 10 coins by 70; 3**(9 * 5) alone is 71 bits.
+        monkeypatch.setattr(engine, "_PAIR_BYTES", 8)
+        signs = 1 if prior == "heavy" else 2  # a row or its mirror for each of n mirror pairs
+        assert census_perfect(GameSpec(9, 5, 0, prior)) == signs**9 * math.perm(N, 9)
+        with pytest.raises(ResourceLimitError):
+            census_perfect(GameSpec(10, 5, 0, prior))
+        # The bound comes after the lost check: counts of 0 answer, as n = 1 does.
+        assert census_perfect(GameSpec(N + 1, 5, 0, prior)) == 0
+        assert census_perfect(GameSpec(1, 5, 0, prior)) == signs * N
+
+    def test_the_census_bound_is_a_lower_bound(self, monkeypatch):
+        # Refused only where the census, n! times the clique count, has more bits than the block.
+        for budget in (1, 2, 8, 40):
+            monkeypatch.setattr(engine, "_PAIR_BYTES", budget)
+            for q, prior in itertools.product(range(1, 5), ("heavy", "unknown")):
+                N = 3**q if prior == "heavy" else (3**q - 1) // 2
+                signs = 1 if prior == "heavy" else 2
+                for n in range(2, N + 1):
+                    census = signs**n * math.perm(N, n)
+                    try:
+                        assert census_perfect(GameSpec(n, q, 0, prior)) == census
+                    except ResourceLimitError:
+                        assert census.bit_length() > 8 * budget, (budget, n, q, prior)
 
     def test_auto_value_at_a_billion_coins(self):
         # The LP leaves 10**9 coins over 39 rounds undecided; past the pigeonhole
