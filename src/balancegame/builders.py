@@ -1,4 +1,11 @@
-"""Strategy constructors: canonical families and seeded random plans."""
+"""Strategy constructors: canonical families and seeded random plans.
+
+Seeded plans and draws take the generator words of ``random.Random(seed)``
+from :func:`seeded_words`, which replays CPython's MT19937 seeding on
+length-T vectors for a block of ``_REPLAY_TRIALS`` seeds or more.  That
+replay is some 9,350 ufunc calls whatever T is, so every constant they take
+is a prebuilt read-only 0-d uint32 array (``engine._operands``), which
+spares each call NumPy's scalar conversion."""
 
 from __future__ import annotations
 
@@ -91,7 +98,7 @@ def reseeded(rng: random.Random, seeds):
 
 _N, _M = 624, 397  # MT19937's words of state, and the offset its twist reads
 _TRIAL_BYTES = 192  # peak bytes per trial beyond its values; see below_rate_bytes
-_REPLAY_TRIALS = 1000  # fewest seeds of one key length whose seeding seeded_words replays
+_REPLAY_TRIALS = 700  # fewest seeds of one key length whose seeding seeded_words replays
 _JOIN_BYTES = 1 << 16  # most bytes seeded_words holds at once off the replay beyond its output
 
 
@@ -118,19 +125,26 @@ def _key_words(m: int) -> int:
     return max(1, -(-m.bit_length() // 32))
 
 
+_u32 = functools.partial(engine._operands, np.uint32)  # the replay's constants, as 0-d operands
+_1, _7, _11, _15, _18, _30 = _u32(1, 7, 11, 15, 18, 30)
+_UP, _DOWN = _u32(1664525, 1566083941)  # init_by_array's multipliers, passes 1 and 2
+_UPPER, _LOWER, _MATRIX_A = _u32(0x80000000, 0x7FFFFFFF, 0x9908B0DF)
+_MASK_B, _MASK_C = _u32(0x9D2C5680, 0xEFC60000)  # tempering
+
+
 @functools.cache
 def _seeding_tables() -> tuple[list, list]:
     """``init_genrand(19650218)``, where every ``init_by_array`` starts, and
-    -i mod 2**32 for each index i, as uint32 scalars; built on first use."""
+    -i mod 2**32 for each index i, as 0-d uint32 operands; built on first use."""
     mt = [19650218]
     for i in range(1, _N):
         mt.append((1812433253 * (mt[-1] ^ mt[-1] >> 30) + i) & 0xFFFFFFFF)
-    return list(np.array(mt, dtype=np.uint32)), list((-np.arange(_N)).astype(np.uint32))
+    return _u32(*mt), _u32(*(-i % 2**32 for i in range(_N)))
 
 
 def _mix(prev, mult, x, add, out: np.ndarray) -> np.ndarray:
     """One ``init_by_array`` step: out = ((prev ^ prev >> 30) * mult ^ x) + add."""
-    np.right_shift(prev, 30, out=out)
+    np.right_shift(prev, _30, out=out)
     out ^= prev
     out *= mult
     out ^= x
@@ -141,8 +155,8 @@ def _mix(prev, mult, x, add, out: np.ndarray) -> np.ndarray:
 def _twist(high, low):
     """MT19937's twist of y, y's top bit from ``high`` and the rest from
     ``low``, less its mt[k + M] term: y >> 1 ^ (y & 1) * 0x9908B0DF."""
-    y = high & 0x80000000 | low & 0x7FFFFFFF
-    return y >> 1 ^ (y & 1) * 0x9908B0DF
+    y = high & _UPPER | low & _LOWER
+    return y >> _1 ^ (y & _1) * _MATRIX_A
 
 
 def _replay(mags: list, out: np.ndarray) -> None:
@@ -163,7 +177,10 @@ def _replay(mags: list, out: np.ndarray) -> None:
     mt[W].  Before mt[M] is written each of those rows is twisted but for its
     mt[k+M] term, which is XORed in as it is written; mt[M] and mt[M+1] wait
     in ``out[0]`` and ``out[1]``, and outputs 0 and 1 are twisted last, once
-    mt[1] is known."""
+    mt[1] is known.  Each step's constants are 0-d uint32 arrays, so a call
+    costs its arithmetic alone: about 4.6-6.6 ms a replay of 700-1,000 seeds
+    at 2-200 words (2 vCPUs), against 6.7-9.5 us a seed to reseed CPython's
+    generator."""
     words, trials = out.shape
     length = _key_words(max(mags))
     if length <= 2:  # each seed's low and high word, from one uint64
@@ -174,16 +191,15 @@ def _replay(mags: list, out: np.ndarray) -> None:
     key = [raw[j::stride] + np.uint32(j) for j in range(length)]
     del raw
     table, minus = _seeding_tables()
-    up, down = np.uint32(1664525), np.uint32(1566083941)
 
     def pass1(i, prev, buf):
-        return _mix(prev, up, table[i], key[(i - 1) % length], buf)
+        return _mix(prev, _UP, table[i], key[(i - 1) % length], buf)
 
     p1 = pass1(1, table[0], np.empty(trials, dtype=np.uint32))
     p, spare = p1.copy(), np.empty(trials, dtype=np.uint32)
     for i in range(2, _N):
         p, spare = pass1(i, p, spare), p
-    a1 = _mix(p, up, p1, key[(_N - 1) % length], spare)
+    a1 = _mix(p, _UP, p1, key[(_N - 1) % length], spare)
     p, spare, q = p1, p, a1
     kept = np.empty((2, trials), dtype=np.uint32)  # mt[2] and mt[W]
     scratch = (np.empty(trials, dtype=np.uint32), np.empty(trials, dtype=np.uint32))
@@ -199,19 +215,19 @@ def _replay(mags: list, out: np.ndarray) -> None:
             if words > 2:
                 out[words - 1] = _twist(out[words - 1], kept[1])
         p, spare = pass1(i, p, spare), p
-        q = _mix(q, down, p, minus[i], rows.get(i, scratch[i & 1]))
+        q = _mix(q, _DOWN, p, minus[i], rows.get(i, scratch[i & 1]))
         if _M + 2 <= i < _M + words:
             out[i - _M] ^= q
-    mt1 = _mix(q, down, a1, minus[1], scratch[0] if q is scratch[1] else scratch[1])
-    out[0] ^= _twist(0x80000000, mt1)
+    mt1 = _mix(q, _DOWN, a1, minus[1], scratch[0] if q is scratch[1] else scratch[1])
+    out[0] ^= _twist(_UPPER, mt1)
     if words > 1:
         out[1] ^= _twist(mt1, kept[0])
     for r in range(0, words, 4):  # four rows at a time: 48 bytes of temporaries a trial
         o = out[r : r + 4]
-        o ^= o >> 11
-        o ^= o << 7 & 0x9D2C5680
-        o ^= o << 15 & 0xEFC60000
-        o ^= o >> 18
+        o ^= o >> _11
+        o ^= o << _7 & _MASK_B
+        o ^= o << _15 & _MASK_C
+        o ^= o >> _18
 
 
 def seeded_words(seeds, words: int, rng: random.Random | None = None) -> np.ndarray:

@@ -57,6 +57,20 @@ _POWERS = 3 ** np.arange(MAX_ROUNDS - 1, -1, -1, dtype=np.int64)  # 3**38 .. 3**
 _CODE_BYTES = 40  # per code while code_digits peels it: the int64 code and four temporaries
 
 
+def _operands(dtype, *values: int) -> list[np.ndarray]:
+    """Read-only 0-d arrays of ``values`` for ufunc operands.  Under NumPy 2's
+    promotion rules a Python int or NumPy scalar operand costs each call a
+    conversion about as long as its arithmetic on a few thousand elements,
+    where a 0-d array does not.  A 0-d array is not a weak scalar, so
+    ``dtype`` must be that of the arrays it meets, or it promotes them."""
+    table = np.array(values, dtype=dtype)
+    table.flags.writeable = False
+    return [table[i, ...] for i in range(len(values))]
+
+
+(_THREE,) = _operands(np.int64, 3)
+
+
 def encode(word: str, alphabet: str) -> int:
     code = 0
     for ch in word:
@@ -109,8 +123,8 @@ def code_digits(codes, q: int) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.int64)
     digits = np.empty((q,) + codes.shape, dtype=np.uint8)
     for i in range(q - 1, -1, -1):
-        rest = codes // 3  # floor division by a scalar runs about twice as fast as np.divmod
-        digits[i] = codes - 3 * rest
+        rest = codes // _THREE  # floor division by a scalar runs about twice as fast as np.divmod
+        digits[i] = codes - _THREE * rest
         codes = rest
     return digits
 
@@ -126,7 +140,7 @@ def digit_codes(digits: np.ndarray) -> np.ndarray:
         return (_POWERS[MAX_ROUNDS - q :] @ digits.reshape(q, -1)).reshape(shape)
     codes = np.zeros(shape, dtype=np.int64)
     for d in digits:
-        codes *= 3
+        codes *= _THREE
         codes += d
     return codes
 

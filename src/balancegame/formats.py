@@ -110,12 +110,17 @@ def _cells(name: str, value: Any) -> Iterable[tuple[str, Any]]:
 
 
 def _digits(x: int) -> int:
-    """Decimal digits of a nonzero |x|, counted without converting it to a string."""
+    """Decimal digits of a nonzero |x|, floor(log10 |x|) + 1, counted without
+    converting it to a string.  The float logarithm settles the floor where
+    it lies clear of an integer, as in :func:`power_of_three_digits`; only
+    near one is |x| compared with that power of 10."""
     x = abs(x)
-    d = int(math.log10(x)) + 1  # the float logarithm may be off by one either way
-    if 10 ** (d - 1) > x:
-        return d - 1
-    return d + 1 if 10**d <= x else d
+    log = math.log10(x)
+    floor, slack = math.floor(log), 1e-12 * log  # the float is within a few ulps of log10 |x|
+    if slack < log - floor < 1.0 - slack:
+        return floor + 1
+    d = round(log)
+    return d + 1 if x >= 10**d else d
 
 
 def _digit_limit() -> int:

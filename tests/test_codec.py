@@ -282,6 +282,55 @@ class TestSeedingReplay:
         replayed = crossover == 0 and words <= 227
         assert len(reseeds) == (0 if replayed else len(seeds))
 
+    @pytest.mark.parametrize("size", [builders._REPLAY_TRIALS - 1, builders._REPLAY_TRIALS])
+    def test_words_equal_random_random_either_side_of_the_crossover(self, size, monkeypatch):
+        reseeds = count_reseeds(monkeypatch)
+        seeds = [trial_seed(362182, t) for t in range(size)]
+        got = builders.seeded_words(seeds, 3)
+        assert [row.tolist() for row in got] == [generator_words(s, 3) for s in seeds]
+        assert len(reseeds) == (size if size < builders._REPLAY_TRIALS else 0)
+
+    def test_the_replay_operands_are_read_only_0_d_arrays(self):
+        # A Python int or NumPy scalar operand costs each of the replay's ufunc
+        # calls a conversion; a 0-d array of another dtype promotes the words.
+        table, minus = builders._seeding_tables()
+        constants = [getattr(builders, name) for name in (
+            "_1", "_7", "_11", "_15", "_18", "_30", "_UP", "_DOWN", "_UPPER", "_LOWER",
+            "_MATRIX_A", "_MASK_B", "_MASK_C",
+        )]
+        for operand in [*table, *minus, *constants]:
+            assert type(operand) is np.ndarray and operand.shape == () and operand.dtype == np.uint32
+            assert not operand.flags.writeable
+        assert [int(x) for x in minus] == [-i % 2**32 for i in range(builders._N)]
+        assert type(engine._THREE) is np.ndarray and engine._THREE.shape == ()
+        assert engine._THREE.dtype == np.int64 and not engine._THREE.flags.writeable
+
+    @pytest.mark.parametrize("words", [1, 2, 3, 9])
+    def test_the_replay_steps_take_no_scalar_operands(self, words, monkeypatch):
+        # Every vector of the replay is an array that notes the operands of
+        # each ufunc it enters.  Only mt[0]'s fixed top bit, twisted once per
+        # replay, meets a NumPy scalar (the 0-d & 0-d that forms it returns one).
+        scalars = []
+
+        class Noted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+                if not all(isinstance(x, np.ndarray) for x in inputs):
+                    scalars.append(ufunc.__name__)
+                inputs = [x.view(np.ndarray) if isinstance(x, Noted) else x for x in inputs]
+                if out is not None:
+                    kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+                got = getattr(ufunc, method)(*inputs, **kwargs)
+                return out[0] if out is not None else got.view(Noted)
+
+        empty = np.empty
+        monkeypatch.setattr(np, "empty", lambda *args, **kwargs: empty(*args, **kwargs).view(Noted))
+        seeds = [*range(5), 2**32 + 7, 2**64 + 9]
+        for stretch in (seeds[:5], seeds[5:6], seeds[6:]):  # keys of one, two and three words
+            out = np.empty((words, len(stretch)), dtype=np.uint32)
+            builders._replay(stretch, out)
+            assert [row.tolist() for row in out.T] == [generator_words(s, words) for s in stretch]
+        assert scalars == ["bitwise_or"] * 3
+
     @pytest.mark.parametrize("words", [1, 2, 3, 4, 5, 226, 227])
     def test_the_replay_keeps_two_state_rows_past_its_output(self, words):
         # Each stretch is one key length: one word up to 2**32 - 1, two up

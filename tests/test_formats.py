@@ -3,7 +3,9 @@ import decimal
 import io
 import json
 import math
+import random
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from balancegame import DimensionError, DomainError, GameSpec, analysis, cli
 from balancegame.core import validate_row, validate_strategy
 from balancegame.formats import (
     FormatError,
+    _digits,
     csv_number,
     power_of_three_digits,
     format_strategy,
@@ -264,6 +267,54 @@ class TestPowerOfThreeDigits:
         exact = context.multiply(context.divide(context.ln(3), context.ln(10)), m)
         assert math.floor(exact) == floor and 1e-20 < min(exact - floor, floor + 1 - exact) < 1e-11
         assert power_of_three_digits(m) == floor + 1
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    if not LIMIT:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(LIMIT)
+
+
+class TestDigits:
+    def test_powers_of_ten_and_their_neighbours(self):
+        with no_digit_limit():
+            for k in range(4001):
+                for x in (10**k - 1, 10**k, 10**k + 1):
+                    if x:
+                        assert _digits(x) == _digits(-x) == len(str(x)), x
+
+    def test_random_integers(self):
+        rng = random.Random(33)
+        with no_digit_limit():
+            for _ in range(2000):
+                x = rng.getrandbits(rng.randrange(1, 16_000)) or 1
+                assert _digits(x) == _digits(-x) == len(str(x)), x
+
+    @pytest.mark.parametrize("e", [4 * 10**6, 1653915, 2319052])
+    def test_large_powers_of_three(self, e):
+        # The last two put log10 within the float slack of an integer, so the
+        # count is settled against that power of 10.
+        assert _digits(3**e) == power_of_three_digits(e)
+
+    @pytest.mark.skipif(LIMIT == 0, reason="this interpreter prints integers of any length")
+    def test_refusing_a_huge_integer_costs_less_than_forming_it(self):
+        big = 3 ** (4 * 10**6)
+        text = rf"^cannot print counts: it has {power_of_three_digits(4 * 10**6)} digits, over the {LIMIT}-digit limit"
+        for render in (
+            lambda: render_report(report("census", counts=[1, big])),
+            lambda: render_report(report("census", counts=[1, big]), pretty=True),
+            lambda: render_csv(["n", "counts"], [[1, 1], [2, big]]),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=text):
+                render()
+            assert time.perf_counter() - start < 0.1
 
 
 class Unprintable:
